@@ -12,11 +12,15 @@
 #include "par/parallel_sort.h"
 #include "par/thread_pool.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace {
 
 using demsort::Rng;
+using demsort::core::Gray100;
 using demsort::core::KV16;
+using demsort::workload::Distribution;
+using demsort::workload::MakeKV16;
 using KVLess = demsort::core::RecordTraits<KV16>::Less;
 
 std::vector<std::vector<KV16>> MakeRuns(size_t k, size_t len, uint64_t seed) {
@@ -60,22 +64,45 @@ void BM_MultiwaySelect(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(32)->Iterations(2000);
 
-void BM_ParallelSort(benchmark::State& state) {
-  size_t threads = state.range(0);
-  size_t n = 1 << 19;
-  demsort::par::ThreadPool pool(threads);
-  Rng rng(3);
-  std::vector<KV16> data(n);
+// ParallelSort on range(0) threads; every iteration sorts a fresh copy of
+// the same input.
+template <typename R>
+void RunParallelSort(benchmark::State& state, const std::vector<R>& input) {
+  demsort::par::ThreadPool pool(state.range(0));
+  std::vector<R> data;
   for (auto _ : state) {
     state.PauseTiming();
-    for (auto& r : data) r = {rng.Next(), rng.Next()};
+    data = input;
     state.ResumeTiming();
-    demsort::par::ParallelSort<KV16, KVLess>(pool, std::span<KV16>(data));
+    demsort::par::ParallelSort(pool, std::span<R>(data));
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * input.size());
+  state.SetBytesProcessed(state.iterations() * input.size() * sizeof(R));
+}
+
+void BM_ParallelSort(benchmark::State& state) {
+  RunParallelSort(state, MakeKV16(Distribution::kUniform, 1 << 19, 0, 1, 3));
 }
 BENCHMARK(BM_ParallelSort)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
+
+// 48-bit keys with heavy duplication: two constant digits, many ties.
+void BM_ParallelSortZipf(benchmark::State& state) {
+  RunParallelSort(state, MakeKV16(Distribution::kZipf, 1 << 19, 0, 1, 3));
+}
+BENCHMARK(BM_ParallelSortZipf)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
+
+// SortBenchmark records with random 10-byte keys: the tag-sort path.
+void BM_ParallelSortGray100(benchmark::State& state) {
+  Rng rng(3);
+  std::vector<Gray100> input(1 << 17);
+  for (Gray100& r : input) {
+    for (uint8_t& b : r.key) b = static_cast<uint8_t>(rng.Next());
+  }
+  RunParallelSort(state, input);
+}
+BENCHMARK(BM_ParallelSortGray100)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
 
 void BM_LoserTreeReplay(benchmark::State& state) {
   size_t k = state.range(0);

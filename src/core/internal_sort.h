@@ -170,7 +170,7 @@ InternalSortResult<R> InternalParallelSort(
   const int P = comm.size();
   const int me = comm.rank();
 
-  par::ParallelSort<R, Less>(*ctx.pool, std::span<R>(local));
+  par::ParallelSort<R>(*ctx.pool, std::span<R>(local));
   if (stats != nullptr) stats->elements_sorted += local.size();
 
   std::vector<uint64_t> sizes = comm.Allgather<uint64_t>(local.size());

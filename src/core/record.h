@@ -2,15 +2,24 @@
 // to the algorithms.
 //
 // A sortable record is a trivially copyable struct; RecordTraits<R> supplies
-// the comparator and a printable name. Two concrete types cover the paper's
-// evaluation:
+// the comparator, the key digits and a printable name. Two concrete types
+// cover the paper's evaluation:
 //  * KV16   — 16 bytes, 64-bit key (the scalability experiments, Figs 2-6;
 //             "element size is (only) 16 bytes with 64-bit keys").
 //  * Gray100 — 100 bytes, 10-byte key (the SortBenchmark categories).
+//
+// Key-digit contract (the local radix sort, par/radix_sort.h, relies on it):
+// a key is kKeyDigits unsigned 8-bit digits, and KeyDigit(r, d) returns digit
+// d, with d = 0 the LEAST significant. Less(a, b) must hold exactly when a's
+// digit string, read from d = kKeyDigits - 1 down to 0, is lexicographically
+// smaller than b's; records with equal digit strings are ties. kKeyDigits is
+// at most 12 for records larger than 16 bytes, which are sorted through
+// 16-byte (key, index) tags.
 #ifndef DEMSORT_CORE_RECORD_H_
 #define DEMSORT_CORE_RECORD_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -48,6 +57,11 @@ struct RecordTraits<KV16> {
   /// sentinel loser tree pairs it with an exhaustion-biased tie-break, so
   /// equality with real records is fine.
   static KV16 MaxSentinel() { return KV16{UINT64_MAX, UINT64_MAX}; }
+  /// The key's bytes in numeric order.
+  static constexpr size_t kKeyDigits = 8;
+  static uint8_t KeyDigit(const KV16& r, size_t d) {
+    return static_cast<uint8_t>(r.key >> (8 * d));
+  }
   static constexpr const char* kName = "kv16";
 };
 
@@ -62,6 +76,11 @@ struct RecordTraits<Gray100> {
     Gray100 r;
     r.key.fill(0xFF);
     return r;
+  }
+  /// memcmp order: key[0] is the most significant digit.
+  static constexpr size_t kKeyDigits = 10;
+  static uint8_t KeyDigit(const Gray100& r, size_t d) {
+    return r.key[kKeyDigits - 1 - d];
   }
   static constexpr const char* kName = "gray100";
 };

@@ -183,7 +183,10 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
       pending_writes.push_back(std::move(r));
     }
     if (!config.overlap_run_formation) {
-      io::WaitAllOk(pending_writes);
+      {
+        TRACE_SPAN1("run", "rf.write_drain", "run", run);
+        io::WaitAllOk(pending_writes);
+      }
       pending_writes.clear();
       write_buffers.clear();
     }

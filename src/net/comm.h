@@ -167,7 +167,7 @@ class Comm {
     std::vector<uint8_t> bytes = Recv(src, tag);
     DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
     std::vector<T> v(bytes.size() / sizeof(T));
-    std::memcpy(v.data(), bytes.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
     return v;
   }
 
@@ -235,13 +235,15 @@ class Comm {
   std::vector<std::vector<T>> AllgatherV(const std::vector<T>& local) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<uint8_t> bytes(local.size() * sizeof(T));
-    std::memcpy(bytes.data(), local.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(bytes.data(), local.data(), bytes.size());
     std::vector<std::vector<uint8_t>> parts = AllgatherBytes(bytes);
     std::vector<std::vector<T>> out(size_);
     for (int p = 0; p < size_; ++p) {
       DEMSORT_CHECK_EQ(parts[p].size() % sizeof(T), 0u);
       out[p].resize(parts[p].size() / sizeof(T));
-      std::memcpy(out[p].data(), parts[p].data(), parts[p].size());
+      if (!parts[p].empty()) {
+        std::memcpy(out[p].data(), parts[p].data(), parts[p].size());
+      }
     }
     return out;
   }
@@ -285,7 +287,9 @@ class Comm {
       std::vector<uint8_t> bytes = recvs[p].Take();
       DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
       received[p].resize(bytes.size() / sizeof(T));
-      std::memcpy(received[p].data(), bytes.data(), bytes.size());
+      if (!bytes.empty()) {
+        std::memcpy(received[p].data(), bytes.data(), bytes.size());
+      }
     }
     window.WaitAll();
     return received;
@@ -348,7 +352,9 @@ class Comm {
       std::vector<uint8_t> bytes = rr.Take();
       DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
       received[from].resize(bytes.size() / sizeof(T));
-      std::memcpy(received[from].data(), bytes.data(), bytes.size());
+      if (!bytes.empty()) {
+        std::memcpy(received[from].data(), bytes.data(), bytes.size());
+      }
       sr.Wait();
     }
     return received;

@@ -76,13 +76,12 @@ struct GeneratedInput {
   MultisetChecksum checksum;  // of this PE's slice
 };
 
-/// 16-byte elements with 64-bit keys (the scalability experiments). `value`
-/// carries the element's unique global index.
-inline GeneratedInput<core::KV16> GenerateKV16(io::BlockManager* bm,
-                                               Distribution dist,
-                                               uint64_t local_elements,
-                                               int rank, int num_pes,
-                                               uint64_t seed) {
+/// A PE's slice of 16-byte elements with 64-bit keys (the scalability
+/// experiments), in memory. `value` carries the element's unique global
+/// index.
+inline std::vector<core::KV16> MakeKV16(Distribution dist,
+                                        uint64_t local_elements, int rank,
+                                        int num_pes, uint64_t seed) {
   Rng rng(seed ^ (0xc2b2ae3d27d4eb4fULL * (static_cast<uint64_t>(rank) + 1)));
   std::vector<core::KV16> data(local_elements);
   const uint64_t base_index = static_cast<uint64_t>(rank) * local_elements;
@@ -126,13 +125,23 @@ inline GeneratedInput<core::KV16> GenerateKV16(io::BlockManager* bm,
       break;
     }
   }
+  for (uint64_t i = 0; i < local_elements; ++i) data[i].value = base_index + i;
+  return data;
+}
 
+/// MakeKV16's slice, written to the PE's disks.
+inline GeneratedInput<core::KV16> GenerateKV16(io::BlockManager* bm,
+                                               Distribution dist,
+                                               uint64_t local_elements,
+                                               int rank, int num_pes,
+                                               uint64_t seed) {
+  std::vector<core::KV16> data =
+      MakeKV16(dist, local_elements, rank, num_pes, seed);
   GeneratedInput<core::KV16> out;
   io::StripedWriter<core::KV16> writer(bm);
-  for (uint64_t i = 0; i < local_elements; ++i) {
-    data[i].value = base_index + i;
-    out.checksum.AddRecord(&data[i], sizeof(core::KV16));
-    writer.Append(data[i]);
+  for (const core::KV16& record : data) {
+    out.checksum.AddRecord(&record, sizeof(core::KV16));
+    writer.Append(record);
   }
   writer.Finish();
   out.input.blocks = writer.blocks();

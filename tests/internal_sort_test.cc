@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -102,6 +103,47 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Dist::kRandom, Dist::kSorted,
                                          Dist::kReversed, Dist::kAllEqual,
                                          Dist::kFewKeys)));
+
+TEST(InternalSortTest, Gray100TiesFollowPeAndPosition) {
+  // Few distinct key bytes, so most keys tie; two threads per PE, so the
+  // local sort takes the chunked tag-sort path. The pieces must concatenate
+  // to the (key, PE, position) order byte for byte.
+  const int P = 3;
+  const size_t n = 10000;
+  std::mutex mu;
+  std::vector<std::vector<Gray100>> inputs(P), pieces(P);
+  SortConfig config = test::SmallConfig();
+  config.threads_per_pe = 2;
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig&) {
+    Rng rng(77 + ctx.rank());
+    std::vector<Gray100> local(n);
+    for (size_t i = 0; i < n; ++i) {
+      for (uint8_t& b : local[i].key) b = static_cast<uint8_t>(rng.Below(3));
+      uint64_t gid = static_cast<uint64_t>(ctx.rank()) * n + i;
+      std::memcpy(local[i].payload.data(), &gid, sizeof(gid));
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      inputs[ctx.rank()] = local;
+    }
+    auto result = InternalParallelSort<Gray100>(ctx, std::move(local));
+    std::lock_guard<std::mutex> lock(mu);
+    pieces[ctx.rank()] = std::move(result.piece);
+  });
+
+  std::vector<Gray100> expect, got;
+  for (int p = 0; p < P; ++p) {
+    expect.insert(expect.end(), inputs[p].begin(), inputs[p].end());
+    got.insert(got.end(), pieces[p].begin(), pieces[p].end());
+  }
+  std::stable_sort(expect.begin(), expect.end(),
+                   RecordTraits<Gray100>::Less());
+  ASSERT_EQ(got.size(), expect.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &expect[i], sizeof(Gray100)), 0)
+        << "at " << i;
+  }
+}
 
 TEST(InternalSortTest, UnevenLocalSizes) {
   const int P = 4;

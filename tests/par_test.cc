@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -14,6 +15,7 @@
 #include "par/parallel_sort.h"
 #include "par/thread_pool.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace demsort::par {
 namespace {
@@ -207,51 +209,132 @@ TEST(ParallelMultiwayMergeTest, MatchesSequential) {
 
 // ------------------------------------------------------- ParallelSort ----
 
-class ParallelSortParamTest
-    : public ::testing::TestWithParam<std::tuple<int, size_t, int>> {};
-
-TEST_P(ParallelSortParamTest, MatchesStdSort) {
-  auto [threads, n, key_range] = GetParam();
+/// ParallelSort must produce std::stable_sort's bytes exactly: the whole
+/// record, so the input order of ties (which every record carries in its
+/// value or payload) is checked along with the keys.
+template <typename R>
+void ExpectMatchesStableSort(int threads, std::vector<R> data) {
+  std::vector<R> expect = data;
+  std::stable_sort(expect.begin(), expect.end(),
+                   typename core::RecordTraits<R>::Less());
   ThreadPool pool(threads);
-  Rng rng(n * 31 + threads);
-  std::vector<KV16> data(n);
-  for (size_t i = 0; i < n; ++i) {
-    data[i].key = rng.Below(static_cast<uint64_t>(key_range));
-    data[i].value = i;
-  }
-  std::vector<KV16> expect = data;
-  std::stable_sort(expect.begin(), expect.end(), KVLess());
-  ParallelSort<KV16, KVLess>(pool, std::span<KV16>(data));
+  ParallelSort(pool, std::span<R>(data));
   ASSERT_EQ(data.size(), expect.size());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(data[i].key, expect[i].key) << "at " << i;
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&data[i], &expect[i], sizeof(R)), 0) << "at " << i;
   }
+}
+
+// Around the 8192-record switch to the chunked path, plus sizes the radix
+// kernel's halves and chunks split unevenly.
+const auto kSortSizes =
+    ::testing::Values<size_t>(0, 1, 2, 8191, 8192, 8193, 50000);
+const auto kSortThreads = ::testing::Values(1, 2, 4);
+
+class ParallelSortKV16Test
+    : public ::testing::TestWithParam<
+          std::tuple<int, size_t, workload::Distribution>> {};
+
+TEST_P(ParallelSortKV16Test, MatchesStableSort) {
+  auto [threads, n, dist] = GetParam();
+  ExpectMatchesStableSort(
+      threads, workload::MakeKV16(dist, n, /*rank=*/1, /*num_pes=*/4,
+                                  /*seed=*/n * 31 + threads));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, ParallelSortParamTest,
-    ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values<size_t>(0, 1, 100, 10000, 50000),
-                       ::testing::Values(2, 1000000)));
+    Sweep, ParallelSortKV16Test,
+    ::testing::Combine(kSortThreads, kSortSizes,
+                       ::testing::Values(workload::Distribution::kUniform,
+                                         workload::Distribution::kSortedGlobal,
+                                         workload::Distribution::kWorstCaseLocal,
+                                         workload::Distribution::kReversedRanges,
+                                         workload::Distribution::kAllEqual,
+                                         workload::Distribution::kZipf)));
 
-TEST(ParallelSortTest, AlreadySorted) {
-  ThreadPool pool(4);
-  std::vector<KV16> data(20000);
-  for (size_t i = 0; i < data.size(); ++i) data[i] = {i, i};
-  ParallelSort<KV16, KVLess>(pool, std::span<KV16>(data));
-  for (size_t i = 0; i < data.size(); ++i) EXPECT_EQ(data[i].key, i);
+enum class GrayKeys {
+  kUniform,      // every key byte random
+  kBinaryBytes,  // every byte 0 or 1: 1024 keys, ties at every digit
+  kLastByte,     // bytes 0..8 zero, byte 9 one of 16 values
+};
+
+std::vector<core::Gray100> MakeGray100(GrayKeys keys, size_t n,
+                                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<core::Gray100> data(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t b = 0; b < data[i].key.size(); ++b) {
+      uint64_t v = 0;
+      switch (keys) {
+        case GrayKeys::kUniform:
+          v = rng.Next();
+          break;
+        case GrayKeys::kBinaryBytes:
+          v = rng.Below(2);
+          break;
+        case GrayKeys::kLastByte:
+          v = b + 1 == data[i].key.size() ? rng.Below(16) : 0;
+          break;
+      }
+      data[i].key[b] = static_cast<uint8_t>(v);
+    }
+    std::memcpy(data[i].payload.data(), &i, sizeof(i));
+  }
+  return data;
 }
 
+class ParallelSortGray100Test
+    : public ::testing::TestWithParam<std::tuple<int, size_t, GrayKeys>> {};
+
+TEST_P(ParallelSortGray100Test, MatchesStableSort) {
+  auto [threads, n, keys] = GetParam();
+  ExpectMatchesStableSort(threads, MakeGray100(keys, n, n * 17 + threads));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ParallelSortGray100Test,
+    ::testing::Combine(kSortThreads, kSortSizes,
+                       ::testing::Values(GrayKeys::kUniform,
+                                         GrayKeys::kBinaryBytes,
+                                         GrayKeys::kLastByte)));
+
 TEST(ParallelSortTest, ReverseSorted) {
-  ThreadPool pool(2);
-  std::vector<KV16> data(30000);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = {data.size() - i, i};
+  for (int threads : {1, 2}) {
+    std::vector<KV16> data(30000);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = {(data.size() - i) / 3, i};  // descending, with ties
+    }
+    ExpectMatchesStableSort(threads, data);
   }
-  ParallelSort<KV16, KVLess>(pool, std::span<KV16>(data));
-  for (size_t i = 1; i < data.size(); ++i) {
-    EXPECT_LE(data[i - 1].key, data[i].key);
+}
+
+/// The key-digit contract of core/record.h: Less is the lexicographic order
+/// of the digit strings, most significant digit first.
+template <typename R>
+void ExpectDigitsOrderLikeLess(const std::vector<R>& records) {
+  using Traits = core::RecordTraits<R>;
+  auto digits = [](const R& r) {
+    std::vector<uint8_t> s;
+    for (size_t d = Traits::kKeyDigits; d-- > 0;) {
+      s.push_back(Traits::KeyDigit(r, d));
+    }
+    return s;
+  };
+  for (size_t i = 1; i < records.size(); ++i) {
+    const R& a = records[i - 1];
+    const R& b = records[i];
+    EXPECT_EQ(typename Traits::Less()(a, b), digits(a) < digits(b)) << i;
+    EXPECT_EQ(typename Traits::Less()(b, a), digits(b) < digits(a)) << i;
   }
+}
+
+TEST(RadixSortTest, KeyDigitsOrderLikeLess) {
+  ExpectDigitsOrderLikeLess(
+      workload::MakeKV16(workload::Distribution::kUniform, 2000, 0, 1, 5));
+  ExpectDigitsOrderLikeLess(
+      workload::MakeKV16(workload::Distribution::kZipf, 2000, 0, 1, 5));
+  ExpectDigitsOrderLikeLess(MakeGray100(GrayKeys::kUniform, 2000, 5));
+  ExpectDigitsOrderLikeLess(MakeGray100(GrayKeys::kBinaryBytes, 2000, 5));
 }
 
 // --------------------------------------------------- SentinelLoserTree ----
