@@ -1,12 +1,11 @@
 // Ablation: prediction-sequence prefetching ([11]/[14], used by the final
-// merge) versus naive per-run double buffering.
+// merge) as a function of its buffer pool.
 //
 // The metric that matters on real disks is how often the merge *stalls* on
 // a block the prefetcher has not issued yet (demand fetches), as a function
 // of the buffer pool it is allowed. The prediction sequence fetches blocks
 // in exactly the order the merge consumes them, so a pool barely larger
-// than the disk count already eliminates stalls; naive double buffering
-// hardwires 2 buffers per run (2R total) no matter what. (Real wall time of
+// than the disk count already eliminates stalls. (Real wall time of
 // the emulated merge is dominated by thread wake-ups on the zero-latency
 // RAM disks, so it is not reported here; fig benches report modeled time.)
 #include <cstdio>
@@ -32,25 +31,12 @@ int main(int argc, char** argv) {
       io::BackendKindName(base.backend), base.io_queue_depth, num_pes,
       static_cast<unsigned long long>(elements_per_pe),
       static_cast<unsigned long long>(runs));
-  std::printf("%-11s  %12s  %16s  %14s\n", "policy", "pool_blocks",
-              "demand_fetches", "merge_blocks");
+  std::printf("%12s  %16s  %14s\n", "pool_blocks", "demand_fetches",
+              "merge_blocks");
 
-  struct Case {
-    const char* name;
-    core::PrefetchMode mode;
-    size_t buffers;  // 0 = auto
-  };
-  std::vector<Case> cases = {
-      {"prediction", core::PrefetchMode::kPrediction, 2},
-      {"prediction", core::PrefetchMode::kPrediction, 4},
-      {"prediction", core::PrefetchMode::kPrediction, 8},
-      {"prediction", core::PrefetchMode::kPrediction, 0},
-      {"naive", core::PrefetchMode::kNaive, 0},
-  };
-  for (const Case& c : cases) {
+  for (size_t buffers : {2, 4, 8, 0}) {  // 0 = auto
     core::SortConfig config = base;
-    config.prefetch = c.mode;
-    config.prefetch_buffers = c.buffers;
+    config.prefetch_buffers = buffers;
     bench::SortRunResult run = bench::RunCanonical(
         num_pes, workload::Distribution::kUniform, config, elements_per_pe);
     uint64_t demand = 0, blocks = 0;
@@ -60,14 +46,11 @@ int main(int argc, char** argv) {
       blocks += s.io.reads;
     }
     size_t effective_pool =
-        c.mode == core::PrefetchMode::kNaive
-            ? 2 * static_cast<size_t>(runs)
-            : (c.buffers != 0
-                   ? c.buffers
-                   : std::max<size_t>(2 * static_cast<size_t>(runs),
-                                      2 * config.disks_per_pe) +
-                         2);
-    std::printf("%-11s  %12zu  %16llu  %14llu%s\n", c.name, effective_pool,
+        buffers != 0 ? buffers
+                     : std::max<size_t>(2 * static_cast<size_t>(runs),
+                                        2 * config.disks_per_pe) +
+                           2;
+    std::printf("%12zu  %16llu  %14llu%s\n", effective_pool,
                 static_cast<unsigned long long>(demand),
                 static_cast<unsigned long long>(blocks),
                 run.valid ? "" : "  INVALID");

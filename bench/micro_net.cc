@@ -3,18 +3,16 @@
 // over BOTH transports (in-process fabric mailboxes vs. real loopback TCP
 // sockets), so the cost of leaving the address space is visible.
 //
-// The AlltoallvMode family compares the three exchange schedules head to
-// head on the in-process fabric — throughput AND peak receive-side
-// buffering (the peak_netbuf_B counter):
-//   buffered  — Comm::Alltoallv full mesh (every PE buffers P-1 payloads)
-//   stream    — Comm::AlltoallvStream chunked delivery (O(chunk x sources))
-//   pairwise  — Comm::AlltoallvPairwise rounds (one payload in flight)
-// Run one mode only with --alltoallv-mode={buffered,stream,pairwise}.
+// AlltoallvStreamed measures Comm::AlltoallvStream's chunked delivery on
+// the in-process fabric — throughput AND peak receive-side buffering (the
+// peak_netbuf_B counter, O(credit x chunk x sources)); run it alone with
+// --benchmark_filter=AlltoallvStreamed.
 //
 // The StreamTuning family A/Bs the streaming collective's credit protocol
 // and chunk controller (msgs_per_record, ctrl_msgs, piggy_credits,
 // converged_chunk_B columns); filter with --credit-mode={standalone,
-// piggyback} and/or --chunk-mode={fixed,adaptive}. `--credit-compare` is
+// piggyback} and/or --chunk-mode={fixed,adaptive} (fixed: min == max ==
+// chunk; adaptive: the auto bounds around it). `--credit-compare` is
 // the self-checking CI smoke: it runs standalone vs piggyback at P=8 and
 // exits nonzero unless piggybacking cuts control messages by >= 40% and
 // total messages strictly; add --snapshot=FILE to write the measurements
@@ -46,12 +44,10 @@
 
 namespace {
 
-using demsort::net::AlltoallAlgo;
 using demsort::net::Cluster;
 using demsort::net::Comm;
 using demsort::net::HierCluster;
 using demsort::net::NetStatsSnapshot;
-using demsort::net::StreamChunkMode;
 using demsort::net::StreamCreditMode;
 using demsort::net::StreamOptions;
 using demsort::net::Topology;
@@ -122,11 +118,11 @@ BENCHMARK_CAPTURE(Alltoallv, inproc, TransportKind::kInProc)
 BENCHMARK_CAPTURE(Alltoallv, tcp, TransportKind::kTcp)
     ->Arg(2)->Arg(8)->Arg(16)->Iterations(10);
 
-/// The three exchange schedules, same payload, same fabric: throughput via
+/// The streamed exchange without assembly: throughput via
 /// SetBytesProcessed, peak receive-side transport buffering via the
-/// peak_netbuf_B counter. The streamed mode's peak stays O(chunk x
-/// sources) while the buffered full mesh parks whole payloads per source.
-void AlltoallvMode(benchmark::State& state, const std::string& mode) {
+/// peak_netbuf_B counter, which stays O(chunk x sources) however large the
+/// per-pair payload.
+void AlltoallvStreamed(benchmark::State& state) {
   const int pes = static_cast<int>(state.range(0));
   const size_t per_pair = static_cast<size_t>(state.range(1));
   const size_t chunk = 16 << 10;
@@ -141,28 +137,18 @@ void AlltoallvMode(benchmark::State& state, const std::string& mode) {
         sends[d].assign(per_pair / 8, comm.rank() * 1000 + d);
       }
       for (int i = 0; i < reps; ++i) {
-        if (mode == "stream") {
-          uint64_t received_bytes = 0;
-          comm.AlltoallvStream(
-              [&](int dst) {
-                return std::span<const uint8_t>(
-                    reinterpret_cast<const uint8_t*>(sends[dst].data()),
-                    sends[dst].size() * sizeof(uint64_t));
-              },
-              [&](int src, std::span<const uint8_t> data, bool last) {
-                (void)src;
-                (void)last;
-                received_bytes += data.size();
-              },
-              /*on_size=*/nullptr, chunk);
-          benchmark::DoNotOptimize(received_bytes);
-        } else {
-          comm.set_alltoallv_algo(mode == "pairwise"
-                                      ? AlltoallAlgo::kPairwise
-                                      : AlltoallAlgo::kFullMesh);
-          auto recv = comm.Alltoallv<uint64_t>(sends);
-          benchmark::DoNotOptimize(recv.size());
-        }
+        uint64_t received_bytes = 0;
+        comm.AlltoallvStream(
+            [&](int dst) {
+              return std::span<const uint8_t>(
+                  reinterpret_cast<const uint8_t*>(sends[dst].data()),
+                  sends[dst].size() * sizeof(uint64_t));
+            },
+            [&](int, std::span<const uint8_t> data, bool) {
+              received_bytes += data.size();
+            },
+            /*on_size=*/nullptr, StreamOptions{.chunk_bytes = chunk});
+        benchmark::DoNotOptimize(received_bytes);
       }
     });
     for (const auto& s : result.stats) {
@@ -173,11 +159,7 @@ void AlltoallvMode(benchmark::State& state, const std::string& mode) {
   state.SetBytesProcessed(state.iterations() * reps * pes *
                           (pes - 1) * per_pair);
 }
-BENCHMARK_CAPTURE(AlltoallvMode, buffered, "buffered")
-    ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
-BENCHMARK_CAPTURE(AlltoallvMode, stream, "stream")
-    ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
-BENCHMARK_CAPTURE(AlltoallvMode, pairwise, "pairwise")
+BENCHMARK(AlltoallvStreamed)
     ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
 
 // ------------------------------------------------- stream tuning A/B ----
@@ -193,11 +175,12 @@ struct StreamModeStats {
 };
 
 /// One streamed exchange workload at fixed parameters, on the in-process
-/// fabric, under the given credit/chunk modes. Used by both the benchmark
-/// family and the self-checking --credit-compare smoke.
+/// fabric, under the given credit mode, with fixed chunks (min == max ==
+/// chunk) or the adaptive controller's auto bounds. Used by both the
+/// benchmark family and the self-checking --credit-compare smoke.
 StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
                                   StreamCreditMode credit_mode,
-                                  StreamChunkMode chunk_mode, int reps) {
+                                  bool fixed_chunks, int reps) {
   Cluster::Options options;
   options.num_pes = pes;
   int64_t t0 = demsort::NowNanos();
@@ -216,7 +199,10 @@ StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
     sopts.chunk_bytes = chunk;
     sopts.align_bytes = sizeof(uint64_t);
     sopts.credit_mode = credit_mode;
-    sopts.chunk_mode = chunk_mode;
+    if (fixed_chunks) {
+      sopts.min_chunk_bytes = chunk;
+      sopts.max_chunk_bytes = chunk;
+    }
     for (int i = 0; i < reps; ++i) {
       uint64_t received = 0;
       comm.AlltoallvStream(
@@ -245,14 +231,14 @@ StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
 /// record (the per-chunk overhead the tuning exists to shave), standalone
 /// control messages vs piggybacked credits, and the converged chunk size.
 void StreamTuning(benchmark::State& state, StreamCreditMode credit_mode,
-                  StreamChunkMode chunk_mode) {
+                  bool fixed_chunks) {
   const int pes = static_cast<int>(state.range(0));
   const size_t per_pair = static_cast<size_t>(state.range(1));
   const size_t chunk = 16 << 10;
   const int reps = 5;
   StreamModeStats last;
   for (auto _ : state) {
-    last = RunStreamExchange(pes, per_pair, chunk, credit_mode, chunk_mode,
+    last = RunStreamExchange(pes, per_pair, chunk, credit_mode, fixed_chunks,
                              reps);
   }
   state.counters["msgs_per_record"] =
@@ -268,16 +254,16 @@ void StreamTuning(benchmark::State& state, StreamCreditMode credit_mode,
                           per_pair);
 }
 BENCHMARK_CAPTURE(StreamTuning, standalone_fixed,
-                  StreamCreditMode::kStandalone, StreamChunkMode::kFixed)
+                  StreamCreditMode::kStandalone, /*fixed_chunks=*/true)
     ->Args({8, 256 << 10})->Iterations(3);
 BENCHMARK_CAPTURE(StreamTuning, piggyback_fixed,
-                  StreamCreditMode::kPiggyback, StreamChunkMode::kFixed)
+                  StreamCreditMode::kPiggyback, /*fixed_chunks=*/true)
     ->Args({8, 256 << 10})->Iterations(3);
 BENCHMARK_CAPTURE(StreamTuning, standalone_adaptive,
-                  StreamCreditMode::kStandalone, StreamChunkMode::kAdaptive)
+                  StreamCreditMode::kStandalone, /*fixed_chunks=*/false)
     ->Args({8, 256 << 10})->Iterations(3);
 BENCHMARK_CAPTURE(StreamTuning, piggyback_adaptive,
-                  StreamCreditMode::kPiggyback, StreamChunkMode::kAdaptive)
+                  StreamCreditMode::kPiggyback, /*fixed_chunks=*/false)
     ->Args({8, 256 << 10})->Iterations(3);
 
 /// Bulk single-pair bandwidth: one 64 MiB message each way.
@@ -333,15 +319,15 @@ int RunCreditCompare(const std::string& snapshot_path) {
   const size_t per_pair = 256 << 10;
   const size_t chunk = 16 << 10;
   const int reps = 5;
-  StreamModeStats standalone = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kStandalone,
-      StreamChunkMode::kFixed, reps);
-  StreamModeStats piggyback = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kPiggyback,
-      StreamChunkMode::kFixed, reps);
-  StreamModeStats adaptive = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kPiggyback,
-      StreamChunkMode::kAdaptive, reps);
+  StreamModeStats standalone =
+      RunStreamExchange(pes, per_pair, chunk, StreamCreditMode::kStandalone,
+                        /*fixed_chunks=*/true, reps);
+  StreamModeStats piggyback =
+      RunStreamExchange(pes, per_pair, chunk, StreamCreditMode::kPiggyback,
+                        /*fixed_chunks=*/true, reps);
+  StreamModeStats adaptive =
+      RunStreamExchange(pes, per_pair, chunk, StreamCreditMode::kPiggyback,
+                        /*fixed_chunks=*/false, reps);
 
   std::printf(
       "stream credit/chunk comparison: P=%d, %zu B/pair, %zu B chunks, "
@@ -423,7 +409,8 @@ TopoModeStats RunTopoExchange(const Topology& topo, bool flat_collectives,
     StreamOptions sopts;
     sopts.chunk_bytes = chunk;
     sopts.align_bytes = sizeof(uint64_t);
-    sopts.chunk_mode = StreamChunkMode::kFixed;
+    sopts.min_chunk_bytes = chunk;
+    sopts.max_chunk_bytes = chunk;
     for (int i = 0; i < reps; ++i) {
       uint64_t received = 0;
       comm.AlltoallvStream(
@@ -555,8 +542,7 @@ int RunTopoCompare(const std::string& snapshot_path) {
 
 }  // namespace
 
-/// Custom main (overrides benchmark_main's): --alltoallv-mode=<mode> runs
-/// only that schedule's comparison benchmark; --credit-mode= / --chunk-mode=
+/// Custom main (overrides benchmark_main's): --credit-mode= / --chunk-mode=
 /// filter the StreamTuning family; --credit-compare runs the self-checking
 /// piggyback-vs-standalone smoke (optionally --snapshot=FILE for JSON) and
 /// exits. All other flags pass through to Google Benchmark.
@@ -568,21 +554,10 @@ int main(int argc, char** argv) {
   bool topo_compare = false;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
-    const std::string a2a_prefix = "--alltoallv-mode=";
     const std::string credit_prefix = "--credit-mode=";
     const std::string chunk_prefix = "--chunk-mode=";
     const std::string snapshot_prefix = "--snapshot=";
-    if (arg.rfind(a2a_prefix, 0) == 0) {
-      std::string mode = arg.substr(a2a_prefix.size());
-      if (mode != "buffered" && mode != "stream" && mode != "pairwise") {
-        std::fprintf(stderr,
-                     "unknown --alltoallv-mode '%s' "
-                     "(expected buffered|stream|pairwise)\n",
-                     mode.c_str());
-        return 2;
-      }
-      filter_arg = "--benchmark_filter=AlltoallvMode/" + mode;
-    } else if (arg.rfind(credit_prefix, 0) == 0) {
+    if (arg.rfind(credit_prefix, 0) == 0) {
       credit_mode = arg.substr(credit_prefix.size());
       if (credit_mode != "standalone" && credit_mode != "piggyback") {
         std::fprintf(stderr,

@@ -10,8 +10,8 @@
 # the perf trajectory.
 #
 # Since the parallel merge engine it also sweeps the final-merge ablation
-# (batched vs record-at-a-time kernels crossed with 1/2/4 merge workers,
-# per storage backend).
+# (uniform and clustered keys crossed with 1/2/4 merge workers, per storage
+# backend).
 #
 # Since the observability layer it also snapshots a straggler report: a
 # P=4 hierarchical sort run with --stats-json, written alongside the bench
@@ -94,10 +94,10 @@ overlap_to_rows() {  # $1=txt $2=storage $3=qd
 prefetch_to_rows() {  # $1=txt $2=storage $3=qd
   awk -v storage="$2" -v qd="$3" '
     /^#/ { next }
-    $1 == "policy" { next }
-    NF >= 4 {
-      printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"policy\": \"%s\", \"pool_blocks\": %s, \"demand_fetches\": %s, \"merge_blocks\": %s},\n",
-             storage, qd, $1, $2, $3, $4
+    $1 == "pool_blocks" { next }
+    NF >= 3 {
+      printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"pool_blocks\": %s, \"demand_fetches\": %s, \"merge_blocks\": %s},\n",
+             storage, qd, $1, $2, $3
     }
   ' "$1"
 }
@@ -105,10 +105,10 @@ prefetch_to_rows() {  # $1=txt $2=storage $3=qd
 merge_to_rows() {  # $1=txt $2=storage $3=qd
   awk -v storage="$2" -v qd="$3" '
     /^#/ { next }
-    $1 == "kernel" { next }
-    NF >= 8 {
-      printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"kernel\": \"%s\", \"keys\": \"%s\", \"threads\": %s, \"merge_wall_ms\": %s, \"workers\": %s, \"merge_cpu_ms\": %s, \"merge_io_wait_ms\": %s, \"demand_fetches\": %s},\n",
-             storage, qd, $1, $2, $3, $4, $5, $6, $7, $8
+    $1 == "keys" { next }
+    NF >= 7 {
+      printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"keys\": \"%s\", \"threads\": %s, \"merge_wall_ms\": %s, \"workers\": %s, \"merge_cpu_ms\": %s, \"merge_io_wait_ms\": %s, \"demand_fetches\": %s},\n",
+             storage, qd, $1, $2, $3, $4, $5, $6, $7
     }
   ' "$1"
 }

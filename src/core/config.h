@@ -13,23 +13,6 @@
 
 namespace demsort::core {
 
-enum class PrefetchMode {
-  /// Per-run double buffering only.
-  kNaive,
-  /// Prediction-sequence driven pool ([11]/[14]): blocks are prefetched in
-  /// ascending order of their smallest key.
-  kPrediction,
-};
-
-enum class MergeKernel {
-  /// Sentinel loser tree + batched span emission ("merge until the
-  /// runner-up's head" with one tree replay per span). The default.
-  kBatched,
-  /// The classic record-at-a-time loser-tree loop (one replay per record).
-  /// Kept as the ablation baseline and a conservative fallback.
-  kRecordAtATime,
-};
-
 struct SortConfig {
   // ----------------------------------------------------------- EM model --
   /// B, in bytes (the paper uses 8 MiB on 16 GiB nodes; scale accordingly).
@@ -53,27 +36,20 @@ struct SortConfig {
   /// redistribution, selection gathers): each destination's payload travels
   /// as bounded chunks the receiver unpacks as they land, so receive-side
   /// buffering is O(chunk x sources) instead of O(sub-step payload).
-  /// 0 = net::Comm::kDefaultStreamChunkBytes. In adaptive mode this is the
-  /// INITIAL chunk; the controller resizes within [min, max] below.
+  /// 0 = net::Comm::kDefaultStreamChunkBytes. This is the INITIAL chunk;
+  /// the controller resizes within [min, max] below.
   size_t stream_chunk_bytes = 0;
-  /// Adaptive-chunk bounds; 0 = kAuto (stream_chunk_bytes divided /
-  /// multiplied by net::kStreamAutoRangeFactor).
+  /// Chunk bounds; 0 = auto (stream_chunk_bytes divided / multiplied by
+  /// net::kStreamAutoRangeFactor). min == max fixes the chunk size.
   size_t stream_chunk_min_bytes = 0;
   size_t stream_chunk_max_bytes = 0;
-  /// kAuto defers to the Comm default (adaptive): per-destination chunk
-  /// sizing from the measured consumer drain rate.
-  net::StreamChunkMode stream_chunk_mode = net::StreamChunkMode::kAuto;
   /// kAuto defers to the Comm default (piggyback): flow-control credits
   /// ride reverse data frames in the symmetric exchange rounds.
   net::StreamCreditMode stream_credit_mode = net::StreamCreditMode::kAuto;
-  PrefetchMode prefetch = PrefetchMode::kPrediction;
   /// Prefetch buffer pool size in blocks; 0 = auto. With W merge workers the
   /// pool is split across partitions (floor: 2 blocks per live run per
   /// worker).
   size_t prefetch_buffers = 0;
-  /// Inner loop of the external merge. Independent of the range
-  /// partitioning: threads_per_pe > 1 parallelizes either kernel.
-  MergeKernel merge_kernel = MergeKernel::kBatched;
   /// Overlap I/O with sorting during run formation (§IV-E Overlapping).
   bool overlap_run_formation = true;
   /// Cache capacity (blocks) of the selection block cache (§IV-A "we cache
@@ -121,7 +97,6 @@ struct SortConfig {
     options.align_bytes = align_bytes;
     options.min_chunk_bytes = stream_chunk_min_bytes;
     options.max_chunk_bytes = stream_chunk_max_bytes;
-    options.chunk_mode = stream_chunk_mode;
     options.credit_mode = stream_credit_mode;
     return options;
   }

@@ -27,12 +27,12 @@
 // the body blocks in between, so the output manifest (ordered block list +
 // first records) is indistinguishable from the single-threaded engine's.
 //
-// The inner loop is batched (MergeKernel::kBatched): one loser-tree replay
-// per span, where a span is every consecutive winner record up to the
-// runner-up's head (galloped in the winner's contiguous buffer, entered
-// with timsort-style hysteresis so uniformly interleaved runs pay nothing
-// over the classic loop), with tree-free galloping when only two sources
-// remain live and straight streaming for the last one.
+// The inner loop is batched: one loser-tree replay per span, where a span
+// is every consecutive winner record up to the runner-up's head (galloped
+// in the winner's contiguous buffer, entered with timsort-style hysteresis
+// so uniformly interleaved runs pay nothing over a record-at-a-time loop),
+// with tree-free galloping when only two sources remain live and straight
+// streaming for the last one.
 #ifndef DEMSORT_CORE_FINAL_MERGE_H_
 #define DEMSORT_CORE_FINAL_MERGE_H_
 
@@ -94,8 +94,8 @@ class MergePrefetcher {
  public:
   MergePrefetcher(io::BlockManager* bm,
                   std::vector<std::vector<MergeSegment<R>>>* segments,
-                  PrefetchMode mode, size_t pool_size)
-      : bm_(bm), segments_(segments), mode_(mode), pool_size_(pool_size) {
+                  size_t pool_size)
+      : bm_(bm), segments_(segments), pool_size_(pool_size) {
     // Preloaded segments arrive complete; count them so pool accounting
     // stays balanced when Release decrements.
     for (auto& run : *segments_) {
@@ -106,33 +106,23 @@ class MergePrefetcher {
         }
       }
     }
-    if (mode_ == PrefetchMode::kPrediction) {
-      using Less = typename RecordTraits<R>::Less;
-      Less less;
-      for (size_t j = 0; j < segments_->size(); ++j) {
-        for (size_t s = 0; s < (*segments_)[j].size(); ++s) {
-          prediction_.emplace_back(j, s);
-        }
-      }
-      std::stable_sort(prediction_.begin(), prediction_.end(),
-                       [&](const auto& a, const auto& b) {
-                         const R& ra =
-                             (*segments_)[a.first][a.second].first_record;
-                         const R& rb =
-                             (*segments_)[b.first][b.second].first_record;
-                         if (less(ra, rb)) return true;
-                         if (less(rb, ra)) return false;
-                         return a < b;
-                       });
-    } else {
-      // Naive double buffering: the first two segments of every run.
-      for (size_t j = 0; j < segments_->size(); ++j) {
-        for (size_t s = 0; s < std::min<size_t>(2, (*segments_)[j].size());
-             ++s) {
-          Issue(j, s);
-        }
+    using Less = typename RecordTraits<R>::Less;
+    Less less;
+    for (size_t j = 0; j < segments_->size(); ++j) {
+      for (size_t s = 0; s < (*segments_)[j].size(); ++s) {
+        prediction_.emplace_back(j, s);
       }
     }
+    std::stable_sort(prediction_.begin(), prediction_.end(),
+                     [&](const auto& a, const auto& b) {
+                       const R& ra =
+                           (*segments_)[a.first][a.second].first_record;
+                       const R& rb =
+                           (*segments_)[b.first][b.second].first_record;
+                       if (less(ra, rb)) return true;
+                       if (less(rb, ra)) return false;
+                       return a < b;
+                     });
     FillFromPrediction();
   }
 
@@ -160,8 +150,7 @@ class MergePrefetcher {
   }
 
   /// Declares segment consumed: frees its buffer and (when this reader owns
-  /// it) its disk block, and lets the prediction (or the per-run lookahead)
-  /// issue the next fetch.
+  /// it) its disk block, and lets the prediction issue the next fetch.
   void Release(size_t run, size_t idx) {
     MergeSegment<R>& seg = (*segments_)[run][idx];
     DEMSORT_CHECK(seg.state == MergeSegment<R>::kInFlight);
@@ -169,11 +158,7 @@ class MergePrefetcher {
     seg.buffer = AlignedBuffer();
     --outstanding_;
     if (seg.free_block) bm_->Free(seg.block);
-    if (mode_ == PrefetchMode::kNaive) {
-      if (idx + 2 < (*segments_)[run].size()) Issue(run, idx + 2);
-    } else {
-      FillFromPrediction();
-    }
+    FillFromPrediction();
   }
 
   uint64_t demand_fetches() const { return demand_fetches_; }
@@ -202,7 +187,6 @@ class MergePrefetcher {
 
   io::BlockManager* bm_;
   std::vector<std::vector<MergeSegment<R>>>* segments_;
-  PrefetchMode mode_;
   size_t pool_size_;
   std::vector<std::pair<size_t, size_t>> prediction_;
   size_t prediction_cursor_ = 0;
@@ -467,13 +451,12 @@ size_t GallopSpan(const R* base, size_t lo, size_t hi, const Take& take) {
 
 /// The merge inner loop over one (slice of the) segment set. `emit(ptr, n)`
 /// receives sorted spans and must copy before returning. Returns records
-/// emitted. kBatched drives the sentinel loser tree span-at-a-time (one
-/// replay per span); kRecordAtATime is the classic loop on the historic
-/// tree, kept as ablation baseline and fallback.
+/// emitted. Drives the sentinel loser tree span-at-a-time (one replay per
+/// span).
 template <typename R, typename Emit>
-uint64_t RunMergeKernel(MergePrefetcher<R>& prefetcher,
-                        std::vector<std::vector<MergeSegment<R>>>& segments,
-                        MergeKernel kernel, Emit&& emit) {
+uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
+                      std::vector<std::vector<MergeSegment<R>>>& segments,
+                      Emit&& emit) {
   using Less = typename RecordTraits<R>::Less;
   Less less;
   const size_t num_runs = segments.size();
@@ -486,35 +469,6 @@ uint64_t RunMergeKernel(MergePrefetcher<R>& prefetcher,
   };
   std::vector<Cursor> cursors(num_runs);
   uint64_t merged = 0;
-
-  if (kernel == MergeKernel::kRecordAtATime) {
-    par::LoserTree<R, Less> tree(std::max<size_t>(1, num_runs), less);
-    for (size_t j = 0; j < num_runs; ++j) {
-      if (!segments[j].empty()) {
-        cursors[j].records = prefetcher.Acquire(j, 0);
-        tree.InitSource(j, cursors[j].records[0]);
-      }
-    }
-    tree.Build();
-    while (!tree.Empty()) {
-      size_t j = tree.WinnerSource();
-      emit(&tree.Winner(), 1);
-      ++merged;
-      Cursor& cur = cursors[j];
-      if (++cur.offset == segments[j][cur.seg].take) {
-        prefetcher.Release(j, cur.seg);
-        ++cur.seg;
-        cur.offset = 0;
-        if (cur.seg == segments[j].size()) {
-          tree.ExhaustWinner();
-          continue;
-        }
-        cur.records = prefetcher.Acquire(j, cur.seg);
-      }
-      tree.ReplaceWinner(cur.records[cur.offset]);
-    }
-    return merged;
-  }
 
   par::SentinelLoserTree<R, Less> tree(std::max<size_t>(1, num_runs),
                                        RecordTraits<R>::MaxSentinel(), less);
@@ -808,13 +762,12 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
   if (workers <= 1) {
     TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
     internal::MergePrefetcher<R> prefetcher(
-        bm, &segments, config.prefetch,
+        bm, &segments,
         internal::WorkerPrefetchPool(config, num_runs, live_runs,
                                      bm->num_disks(), 1));
     int64_t t0 = NowNanos();
-    uint64_t merged = internal::RunMergeKernel(
-        prefetcher, segments, config.merge_kernel,
-        [&sink](const R* records, size_t n) {
+    uint64_t merged = internal::RunMergeLoop(
+        prefetcher, segments, [&sink](const R* records, size_t n) {
           for (size_t i = 0; i < n; ++i) sink(records[i]);
         });
     DEMSORT_CHECK_EQ(merged, total);
@@ -847,7 +800,7 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
       if (!run.empty()) ++live;
     }
     internal::MergePrefetcher<R> prefetcher(
-        bm, &segs, config.prefetch,
+        bm, &segs,
         internal::WorkerPrefetchPool(config, num_runs, live, bm->num_disks(),
                                      workers));
     std::vector<R> pending;
@@ -877,9 +830,7 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
       }
     };
     int64_t t0 = NowNanos();
-    uint64_t merged =
-        internal::RunMergeKernel(prefetcher, segs, config.merge_kernel,
-                                 deliver);
+    uint64_t merged = internal::RunMergeLoop(prefetcher, segs, deliver);
     DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
     gate.WaitTurn(t);
     if (!direct) flush_pending();
@@ -923,13 +874,12 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
   if (workers <= 1) {
     TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
     internal::MergePrefetcher<R> prefetcher(
-        bm, &segments, config.prefetch,
+        bm, &segments,
         internal::WorkerPrefetchPool(config, num_runs, live_runs,
                                      bm->num_disks(), 1));
     int64_t t0 = NowNanos();
-    uint64_t merged = internal::RunMergeKernel(
-        prefetcher, segments, config.merge_kernel,
-        [&writer](const R* records, size_t n) {
+    uint64_t merged = internal::RunMergeLoop(
+        prefetcher, segments, [&writer](const R* records, size_t n) {
           writer.AppendSpan(records, n);
         });
     DEMSORT_CHECK_EQ(merged, total);
@@ -962,15 +912,15 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
         if (!run.empty()) ++live;
       }
       internal::MergePrefetcher<R> prefetcher(
-          bm, &segs, config.prefetch,
+          bm, &segs,
           internal::WorkerPrefetchPool(config, num_runs, live,
                                        bm->num_disks(), workers));
       parts[t] = std::make_unique<internal::PartitionBlockWriter<R>>(
           bm, epb, plan.offsets[t], plan.offsets[t + 1] - plan.offsets[t],
           write_window);
       int64_t t0 = NowNanos();
-      uint64_t merged = internal::RunMergeKernel(
-          prefetcher, segs, config.merge_kernel,
+      uint64_t merged = internal::RunMergeLoop(
+          prefetcher, segs,
           [&](const R* records, size_t n) { parts[t]->Append(records, n); });
       DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
       parts[t]->Finish();

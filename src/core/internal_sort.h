@@ -115,7 +115,7 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
     }
   }
   std::vector<std::vector<WindowRequest>> incoming =
-      comm.Alltoallv<WindowRequest>(requests);
+      comm.Alltoallv<WindowRequest>(requests, stream_options);
   std::vector<std::vector<R>> responses(P);
   for (int t = 0; t < P; ++t) {
     for (const WindowRequest& req : incoming[t]) {
@@ -124,7 +124,8 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
                           local.begin() + req.end);
     }
   }
-  std::vector<std::vector<R>> windows = comm.Alltoallv<R>(responses);
+  std::vector<std::vector<R>> windows =
+      comm.Alltoallv<R>(responses, stream_options);
 
   // 4. Exact selection on the windows: positions relative to the window
   // starts; the bounds guarantee sum(lo) <= target <= sum(hi).

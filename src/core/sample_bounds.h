@@ -60,6 +60,9 @@ std::vector<T> AllgatherConcatStreamed(net::Comm& comm,
                                mine.size() * sizeof(T)),
       [&](int src, std::span<const uint8_t> chunk, bool) {
         DEMSORT_CHECK_EQ(chunk.size() % sizeof(T), 0u);
+        // An empty contribution still lands as one empty chunk, and an
+        // empty `merged` has a null data(): memcpy must not see either.
+        if (chunk.empty()) return;
         std::memcpy(merged.data() + cursor[src], chunk.data(), chunk.size());
         cursor[src] += chunk.size() / sizeof(T);
       },

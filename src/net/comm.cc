@@ -286,25 +286,19 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
                                                t.align_bytes * t.align_bytes);
     t.base_chunk_bytes = std::min(t.base_chunk_bytes, cap);
   }
-  StreamChunkMode chunk_mode = options.chunk_mode == StreamChunkMode::kAuto
-                                   ? stream_chunk_mode_
-                                   : options.chunk_mode;
-  t.adaptive = chunk_mode == StreamChunkMode::kAdaptive;
-  if (t.adaptive) {
-    uint64_t min = options.min_chunk_bytes != 0
-                       ? options.min_chunk_bytes
-                       : t.base_chunk_bytes / kStreamAutoRangeFactor;
-    min = std::max(t.align_bytes, min / t.align_bytes * t.align_bytes);
-    t.min_chunk_bytes = std::min(min, t.base_chunk_bytes);
-    uint64_t max = options.max_chunk_bytes != 0
-                       ? options.max_chunk_bytes
-                       : t.base_chunk_bytes * kStreamAutoRangeFactor;
-    max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
-    t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
-  } else {
-    t.min_chunk_bytes = t.base_chunk_bytes;
-    t.max_chunk_bytes = t.base_chunk_bytes;
-  }
+  // Fixed chunking is simply min == max: explicit bounds are taken as given
+  // (aligned, and widened to contain the base), auto bounds span
+  // kStreamAutoRangeFactor either side of the base.
+  uint64_t min = options.min_chunk_bytes != 0
+                     ? options.min_chunk_bytes
+                     : t.base_chunk_bytes / kStreamAutoRangeFactor;
+  min = std::max(t.align_bytes, min / t.align_bytes * t.align_bytes);
+  t.min_chunk_bytes = std::min(min, t.base_chunk_bytes);
+  uint64_t max = options.max_chunk_bytes != 0
+                     ? options.max_chunk_bytes
+                     : t.base_chunk_bytes * kStreamAutoRangeFactor;
+  max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
+  t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
   StreamCreditMode credit_mode = options.credit_mode == StreamCreditMode::kAuto
                                      ? stream_credit_mode_
                                      : options.credit_mode;
@@ -475,7 +469,7 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
 
     StreamPeerTuning& tuning = stream_tuning_[q];
     uint64_t chunk =
-        tune.adaptive
+        tune.adaptive()
             ? std::clamp(tuning.chunk_bytes != 0 ? tuning.chunk_bytes
                                                  : tune.base_chunk_bytes,
                          tune.min_chunk_bytes, tune.max_chunk_bytes)
@@ -653,9 +647,9 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
           // pacing, the exact signal the trace exists to make visible.
           TRACE_COMPLETE1("net", "stream.credit_stall", stall_started_ns,
                           NowNanos() - stall_started_ns, "partner", q);
-          if (!tune.adaptive) stall_started_ns = -1;
+          if (!tune.adaptive()) stall_started_ns = -1;
         }
-        if (tune.adaptive) {
+        if (tune.adaptive()) {
           if (stall_started_ns >= 0) {
             // The gate just reopened after a stall: a long one means the
             // consumer is the bottleneck — halve for finer pacing.
@@ -730,7 +724,7 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
     if (!close_seen) {
       closes.push_back(PendingClose{q, std::move(credit_rr)});
     }
-    if (tune.adaptive) tuning.chunk_bytes = chunk;
+    if (tune.adaptive()) tuning.chunk_bytes = chunk;
     my_stats.SetStreamChunkBytes(chunk);
   }
 
@@ -838,7 +832,6 @@ Comm& Comm::LeaderComm() {
   // adaptive-chunk state persists on the sub-comm itself).
   leader_comm_->send_window_bytes_ = send_window_bytes_;
   leader_comm_->stream_chunk_bytes_ = stream_chunk_bytes_;
-  leader_comm_->stream_chunk_mode_ = stream_chunk_mode_;
   leader_comm_->stream_credit_mode_ = stream_credit_mode_;
   return *leader_comm_;
 }
@@ -1392,8 +1385,6 @@ void Comm::AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
     engine_options.align_bytes = tune.align_bytes;
     engine_options.min_chunk_bytes = scale_chunk(tune.min_chunk_bytes);
     engine_options.max_chunk_bytes = scale_chunk(tune.max_chunk_bytes);
-    engine_options.chunk_mode =
-        tune.adaptive ? StreamChunkMode::kAdaptive : StreamChunkMode::kFixed;
     engine_options.credit_mode = tune.piggyback
                                      ? StreamCreditMode::kPiggyback
                                      : StreamCreditMode::kStandalone;

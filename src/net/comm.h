@@ -46,22 +46,6 @@
 
 namespace demsort::net {
 
-/// Which exchange schedule Alltoallv uses.
-enum class AlltoallAlgo {
-  /// Full mesh below the pairwise threshold, pairwise at or above it.
-  /// Opt-in (the default is kFullMesh): the pairwise rounds serialize on
-  /// each partner and bypass the send-window discipline, a semantics
-  /// change callers should choose deliberately.
-  kAuto,
-  /// All receives posted, rank-rotated sends — minimal latency, but every
-  /// PE buffers up to P-1 payloads at once. The default.
-  kFullMesh,
-  /// P-1 rounds of single-partner exchanges (XOR partners when P is a
-  /// power of two, rotation otherwise): one payload in flight per PE, the
-  /// schedule for large P.
-  kPairwise,
-};
-
 class Comm {
  public:
   /// Contributions above this size use the bandwidth-balanced direct
@@ -77,11 +61,6 @@ class Comm {
   /// per-message overhead, small enough that receive-side buffering
   /// (chunk x active sources) stays far below a sub-step payload.
   static constexpr size_t kDefaultStreamChunkBytes = size_t{256} << 10;
-
-  /// P at or above which AlltoallAlgo::kAuto (opt-in via
-  /// set_alltoallv_algo) switches the buffered Alltoallv to the pairwise
-  /// schedule.
-  static constexpr int kDefaultPairwiseThreshold = 32;
 
   /// Un-credited chunks a streaming sender may have in flight per
   /// destination; the receiver's consumption returns the credits, so
@@ -252,112 +231,25 @@ class Comm {
   /// of payloads received, indexed by source PE. This is the primitive the
   /// paper re-implemented over MPI to escape the 31-bit count limit.
   ///
-  /// Built on the nonblocking layer. Full-mesh schedule: all receives are
-  /// posted first, sends go out in rank-rotated order (PE i starts with
-  /// i+1, avoiding the everyone-hits-PE-0 hotspot) with at most
-  /// `send_window_bytes()` of un-admitted data in flight, then payloads are
-  /// drained in rotated order. Full mesh is the default; opting in to
-  /// kPairwise or kAuto (set_alltoallv_algo) swaps in the pairwise
-  /// schedule — always, or at large P respectively.
+  /// A typed wrapper over AlltoallvStream, on every topology: each source's
+  /// payload is appended to its result vector chunk by chunk as it lands
+  /// (pre-sized from the stream header), so the transport never stages a
+  /// whole payload per peer — receive-side buffering is O(credit x chunk)
+  /// per active source. Chunks are aligned to sizeof(T), so none splits an
+  /// element; all other tuning comes from `options` (SPMD: equal on every
+  /// PE) and the Comm defaults.
   template <typename T>
   std::vector<std::vector<T>> Alltoallv(
-      const std::vector<std::vector<T>>& sends) {
-    static_assert(std::is_trivially_copyable_v<T>);
+      const std::vector<std::vector<T>>& sends, StreamOptions options = {}) {
     DEMSORT_CHECK_EQ(sends.size(), static_cast<size_t>(size_));
-    if (UsePairwiseAlltoallv()) return AlltoallvPairwise(sends);
-    if (TwoLevelActive()) return AlltoallvTwoLevelBuffered(sends);
-    int tag = AllocateCollectiveTag();
-
-    std::vector<RecvRequest> recvs(size_);
-    for (int p = 0; p < size_; ++p) recvs[p] = Irecv(p, tag);
-
-    WindowedSends window(send_window_bytes_);
-    for (int off = 1; off <= size_; ++off) {
-      int p = (rank_ + off) % size_;
-      size_t bytes = sends[p].size() * sizeof(T);
-      window.Add(Isend(p, tag, sends[p].data(), bytes), bytes);
-    }
-
-    std::vector<std::vector<T>> received(size_);
-    for (int off = 1; off <= size_; ++off) {
-      // off runs up to size_ inclusive (the self payload), so the index
-      // must be (rank_ - off) mod size_ — off is NOT reduced first, which
-      // would only be correct while off < size_.
-      int p = (rank_ - off + size_) % size_;
-      std::vector<uint8_t> bytes = recvs[p].Take();
-      DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
-      received[p].resize(bytes.size() / sizeof(T));
-      if (!bytes.empty()) {
-        std::memcpy(received[p].data(), bytes.data(), bytes.size());
-      }
-    }
-    window.WaitAll();
-    return received;
-  }
-
-  /// Buffered all-to-all over the two-level exchange: same result as the
-  /// full mesh, but built on the node-aware streaming path — intra-node
-  /// payloads travel over shared memory, cross-node payloads ride the
-  /// node-local pack → leader-to-leader streaming rounds → local scatter
-  /// pipeline, so the uplink carries N*(N-1) aggregate streams instead of
-  /// one message per PE pair.
-  template <typename T>
-  std::vector<std::vector<T>> AlltoallvTwoLevelBuffered(
-      const std::vector<std::vector<T>>& sends) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::vector<T>> received(size_);
-    StreamOptions options;
     options.align_bytes = sizeof(T);
-    AlltoallvStream(
+    return StreamIntoVectors<T>(
         [&](int dst) {
           return std::span<const uint8_t>(
               reinterpret_cast<const uint8_t*>(sends[dst].data()),
               sends[dst].size() * sizeof(T));
         },
-        [&](int src, std::span<const uint8_t> chunk, bool) {
-          DEMSORT_CHECK_EQ(chunk.size() % sizeof(T), 0u);
-          const T* first = reinterpret_cast<const T*>(chunk.data());
-          received[src].insert(received[src].end(), first,
-                               first + chunk.size() / sizeof(T));
-        },
-        [&](int src, uint64_t bytes) {
-          DEMSORT_CHECK_EQ(bytes % sizeof(T), 0u);
-          received[src].reserve(bytes / sizeof(T));
-        },
         options);
-    return received;
-  }
-
-  /// Pairwise-exchange Alltoallv: P-1 rounds, one partner each. Every
-  /// (src, dst) channel carries exactly one message for the whole
-  /// collective and at most one payload per PE is in flight, so buffering
-  /// stays O(payload) instead of O(P x payload) — the schedule of choice
-  /// when P is large. XOR partnering (power-of-two P) pairs the rounds
-  /// perfectly; otherwise a rotation schedule is used.
-  template <typename T>
-  std::vector<std::vector<T>> AlltoallvPairwise(
-      const std::vector<std::vector<T>>& sends) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    DEMSORT_CHECK_EQ(sends.size(), static_cast<size_t>(size_));
-    int tag = AllocateCollectiveTag();
-    std::vector<std::vector<T>> received(size_);
-    received[rank_] = sends[rank_];
-    const bool pow2 = (size_ & (size_ - 1)) == 0;
-    for (int r = 1; r < size_; ++r) {
-      int to = pow2 ? (rank_ ^ r) : (rank_ + r) % size_;
-      int from = pow2 ? to : (rank_ - r + size_) % size_;
-      RecvRequest rr = Irecv(from, tag);
-      SendRequest sr =
-          Isend(to, tag, sends[to].data(), sends[to].size() * sizeof(T));
-      std::vector<uint8_t> bytes = rr.Take();
-      DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
-      received[from].resize(bytes.size() / sizeof(T));
-      if (!bytes.empty()) {
-        std::memcpy(received[from].data(), bytes.data(), bytes.size());
-      }
-      sr.Wait();
-    }
-    return received;
   }
 
   // ------------------------------------------- streaming collectives ------
@@ -394,42 +286,24 @@ class Comm {
   /// frames (StreamChunkHeader::credits) instead of costing a message per
   /// chunk; standalone credit messages remain for the tail and liveness
   /// cases (see message.h and the README's collective-tuning section).
-  /// In kAdaptive chunk mode a per-destination controller resizes chunks
-  /// within [min, max] from the measured credit turnaround. Chunks from
-  /// one source arrive in order; sources complete in round order. SPMD
-  /// discipline as for every collective: all PEs must pass equal options.
+  /// When the resolved bounds leave room (min < max) a per-destination
+  /// controller resizes chunks within [min, max] from the measured credit
+  /// turnaround; min == max is fixed chunking. Chunks from one source
+  /// arrive in order; sources complete in round order. SPMD discipline as
+  /// for every collective: all PEs must pass equal options.
   void AlltoallvStream(const StreamSendProvider& send_for,
                        const ChunkConsumer& consumer,
                        const StreamSizeCallback& on_size,
                        const StreamOptions& options);
 
-  /// Back-compat overload: `chunk_bytes` == 0 uses stream_chunk_bytes();
-  /// all other tuning comes from the Comm-level defaults.
-  void AlltoallvStream(const StreamSendProvider& send_for,
-                       const ChunkConsumer& consumer,
-                       const StreamSizeCallback& on_size = nullptr,
-                       size_t chunk_bytes = 0) {
-    StreamOptions options;
-    options.chunk_bytes = chunk_bytes;
-    AlltoallvStream(send_for, consumer, on_size, options);
-  }
-
-  /// Convenience overloads for payloads that already exist in memory.
+  /// Convenience overload for payloads that already exist in memory.
   void AlltoallvStream(const std::vector<std::span<const uint8_t>>& sends,
                        const ChunkConsumer& consumer,
-                       const StreamSizeCallback& on_size,
-                       const StreamOptions& options) {
+                       const StreamSizeCallback& on_size = nullptr,
+                       const StreamOptions& options = {}) {
     DEMSORT_CHECK_EQ(sends.size(), static_cast<size_t>(size_));
     AlltoallvStream([&](int dst) { return sends[dst]; }, consumer, on_size,
                     options);
-  }
-  void AlltoallvStream(const std::vector<std::span<const uint8_t>>& sends,
-                       const ChunkConsumer& consumer,
-                       const StreamSizeCallback& on_size = nullptr,
-                       size_t chunk_bytes = 0) {
-    StreamOptions options;
-    options.chunk_bytes = chunk_bytes;
-    AlltoallvStream(sends, consumer, on_size, options);
   }
 
   /// Streaming variable-length allgather: every PE contributes `mine` and
@@ -457,25 +331,11 @@ class Comm {
   template <typename T>
   std::vector<std::vector<T>> AllgatherVStreamed(const std::vector<T>& local,
                                                  StreamOptions options = {}) {
-    static_assert(std::is_trivially_copyable_v<T>);
     if (options.align_bytes <= 1) options.align_bytes = sizeof(T);
-    std::vector<std::vector<T>> out(size_);
-    AllgatherVStream(
-        std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t*>(local.data()),
-            local.size() * sizeof(T)),
-        [&](int src, std::span<const uint8_t> chunk, bool) {
-          DEMSORT_CHECK_EQ(chunk.size() % sizeof(T), 0u);
-          const T* first = reinterpret_cast<const T*>(chunk.data());
-          out[src].insert(out[src].end(), first,
-                          first + chunk.size() / sizeof(T));
-        },
-        [&](int src, uint64_t bytes) {
-          DEMSORT_CHECK_EQ(bytes % sizeof(T), 0u);
-          out[src].reserve(bytes / sizeof(T));
-        },
-        options);
-    return out;
+    const std::span<const uint8_t> mine(
+        reinterpret_cast<const uint8_t*>(local.data()),
+        local.size() * sizeof(T));
+    return StreamIntoVectors<T>([mine](int) { return mine; }, options);
   }
 
   /// Exclusive prefix sum over one uint64 per PE.
@@ -515,11 +375,7 @@ class Comm {
     stream_chunk_bytes_ = bytes;
   }
 
-  /// Comm-level defaults behind StreamOptions' kAuto modes.
-  StreamChunkMode stream_chunk_mode() const { return stream_chunk_mode_; }
-  void set_stream_chunk_mode(StreamChunkMode mode) {
-    stream_chunk_mode_ = mode;
-  }
+  /// Comm-level default behind StreamOptions' kAuto credit mode.
   StreamCreditMode stream_credit_mode() const { return stream_credit_mode_; }
   void set_stream_credit_mode(StreamCreditMode mode) {
     stream_credit_mode_ = mode;
@@ -541,9 +397,10 @@ class Comm {
     uint64_t base_chunk_bytes = 0;
     uint64_t min_chunk_bytes = 0;
     uint64_t max_chunk_bytes = 0;
-    bool adaptive = false;
     bool piggyback = true;
     uint64_t credit_unit = 1;
+    /// The controller resizes chunks only when the bounds leave it room.
+    bool adaptive() const { return min_chunk_bytes < max_chunk_bytes; }
   };
   ResolvedStreamTuning ResolveStreamTuning(const StreamOptions& options) const;
 
@@ -559,18 +416,6 @@ class Comm {
     return peer < static_cast<int>(stream_tuning_.size())
                ? stream_tuning_[peer].chunk_bytes
                : 0;
-  }
-
-  /// Exchange-schedule selection for the buffered Alltoallv.
-  AlltoallAlgo alltoallv_algo() const { return alltoallv_algo_; }
-  void set_alltoallv_algo(AlltoallAlgo algo) { alltoallv_algo_ = algo; }
-  int pairwise_threshold() const { return pairwise_threshold_; }
-  void set_pairwise_threshold(int pes) { pairwise_threshold_ = pes; }
-  bool UsePairwiseAlltoallv() const {
-    if (size_ <= 2) return false;  // schedules coincide
-    return alltoallv_algo_ == AlltoallAlgo::kPairwise ||
-           (alltoallv_algo_ == AlltoallAlgo::kAuto &&
-            size_ >= pairwise_threshold_);
   }
 
   /// Restarts this PE's receive-buffer peak gauge (per-phase measurements).
@@ -590,6 +435,31 @@ class Comm {
   NetStatsSnapshot StatsSnapshot() const;
 
  private:
+  /// The typed collectives' engine: AlltoallvStream with each source's
+  /// payload appended to its own vector<T> as the chunks land (reserved
+  /// from the stream header). `options.align_bytes` must be a multiple of
+  /// sizeof(T), so no chunk splits an element.
+  template <typename T>
+  std::vector<std::vector<T>> StreamIntoVectors(
+      const StreamSendProvider& send_for, const StreamOptions& options) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::vector<std::vector<T>> received(size_);
+    AlltoallvStream(
+        send_for,
+        [&](int src, std::span<const uint8_t> chunk, bool) {
+          DEMSORT_CHECK_EQ(chunk.size() % sizeof(T), 0u);
+          const T* first = reinterpret_cast<const T*>(chunk.data());
+          received[src].insert(received[src].end(), first,
+                               first + chunk.size() / sizeof(T));
+        },
+        [&](int src, uint64_t bytes) {
+          DEMSORT_CHECK_EQ(bytes % sizeof(T), 0u);
+          received[src].reserve(bytes / sizeof(T));
+        },
+        options);
+    return received;
+  }
+
   std::vector<std::vector<uint8_t>> AllgatherBytes(
       const std::vector<uint8_t>& local);
   std::vector<std::vector<uint8_t>> TreeAllgatherBytes(
@@ -668,11 +538,8 @@ class Comm {
   uint32_t tag_limit_ = kCollectiveTagSpace;
   size_t send_window_bytes_ = kDefaultSendWindowBytes;
   size_t stream_chunk_bytes_ = kDefaultStreamChunkBytes;
-  StreamChunkMode stream_chunk_mode_ = StreamChunkMode::kAdaptive;
   StreamCreditMode stream_credit_mode_ = StreamCreditMode::kPiggyback;
   std::vector<StreamPeerTuning> stream_tuning_;
-  AlltoallAlgo alltoallv_algo_ = AlltoallAlgo::kFullMesh;
-  int pairwise_threshold_ = kDefaultPairwiseThreshold;
 };
 
 template <typename T>

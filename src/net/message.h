@@ -79,18 +79,6 @@ static_assert(std::is_trivially_copyable_v<StreamCreditMsg>);
 // ---------------------------------------------------------------------------
 // Streaming-collective tuning.
 
-/// How the streaming collectives size their chunks.
-enum class StreamChunkMode {
-  /// Use the Comm-level default (kAdaptive unless reconfigured).
-  kAuto,
-  /// Every chunk is exactly the configured chunk size (except the tail).
-  kFixed,
-  /// Per-destination controller resizes chunks within [min, max] from the
-  /// measured consumer drain rate: credit stalls shrink, sustained
-  /// credit-ahead streaks grow (see comm.cc).
-  kAdaptive,
-};
-
 /// How flow-control credits travel back to the sender.
 enum class StreamCreditMode {
   /// Use the Comm-level default (kPiggyback unless reconfigured).
@@ -106,17 +94,21 @@ enum class StreamCreditMode {
 /// the cluster must pass identical options to the same collective call —
 /// the receiver derives its buffering bound (max chunk) from them.
 struct StreamOptions {
-  /// Initial (and, in kFixed mode, only) chunk size; 0 = the Comm default.
+  /// Initial chunk size; 0 = the Comm default. Chunks stay within
+  /// [min_chunk_bytes, max_chunk_bytes]: a per-destination controller
+  /// resizes them from the measured consumer drain rate (credit stalls
+  /// shrink, sustained credit-ahead streaks grow; see comm.cc), and
+  /// min == max pins every chunk (except the tail) to that one size.
   size_t chunk_bytes = 0;
   /// Every chunk is a multiple of this (the record size of typed streams),
   /// so chunk boundaries never split a record even while the controller
   /// resizes. The tail chunk may be smaller.
   size_t align_bytes = 1;
-  /// Adaptive lower bound; 0 = auto (chunk / kStreamAutoRangeFactor).
+  /// Lower chunk bound; 0 = auto (chunk / kStreamAutoRangeFactor).
   size_t min_chunk_bytes = 0;
-  /// Adaptive upper bound; 0 = auto (chunk * kStreamAutoRangeFactor).
+  /// Upper chunk bound, a memory cap (an explicit max below the chunk
+  /// clamps the chunk); 0 = auto (chunk * kStreamAutoRangeFactor).
   size_t max_chunk_bytes = 0;
-  StreamChunkMode chunk_mode = StreamChunkMode::kAuto;
   StreamCreditMode credit_mode = StreamCreditMode::kAuto;
   /// Flow-control units granted per consumed wire chunk (and charged per
   /// sent one). A leader engine that coarsens its wire chunk by the
@@ -127,8 +119,8 @@ struct StreamOptions {
   uint64_t credit_unit = 0;
 };
 
-/// Auto [min, max] bounds of the adaptive controller span this factor below
-/// and above the configured chunk size.
+/// Auto [min, max] chunk bounds span this factor below and above the
+/// configured chunk size, so the default exchange sizes chunks adaptively.
 inline constexpr size_t kStreamAutoRangeFactor = 8;
 
 }  // namespace demsort::net

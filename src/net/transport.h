@@ -276,40 +276,6 @@ class RecvRequest {
   std::shared_ptr<internal::RecvState> state_;
 };
 
-/// Flow-control accounting for a stream of Isends: completed volume is
-/// reclaimed oldest-first until the un-waited bytes fit the window. The
-/// single implementation of the send-window bound shared by Comm's
-/// collectives and the phase exchanges that hand-roll their transfers.
-class WindowedSends {
- public:
-  /// window_bytes == 0 means unbounded (never waits in Add).
-  explicit WindowedSends(size_t window_bytes) : window_(window_bytes) {}
-
-  void Add(SendRequest request, size_t bytes) {
-    sends_.push_back(std::move(request));
-    bytes_.push_back(bytes);
-    inflight_ += bytes;
-    while (window_ != 0 && inflight_ > window_ &&
-           next_wait_ < sends_.size()) {
-      sends_[next_wait_].Wait();
-      inflight_ -= bytes_[next_wait_];
-      ++next_wait_;
-    }
-  }
-
-  /// Waits for every tracked send (idempotent).
-  void WaitAll() {
-    for (SendRequest& s : sends_) s.Wait();
-  }
-
- private:
-  size_t window_;
-  std::vector<SendRequest> sends_;
-  std::vector<size_t> bytes_;
-  size_t inflight_ = 0;
-  size_t next_wait_ = 0;
-};
-
 /// Abstract point-to-point byte transport. All sizes are 64-bit: unlike
 /// MPI's int counts (the paper re-implemented MPI_Alltoallv to move >2 GiB),
 /// a single message may exceed 4 GiB on every implementation.

@@ -9,9 +9,9 @@
 namespace demsort::obs {
 
 namespace internal {
-thread_local TraceRing* t_ring = nullptr;
-thread_local int t_rank = -1;
-thread_local const char* t_name = nullptr;
+constinit thread_local TraceRing* t_ring = nullptr;
+constinit thread_local int t_rank = -1;
+constinit thread_local const char* t_name = nullptr;
 }  // namespace internal
 
 Tracer& Tracer::Get() {

@@ -106,10 +106,13 @@ namespace internal {
 // from unstamped threads carry rank -1 and are kept only by the local
 // (partial-trace) writer, never by the cross-rank gather. The ring pointer
 // stays null until the thread records its first event, so threads of an
-// untraced run never allocate ring storage.
-extern thread_local TraceRing* t_ring;
-extern thread_local int t_rank;
-extern thread_local const char* t_name;
+// untraced run never allocate ring storage. constinit: no dynamic
+// initialization, so other translation units access the variables directly
+// instead of through GCC's TLS wrapper function, which UBSan's null check
+// misreads as a null load.
+extern constinit thread_local TraceRing* t_ring;
+extern constinit thread_local int t_rank;
+extern constinit thread_local const char* t_name;
 }  // namespace internal
 
 /// Global tracer: owns every registered ring, the enable flag, and the

@@ -197,9 +197,10 @@ TEST(AllToAllTest, StaysWithinBudgetUnderChannelCap) {
   config.alltoall_budget = 4 * config.block_size;  // forces several substeps
   config.stream_chunk_bytes = 256;
   // This test pins the CHUNK-level receive bound, so the chunk must not
-  // move: fixed mode (the adaptive default would be bounded by max chunk
+  // move: min == max (the adaptive default would be bounded by max chunk
   // instead — covered by AdaptiveChunksKeepReceiveBufferBound).
-  config.stream_chunk_mode = net::StreamChunkMode::kFixed;
+  config.stream_chunk_min_bytes = 256;
+  config.stream_chunk_max_bytes = 256;
 
   net::Cluster::Options options;
   options.num_pes = P;

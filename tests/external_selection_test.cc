@@ -142,7 +142,8 @@ TEST(ExternalSelectionTest, RowGatherStaysAtStreamingBufferBound) {
   SortConfig config = test::SmallConfig();
   config.memory_per_pe = 2048;       // 128 KV16 per run piece => many runs
   config.stream_chunk_bytes = 128;   // far below one row
-  config.stream_chunk_mode = net::StreamChunkMode::kFixed;
+  config.stream_chunk_min_bytes = 128;  // min == max: fixed chunking
+  config.stream_chunk_max_bytes = 128;
   const uint64_t elements_per_pe = 60000;
 
   test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {

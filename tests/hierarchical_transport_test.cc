@@ -110,10 +110,12 @@ uint8_t PairByte(int src, int dst, size_t i) {
   return static_cast<uint8_t>(src * 31 + dst * 17 + i * 7);
 }
 
+constexpr size_t kStreamBodyChunk = 64;
+
 void StreamBody(Comm& comm, StreamOptions options) {
   const int P = comm.size();
   const int me = comm.rank();
-  options.chunk_bytes = 64;
+  options.chunk_bytes = kStreamBodyChunk;
   const uint64_t max_chunk = comm.StreamMaxChunkBytes(options);
   std::vector<std::vector<uint8_t>> payloads(P);
   std::vector<std::span<const uint8_t>> spans(P);
@@ -150,13 +152,13 @@ void StreamBody(Comm& comm, StreamOptions options) {
 TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
   struct Mode {
     StreamCreditMode credit;
-    StreamChunkMode chunk;
+    bool fixed_chunks;  // min == max == StreamBody's chunk
     const char* name;
   };
   const Mode modes[] = {
-      {StreamCreditMode::kStandalone, StreamChunkMode::kFixed, "standalone"},
-      {StreamCreditMode::kPiggyback, StreamChunkMode::kFixed, "piggyback"},
-      {StreamCreditMode::kPiggyback, StreamChunkMode::kAdaptive, "adaptive"},
+      {StreamCreditMode::kStandalone, true, "standalone"},
+      {StreamCreditMode::kPiggyback, true, "piggyback"},
+      {StreamCreditMode::kPiggyback, false, "adaptive"},
   };
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
@@ -165,7 +167,10 @@ TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
       HierCluster::Run(topo, [&](Comm& comm) {
         StreamOptions options;
         options.credit_mode = mode.credit;
-        options.chunk_mode = mode.chunk;
+        if (mode.fixed_chunks) {
+          options.min_chunk_bytes = kStreamBodyChunk;
+          options.max_chunk_bytes = kStreamBodyChunk;
+        }
         StreamBody(comm, options);
       });
     }
@@ -289,7 +294,8 @@ TEST(HierarchicalTransportTest, PooledFramesRecycleAcrossRepeats) {
         P, std::span<const uint8_t>(payload));
     StreamOptions so;
     so.chunk_bytes = 4096;
-    so.chunk_mode = StreamChunkMode::kFixed;
+    so.min_chunk_bytes = 4096;
+    so.max_chunk_bytes = 4096;
     for (int rep = 0; rep < kReps; ++rep) {
       std::vector<uint64_t> got(P, 0);
       comm.AlltoallvStream(
@@ -399,7 +405,8 @@ void StreamKillBody(Comm& comm) {
   std::vector<std::span<const uint8_t>> spans(
       comm.size(), std::span<const uint8_t>(payload));
   comm.AlltoallvStream(
-      spans, [](int, std::span<const uint8_t>, bool) {}, nullptr, kChunk);
+      spans, [](int, std::span<const uint8_t>, bool) {}, nullptr,
+      StreamOptions{.chunk_bytes = kChunk});
 }
 
 TEST(HierarchicalFaultTest, KillNonLeaderMidStreamFailsEveryPe) {

@@ -60,7 +60,9 @@ core::SortConfig MakeConfig(const std::string& dir) {
   config.threads_per_pe = 1;
   config.async_io = false;
   config.seed = 1;
-  config.stream_chunk_mode = net::StreamChunkMode::kFixed;
+  // min == max: every chunk is the default size, whatever the timing.
+  config.stream_chunk_min_bytes = net::Comm::kDefaultStreamChunkBytes;
+  config.stream_chunk_max_bytes = net::Comm::kDefaultStreamChunkBytes;
   config.stream_credit_mode = net::StreamCreditMode::kStandalone;
   config.backend = io::BlockManager::BackendKind::kFile;
   config.file_dir = dir;

@@ -168,7 +168,8 @@ TEST_P(FaultParamTest, KillPeMidAlltoallvStreamFailsEveryPe) {
     std::vector<std::span<const uint8_t>> spans(
         comm.size(), std::span<const uint8_t>(payload));
     comm.AlltoallvStream(
-        spans, [](int, std::span<const uint8_t>, bool) {}, nullptr, kChunk);
+        spans, [](int, std::span<const uint8_t>, bool) {}, nullptr,
+        StreamOptions{.chunk_bytes = kChunk});
   });
   ExpectAllCommError(outcomes);
 }
@@ -207,7 +208,8 @@ TEST_P(FaultParamTest, SeveredLinkMidAlltoallvStreamFailsBothEndpoints) {
     std::vector<std::span<const uint8_t>> spans(
         comm.size(), std::span<const uint8_t>(payload));
     comm.AlltoallvStream(
-        spans, [](int, std::span<const uint8_t>, bool) {}, nullptr, kChunk);
+        spans, [](int, std::span<const uint8_t>, bool) {}, nullptr,
+        StreamOptions{.chunk_bytes = kChunk});
   });
   // Both endpoints of the severed link must observe the failure; no PE may
   // hang or abort. (The other PEs may or may not complete depending on how

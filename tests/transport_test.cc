@@ -2,8 +2,8 @@
 // implementations: the in-process Fabric and the TCP socket transport.
 // Plus TCP-specific wire coverage (loopback echo, out-of-order tag
 // matching, 64-bit frame lengths), the Fabric's bounded-channel
-// backpressure, the streaming Alltoallv / pairwise-schedule conformance
-// suite, and receiver-side backpressure (channel cap / reader watermark)
+// backpressure, the streaming Alltoallv conformance suite (including the
+// typed Alltoallv built on it), and receiver-side backpressure (channel cap / reader watermark)
 // pause-resume over both backends.
 #include <gtest/gtest.h>
 
@@ -258,12 +258,14 @@ TEST_P(TransportParamTest, AlltoallvStreamChunkLargerThanPayload) {
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamStandaloneCreditsAndFixedChunks) {
-  // The PR 2 protocol variant (one standalone credit message per consumed
-  // chunk, no resizing) must deliver identically — it is micro_net's
-  // comparison baseline and the fallback for asymmetric exchanges.
+  // The standalone-credit protocol variant (one credit message per
+  // consumed chunk) with min == max (no resizing) must deliver identically
+  // — it is micro_net's comparison baseline and the fallback for
+  // asymmetric exchanges.
   RunWith(kind(), pes(), [](Comm& comm) {
     StreamOptions options;
-    options.chunk_mode = StreamChunkMode::kFixed;
+    options.min_chunk_bytes = 64;
+    options.max_chunk_bytes = 64;
     options.credit_mode = StreamCreditMode::kStandalone;
     StreamExchangeBody(comm, 64, options);
   });
@@ -337,7 +339,8 @@ TEST_P(TransportParamTest, PiggybackedCreditsRideDataFrames) {
     std::vector<uint64_t> got(P, 0);
     StreamOptions options;
     options.chunk_bytes = kChunk;
-    options.chunk_mode = StreamChunkMode::kFixed;
+    options.min_chunk_bytes = kChunk;
+    options.max_chunk_bytes = kChunk;
     options.credit_mode = StreamCreditMode::kPiggyback;
     comm.AlltoallvStream(
         spans,
@@ -408,7 +411,7 @@ TEST_P(TransportParamTest, AlltoallvStreamPayloadLargerThanSendWindow) {
           }
           got_bytes[src] += data.size();
         },
-        nullptr, chunk);
+        nullptr, StreamOptions{.chunk_bytes = chunk});
     for (int s = 0; s < comm.size(); ++s) {
       EXPECT_EQ(got_bytes[s], n) << "source " << s;
       EXPECT_EQ(bad[s], 0) << "source " << s;
@@ -416,18 +419,35 @@ TEST_P(TransportParamTest, AlltoallvStreamPayloadLargerThanSendWindow) {
   });
 }
 
-TEST_P(TransportParamTest, AlltoallvPairwiseMatchesFullMesh) {
+TEST_P(TransportParamTest, AlltoallvAssemblesMultiChunkPayloads) {
+  // The typed Alltoallv with a 64-byte chunk: most payloads span many
+  // chunks, each a whole number of 12-byte elements (the chunk aligns to
+  // sizeof(T)), and each source's vector is assembled in order from them;
+  // ragged sizes include empty payloads.
+  struct Elem {
+    uint32_t src, dst, i;
+  };
   RunWith(kind(), pes(), [](Comm& comm) {
     const int P = comm.size();
     const int me = comm.rank();
-    comm.set_alltoallv_algo(AlltoallAlgo::kPairwise);
-    std::vector<std::vector<uint32_t>> sends(P);
-    for (int d = 0; d < P; ++d) sends[d].assign(me + d, me * 1000 + d);
-    auto recvd = comm.Alltoallv<uint32_t>(sends);
+    auto count = [](int src, int dst) {
+      return static_cast<size_t>(((src + 2 * dst) % 4) * 37);
+    };
+    std::vector<std::vector<Elem>> sends(P);
+    for (int d = 0; d < P; ++d) {
+      for (size_t i = 0; i < count(me, d); ++i) {
+        sends[d].push_back(Elem{static_cast<uint32_t>(me),
+                                static_cast<uint32_t>(d),
+                                static_cast<uint32_t>(i)});
+      }
+    }
+    auto recvd = comm.Alltoallv<Elem>(sends, StreamOptions{.chunk_bytes = 64});
     for (int s = 0; s < P; ++s) {
-      ASSERT_EQ(recvd[s].size(), static_cast<size_t>(s + me));
-      for (uint32_t v : recvd[s]) {
-        EXPECT_EQ(v, static_cast<uint32_t>(s * 1000 + me));
+      ASSERT_EQ(recvd[s].size(), count(s, me)) << "source " << s;
+      for (size_t i = 0; i < recvd[s].size(); ++i) {
+        EXPECT_EQ(recvd[s][i].src, static_cast<uint32_t>(s));
+        EXPECT_EQ(recvd[s][i].dst, static_cast<uint32_t>(me));
+        EXPECT_EQ(recvd[s][i].i, i);
       }
     }
   });
@@ -512,7 +532,8 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
         std::vector<uint64_t> got(comm.size(), 0);
         StreamOptions options;
         options.chunk_bytes = kChunk;
-        options.chunk_mode = StreamChunkMode::kFixed;  // pin the bound
+        options.min_chunk_bytes = kChunk;  // min == max pins the bound
+        options.max_chunk_bytes = kChunk;
         comm.AlltoallvStream(
             spans,
             [&](int src, std::span<const uint8_t> data, bool last) {
@@ -552,7 +573,6 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
     options.chunk_bytes = kChunk;
     options.min_chunk_bytes = kChunk / 4;
     options.max_chunk_bytes = kMaxChunk;
-    options.chunk_mode = StreamChunkMode::kAdaptive;
     std::vector<uint8_t> payload(per_pair, 5);
     std::vector<std::span<const uint8_t>> spans(
         P, std::span<const uint8_t>(payload));
@@ -592,6 +612,39 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
   }
 }
 
+TEST(ResolveStreamTuningTest, ChunkBoundsDecideAdaptivity) {
+  Cluster::Run(1, [](Comm& comm) {
+    // min == max is fixed chunking, whatever the base: the base lands on
+    // the one permitted size.
+    for (size_t base : {size_t{0}, size_t{4096}, size_t{1 << 20}}) {
+      auto fixed = comm.ResolveStreamTuning(StreamOptions{
+          .chunk_bytes = base, .min_chunk_bytes = 4096,
+          .max_chunk_bytes = 4096});
+      EXPECT_FALSE(fixed.adaptive()) << "base " << base;
+      EXPECT_EQ(fixed.base_chunk_bytes, 4096u) << "base " << base;
+      EXPECT_EQ(fixed.min_chunk_bytes, 4096u) << "base " << base;
+      EXPECT_EQ(fixed.max_chunk_bytes, 4096u) << "base " << base;
+    }
+    // Auto bounds span kStreamAutoRangeFactor either side of the base, so
+    // the default exchange is adaptive.
+    auto automatic = comm.ResolveStreamTuning(StreamOptions{});
+    EXPECT_TRUE(automatic.adaptive());
+    EXPECT_EQ(automatic.base_chunk_bytes, Comm::kDefaultStreamChunkBytes);
+    EXPECT_EQ(automatic.min_chunk_bytes,
+              Comm::kDefaultStreamChunkBytes / kStreamAutoRangeFactor);
+    EXPECT_EQ(automatic.max_chunk_bytes,
+              Comm::kDefaultStreamChunkBytes * kStreamAutoRangeFactor);
+    // An explicit max below the base is a cap: it clamps the base (aligned
+    // down), and the auto min follows the clamped base.
+    auto capped = comm.ResolveStreamTuning(StreamOptions{
+        .chunk_bytes = 4096, .align_bytes = 8, .max_chunk_bytes = 1000});
+    EXPECT_TRUE(capped.adaptive());
+    EXPECT_EQ(capped.base_chunk_bytes, 1000u);
+    EXPECT_EQ(capped.max_chunk_bytes, 1000u);
+    EXPECT_EQ(capped.min_chunk_bytes, 1000u / kStreamAutoRangeFactor / 8 * 8);
+  });
+}
+
 TEST(AdaptiveChunkControllerTest, ShrinksForSlowConsumerGrowsForFast) {
   // P = 2 over the in-process fabric: rank 1's consumer sleeps far beyond
   // the shrink threshold per chunk, so rank 0's per-destination chunk must
@@ -605,7 +658,6 @@ TEST(AdaptiveChunkControllerTest, ShrinksForSlowConsumerGrowsForFast) {
     options.chunk_bytes = kBase;
     options.min_chunk_bytes = kMin;
     options.max_chunk_bytes = kMax;
-    options.chunk_mode = StreamChunkMode::kAdaptive;
     const int me = comm.rank();
     const int peer = 1 - me;
     // Rank 0 ships enough chunks to hit the floor; rank 1 ships enough to
@@ -665,7 +717,7 @@ TEST_P(TransportParamTest, AlltoallvStreamUnevenConsumersNoDeadlock) {
           }
           got[src] += data.size();
         },
-        nullptr, kChunk);
+        nullptr, StreamOptions{.chunk_bytes = kChunk});
     for (int s = 0; s < P; ++s) EXPECT_EQ(got[s], per_pair);
   });
 }
@@ -674,8 +726,8 @@ TEST(DegeneratePTest, CollectivesAtTrivialAndOddP) {
   // P = 1 (all self paths) and odd P = 3, 5, 7 (no XOR pairing; the
   // rotation schedules and the (rank - step) index arithmetic must hold
   // on their own, not by accident of power-of-two sizes), on BOTH
-  // backends: Barrier, Broadcast from every root, the pairwise Alltoallv
-  // rotation schedule, and AlltoallvStream.
+  // backends: Barrier, Broadcast from every root, the typed Alltoallv, and
+  // AlltoallvStream.
   for (TransportKind kind :
        {TransportKind::kInProc, TransportKind::kTcp}) {
     for (int num_pes : {1, 3, 5, 7}) {
@@ -690,19 +742,24 @@ TEST(DegeneratePTest, CollectivesAtTrivialAndOddP) {
           EXPECT_EQ(got, 41 + root);
         }
         comm.Barrier();
-        // Pairwise exchange: rotation partners at odd P, ragged sizes.
+        // Typed Alltoallv: tournament partners at odd P, ragged sizes,
+        // then a round in which every payload is empty.
         std::vector<std::vector<uint32_t>> sends(P);
         for (int p = 0; p < P; ++p) {
           sends[p].assign(static_cast<size_t>(me + 1),
                           static_cast<uint32_t>(me * 100 + p));
         }
-        auto received = comm.AlltoallvPairwise(sends);
+        auto received = comm.Alltoallv<uint32_t>(sends);
         for (int p = 0; p < P; ++p) {
           ASSERT_EQ(received[p].size(), static_cast<size_t>(p + 1));
           for (uint32_t v : received[p]) {
             EXPECT_EQ(v, static_cast<uint32_t>(p * 100 + me));
           }
         }
+        auto none = comm.Alltoallv<uint32_t>(
+            std::vector<std::vector<uint32_t>>(static_cast<size_t>(P)));
+        ASSERT_EQ(none.size(), static_cast<size_t>(P));
+        for (const auto& v : none) EXPECT_TRUE(v.empty());
         // Streaming exchange with rank-dependent payload sizes, under both
         // credit protocols (the tournament pairing (r - rank) mod P is the
         // schedule actually exercised at odd P — partner mutuality must
@@ -837,8 +894,9 @@ TEST(TcpTransportTest, MultiMegabyteFrames) {
 }
 
 TEST(TcpTransportTest, Above4GiBCountAlltoallv) {
-  // The >2^32-byte single-payload path — what the paper re-implemented
-  // MPI_Alltoallv for. Needs ~9 GiB of RAM; opt in explicitly.
+  // A >2^32-byte payload through Alltoallv (64-bit stream size header and
+  // byte counts end to end) — what the paper re-implemented MPI_Alltoallv
+  // for. Needs ~9 GiB of RAM; opt in explicitly.
   if (std::getenv("DEMSORT_BIG_TESTS") == nullptr) {
     GTEST_SKIP() << "set DEMSORT_BIG_TESTS=1 to run the >4 GiB transfer";
   }
@@ -969,8 +1027,11 @@ TEST(FabricCapTest, CollectivesCompleteUnderTightCap) {
   });
   // A message that beats the peer's posted receive queues, but at most one
   // admission beyond the cap is ever outstanding (the empty-queue rule), so
-  // buffering is bounded by max(cap, one payload) — never the full volume.
-  EXPECT_LE(result.max_channel_queued_bytes, 512 * sizeof(uint64_t));
+  // buffering is bounded by max(cap, one message) — never the full volume.
+  // Alltoallv streams, so its largest message is one chunk frame: here the
+  // whole 4 KiB payload (below the default chunk) plus its frame header.
+  EXPECT_LE(result.max_channel_queued_bytes,
+            512 * sizeof(uint64_t) + sizeof(StreamChunkHeader));
 }
 
 }  // namespace
