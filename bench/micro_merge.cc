@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "par/loser_tree.h"
 #include "par/multiway_merge.h"
 #include "par/multiway_select.h"
 #include "par/parallel_sort.h"
@@ -34,20 +35,44 @@ std::vector<std::vector<KV16>> MakeRuns(size_t k, size_t len, uint64_t seed) {
   return runs;
 }
 
-void BM_MultiwayMerge(benchmark::State& state) {
-  size_t k = state.range(0);
-  size_t len = 1 << 16;
-  auto runs = MakeRuns(k, len, 42);
-  std::vector<std::span<const KV16>> spans;
-  for (auto& r : runs) spans.emplace_back(r.data(), r.size());
-  std::vector<KV16> out(k * len);
+template <typename R>
+void RunMultiwayMerge(benchmark::State& state,
+                      const std::vector<std::vector<R>>& runs) {
+  std::vector<std::span<const R>> spans;
+  size_t total = 0;
+  for (auto& r : runs) {
+    spans.emplace_back(r.data(), r.size());
+    total += r.size();
+  }
+  std::vector<R> out(total);
   for (auto _ : state) {
-    demsort::par::MultiwayMerge<KV16, KVLess>(spans, out.data());
+    demsort::par::MultiwayMerge<R>(spans, out.data());
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * k * len);
+  state.SetItemsProcessed(state.iterations() * total);
+}
+
+void BM_MultiwayMerge(benchmark::State& state) {
+  RunMultiwayMerge(state, MakeRuns(state.range(0), 1 << 16, 42));
 }
 BENCHMARK(BM_MultiwayMerge)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Iterations(5);
+
+// SortBenchmark records with random 10-byte keys: every record the merge
+// moves is 100 bytes, and Less is a 10-byte memcmp.
+void BM_MultiwayMergeGray100(benchmark::State& state) {
+  using GrayLess = demsort::core::RecordTraits<Gray100>::Less;
+  Rng rng(42);
+  std::vector<std::vector<Gray100>> runs(state.range(0));
+  for (auto& run : runs) {
+    run.resize(1 << 14);
+    for (Gray100& r : run) {
+      for (uint8_t& b : r.key) b = static_cast<uint8_t>(rng.Next());
+    }
+    std::sort(run.begin(), run.end(), GrayLess());
+  }
+  RunMultiwayMerge(state, runs);
+}
+BENCHMARK(BM_MultiwayMergeGray100)->Arg(4)->Arg(15)->Iterations(5);
 
 void BM_MultiwaySelect(benchmark::State& state) {
   size_t k = state.range(0);
@@ -106,12 +131,16 @@ BENCHMARK(BM_ParallelSortGray100)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
 
 void BM_LoserTreeReplay(benchmark::State& state) {
   size_t k = state.range(0);
-  demsort::par::LoserTree<KV16, KVLess> tree(k);
   Rng rng(11);
-  for (size_t s = 0; s < k; ++s) tree.InitSource(s, {rng.Next(), 0});
+  // Random heads, cycled: the tree only holds pointers to them.
+  std::vector<KV16> records(4096);
+  for (KV16& r : records) r = {rng.Next(), 0};
+  demsort::par::LoserTree<KV16> tree(k);
+  for (size_t s = 0; s < k; ++s) tree.InitSource(s, &records[s]);
   tree.Build();
+  size_t i = 0;
   for (auto _ : state) {
-    tree.ReplaceWinner({rng.Next(), 0});
+    tree.ReplaceWinner(&records[i++ % records.size()]);
     benchmark::DoNotOptimize(tree.WinnerSource());
   }
   state.SetItemsProcessed(state.iterations());

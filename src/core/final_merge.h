@@ -18,7 +18,7 @@
 // records with key < pivot_{t+1} (ties all land right of the cut). Cuts are
 // therefore globally consistent and concatenating the partitions reproduces
 // the sequential merge record for record. Each worker drives its own
-// sentinel loser tree + prefetcher over its private slice of the segment
+// loser tree + prefetcher over its private slice of the segment
 // lists; boundary blocks shared by adjacent workers are handed out as
 // preloaded copies of the planner's read (never re-fetched, freed exactly
 // once by the worker consuming the block's tail). Workers write the
@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -451,8 +450,10 @@ size_t GallopSpan(const R* base, size_t lo, size_t hi, const Take& take) {
 
 /// The merge inner loop over one (slice of the) segment set. `emit(ptr, n)`
 /// receives sorted spans and must copy before returning. Returns records
-/// emitted. Drives the sentinel loser tree span-at-a-time (one replay per
-/// span).
+/// emitted. Drives the loser tree span-at-a-time (one replay per span). The
+/// tree holds pointers into the current segments; a segment is released
+/// only right before its source's head is replaced or exhausted, as the
+/// tree's pointer-lifetime contract allows.
 template <typename R, typename Emit>
 uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
                       std::vector<std::vector<MergeSegment<R>>>& segments,
@@ -470,12 +471,11 @@ uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
   std::vector<Cursor> cursors(num_runs);
   uint64_t merged = 0;
 
-  par::SentinelLoserTree<R, Less> tree(std::max<size_t>(1, num_runs),
-                                       RecordTraits<R>::MaxSentinel(), less);
+  par::LoserTree<R> tree(std::max<size_t>(1, num_runs));
   for (size_t j = 0; j < num_runs; ++j) {
     if (!segments[j].empty()) {
       cursors[j].records = prefetcher.Acquire(j, 0);
-      tree.InitSource(j, cursors[j].records[0]);
+      tree.InitSource(j, cursors[j].records);
     }
   }
   tree.Build();
@@ -524,7 +524,7 @@ uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
       hi = cur.offset + 1;
     } else {
       size_t ru = tree.RunnerUpSource();
-      const R& limit = tree.Item(ru);
+      const R& limit = tree.Head(ru);
       const R* base = cur.records;
       hi = j < ru
                ? GallopSpan(base, cur.offset, sg.take,
@@ -545,7 +545,7 @@ uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
       }
       cur.records = prefetcher.Acquire(j, cur.seg);
     }
-    tree.ReplaceWinner(cur.records[cur.offset]);
+    tree.ReplaceWinner(cur.records + cur.offset);
   }
 
   if (tree.live() == 2) {
@@ -633,96 +633,51 @@ inline void AccumulateMergeMetrics(PhaseStats* stats, size_t workers,
 /// [offset, offset+count) is split on the global block grid: the span up to
 /// the first grid line (head) and the one after the last (tail) stay in
 /// memory for the stitching pass; the grid-aligned body in between is
-/// written as full blocks straight from this worker, with a bounded window
-/// of in-flight writes.
+/// written as full blocks straight from this worker, through its own striped
+/// writer with a bounded window of in-flight writes.
 template <typename R>
 class PartitionBlockWriter {
  public:
   PartitionBlockWriter(io::BlockManager* bm, size_t epb,
                        uint64_t global_offset, uint64_t count,
                        size_t max_in_flight)
-      : bm_(bm), epb_(epb), max_in_flight_(std::max<size_t>(max_in_flight, 1)) {
-    uint64_t to_grid = (epb_ - global_offset % epb_) % epb_;
+      : body_(bm, std::max<size_t>(max_in_flight, 1)) {
+    uint64_t to_grid = (epb - global_offset % epb) % epb;
     head_target_ = std::min<uint64_t>(to_grid, count);
-    body_target_ = (count - head_target_) / epb_ * epb_;
+    body_target_ = (count - head_target_) / epb * epb;
     head_.reserve(head_target_);
-    current_ = AlignedBuffer(bm_->block_size());
   }
 
   void Append(const R* records, size_t n) {
-    while (n > 0) {
-      if (head_.size() < head_target_) {
-        size_t take =
-            std::min<uint64_t>(n, head_target_ - head_.size());
-        head_.insert(head_.end(), records, records + take);
-        records += take;
-        n -= take;
-        continue;
-      }
-      if (body_written_ < body_target_) {
-        if (fill_ == 0) first_records_.push_back(records[0]);
-        size_t take = std::min(n, epb_ - fill_);
-        std::memcpy(current_.data() + fill_ * sizeof(R), records,
-                    take * sizeof(R));
-        fill_ += take;
-        body_written_ += take;
-        records += take;
-        n -= take;
-        if (fill_ == epb_) FlushBlock();
-        continue;
-      }
-      tail_.insert(tail_.end(), records, records + n);
-      n = 0;
-    }
+    size_t take = std::min<uint64_t>(n, head_target_ - head_.size());
+    head_.insert(head_.end(), records, records + take);
+    records += take;
+    n -= take;
+    take = std::min<uint64_t>(n, body_target_ - body_.total_appended());
+    if (take > 0) body_.AppendSpan(records, take);
+    tail_.insert(tail_.end(), records + take, records + n);
   }
 
   void Finish() {
-    DEMSORT_CHECK_EQ(fill_, 0u) << "partition body not grid-aligned";
-    int64_t t0 = NowNanos();
-    while (!in_flight_.empty()) Reap();
-    io_wait_ns_ += NowNanos() - t0;
+    DEMSORT_CHECK_EQ(body_.pending_fill(), 0u)
+        << "partition body not grid-aligned";
+    body_.Finish();
   }
 
   const std::vector<R>& head() const { return head_; }
   const std::vector<R>& tail() const { return tail_; }
-  const std::vector<io::BlockId>& blocks() const { return blocks_; }
-  const std::vector<R>& block_first_records() const { return first_records_; }
-  uint64_t io_wait_ns() const { return io_wait_ns_; }
+  const std::vector<io::BlockId>& blocks() const { return body_.blocks(); }
+  const std::vector<R>& block_first_records() const {
+    return body_.block_first_records();
+  }
+  uint64_t io_wait_ns() const { return body_.io_wait_ns(); }
 
  private:
-  void FlushBlock() {
-    io::BlockId id = bm_->Allocate();
-    blocks_.push_back(id);
-    in_flight_.push_back(
-        {bm_->WriteAsync(id, current_.data()), std::move(current_)});
-    current_ = AlignedBuffer(bm_->block_size());
-    fill_ = 0;
-    while (in_flight_.size() > max_in_flight_) {
-      int64_t t0 = NowNanos();
-      Reap();
-      io_wait_ns_ += NowNanos() - t0;
-    }
-  }
-
-  void Reap() {
-    in_flight_.front().first.WaitOk();
-    in_flight_.pop_front();
-  }
-
-  io::BlockManager* bm_;
-  size_t epb_;
-  size_t max_in_flight_;
+  io::StripedWriter<R> body_;
   uint64_t head_target_ = 0;
   uint64_t body_target_ = 0;
-  uint64_t body_written_ = 0;
-  AlignedBuffer current_;
-  size_t fill_ = 0;
   std::vector<R> head_;
   std::vector<R> tail_;
-  std::vector<io::BlockId> blocks_;
-  std::vector<R> first_records_;
-  std::deque<std::pair<io::Request, AlignedBuffer>> in_flight_;
-  uint64_t io_wait_ns_ = 0;
 };
 
 }  // namespace internal
@@ -885,7 +840,8 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
     DEMSORT_CHECK_EQ(merged, total);
     writer.Finish();
     std::vector<internal::MergeWorkerMetrics> ms(1);
-    ms[0] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
+    ms[0] = {merged, NowNanos() - t0,
+             prefetcher.io_wait_ns() + writer.io_wait_ns(),
              prefetcher.demand_fetches()};
     internal::AccumulateMergeMetrics(stats, 1, num_runs, ms);
   } else {

@@ -166,7 +166,6 @@ template <typename R>
 InternalSortResult<R> InternalParallelSort(
     PeContext& ctx, std::vector<R> local, PhaseStats* stats = nullptr,
     net::StreamOptions stream_options = {}) {
-  using Less = typename RecordTraits<R>::Less;
   net::Comm& comm = *ctx.comm;
   const int P = comm.size();
   const int me = comm.rank();
@@ -240,8 +239,7 @@ InternalSortResult<R> InternalParallelSort(
     sources.emplace_back(received[p].data(), received[p].size());
   }
   result.piece.resize(piece_size);
-  par::ParallelMultiwayMerge<R, Less>(*ctx.pool, sources,
-                                      result.piece.data());
+  par::ParallelMultiwayMerge<R>(*ctx.pool, sources, result.piece.data());
   if (stats != nullptr) {
     stats->elements_merged += piece_size;
     stats->merge_ways = std::max<uint64_t>(stats->merge_ways, P);

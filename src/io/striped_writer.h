@@ -12,6 +12,7 @@
 #include "io/request.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace demsort::io {
 
@@ -81,6 +82,9 @@ class StripedWriter {
   /// Elements in the last block (== epb unless the total is not a multiple
   /// of the block capacity). Valid after Finish().
   size_t last_block_fill() const { return final_fill_; }
+  /// Time spent waiting for in-flight writes: the full write window's
+  /// stalls plus Finish's drain.
+  uint64_t io_wait_ns() const { return io_wait_ns_; }
 
  private:
   void Flush() {
@@ -94,8 +98,10 @@ class StripedWriter {
   }
 
   void Reap() {
+    int64_t t0 = NowNanos();
     in_flight_.front().first.WaitOk();
     in_flight_.pop_front();
+    io_wait_ns_ += NowNanos() - t0;
   }
 
   BlockManager* bm_;
@@ -108,6 +114,7 @@ class StripedWriter {
   std::vector<BlockId> blocks_;
   std::vector<R> first_records_;
   std::deque<std::pair<Request, AlignedBuffer>> in_flight_;
+  uint64_t io_wait_ns_ = 0;
 };
 
 }  // namespace demsort::io

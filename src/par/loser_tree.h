@@ -1,221 +1,138 @@
-// Tournament (loser) tree for k-way merging in O(log k) comparisons per
-// element. Ties are broken by source index, which makes merging stable
-// across sources and realizes the (key, sequence, position) total order the
-// selection algorithms rely on.
+// Tournament (loser) tree for k-way merging of records in O(log k) integer
+// comparisons per element. Ties are broken by source index, which makes
+// merging stable across sources and realizes the (key, sequence, position)
+// total order the selection algorithms rely on.
+//
+// Keyed nodes: every node caches its loser's 64-bit key prefix
+// (RecordTraits<R>::KeyPrefix, core/record.h) and tie-break rank, and every
+// source holds a pointer to its current head record. A replay compares
+// integers in the node array; it reads a record only when two prefixes tie
+// on a type whose prefix is not the whole key, and it never copies one (the
+// fixed-length form of Bingmann's LCP-aware loser tree).
+//
+// Sentinel sources: an exhausted source points at a RecordTraits<R>::
+// MaxSentinel record and takes rank k_pad + s instead of s. A real record
+// EQUAL to the sentinel still wins, because exhausted ranks sort past every
+// live one, so the hot compare has no exhausted branch.
+//
+// Pointer lifetime: a source's head pointer must stay valid while it is that
+// source's head. The winner's head is read by no replay, so a caller may
+// release the memory behind it right before ReplaceWinner or ExhaustWinner.
 #ifndef DEMSORT_PAR_LOSER_TREE_H_
 #define DEMSORT_PAR_LOSER_TREE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/record.h"
 #include "util/logging.h"
 
 namespace demsort::par {
 
-template <typename T, typename Less>
+template <typename R>
 class LoserTree {
  public:
-  explicit LoserTree(size_t num_sources, Less less = Less())
-      : k_(num_sources), less_(less) {
+  explicit LoserTree(size_t num_sources) : k_(num_sources) {
     DEMSORT_CHECK_GT(k_, 0u);
     k_pad_ = 1;
     while (k_pad_ < k_) k_pad_ <<= 1;
-    items_.resize(k_pad_);
-    exhausted_.assign(k_pad_, true);
-    tree_.assign(k_pad_, 0);
-    built_ = false;
+    head_.assign(k_pad_, &sentinel_);
+    tree_.resize(k_pad_);
   }
 
-  size_t num_sources() const { return k_; }
+  LoserTree(const LoserTree&) = delete;
+  LoserTree& operator=(const LoserTree&) = delete;
 
-  /// Provide the initial head item of source s (call once per live source,
-  /// before Build). Sources not initialized are treated as exhausted.
-  void InitSource(size_t s, const T& item) {
+  /// Sources not yet exhausted.
+  size_t live() const { return live_; }
+  bool Empty() const { return live_ == 0; }
+  bool IsLive(size_t s) const { return head_[s] != &sentinel_; }
+
+  /// Points source s at its first record (call once per non-empty source,
+  /// before Build). Sources not initialized start exhausted.
+  void InitSource(size_t s, const R* head) {
     DEMSORT_CHECK_LT(s, k_);
     DEMSORT_CHECK(!built_);
-    items_[s] = item;
-    exhausted_[s] = false;
+    if (!IsLive(s)) ++live_;
+    head_[s] = head;
   }
 
   void Build() {
     DEMSORT_CHECK(!built_);
     built_ = true;
-    if (k_pad_ == 1) {
-      tree_[0] = 0;
-      return;
-    }
     tree_[0] = BuildSubtree(1);
   }
 
-  /// True when every source is exhausted.
-  bool Empty() const {
-    DEMSORT_CHECK(built_);
-    return exhausted_[tree_[0]];
+  /// The source holding the smallest head.
+  size_t WinnerSource() const { return tree_[0].rank & (k_pad_ - 1); }
+  const R& Winner() const { return *head_[WinnerSource()]; }
+  /// Source s's current head (the sentinel once s is exhausted).
+  const R& Head(size_t s) const { return *head_[s]; }
+
+  /// Advances the winner's source to `next` and replays its path.
+  void ReplaceWinner(const R* next) {
+    const size_t w = WinnerSource();
+    head_[w] = next;
+    Replay({Traits::KeyPrefix(*next), w});
   }
 
-  /// Index of the source holding the smallest head item.
-  size_t WinnerSource() const {
-    DEMSORT_CHECK(built_);
-    return tree_[0];
-  }
-
-  const T& Winner() const {
-    DEMSORT_CHECK(!Empty());
-    return items_[tree_[0]];
-  }
-
-  /// Replace the winner's head with its successor and replay the path.
-  void ReplaceWinner(const T& item) {
-    size_t w = tree_[0];
-    DEMSORT_CHECK(!exhausted_[w]);
-    items_[w] = item;
-    Replay(w);
-  }
-
-  /// Mark the winner's source as exhausted and replay the path.
+  /// Exhausts the winner's source and replays its path.
   void ExhaustWinner() {
-    size_t w = tree_[0];
-    DEMSORT_CHECK(!exhausted_[w]);
-    exhausted_[w] = true;
-    Replay(w);
-  }
-
- private:
-  /// True if source a's head beats (precedes) source b's head.
-  bool Beats(size_t a, size_t b) const {
-    if (exhausted_[a]) return exhausted_[b] && a < b;
-    if (exhausted_[b]) return true;
-    if (less_(items_[a], items_[b])) return true;
-    if (less_(items_[b], items_[a])) return false;
-    return a < b;
-  }
-
-  size_t BuildSubtree(size_t node) {
-    if (node >= k_pad_) return node - k_pad_;
-    size_t w1 = BuildSubtree(2 * node);
-    size_t w2 = BuildSubtree(2 * node + 1);
-    if (Beats(w1, w2)) {
-      tree_[node] = w2;
-      return w1;
-    }
-    tree_[node] = w1;
-    return w2;
-  }
-
-  void Replay(size_t source) {
-    size_t current = source;
-    for (size_t node = (k_pad_ + source) >> 1; node >= 1; node >>= 1) {
-      if (Beats(tree_[node], current)) {
-        std::swap(tree_[node], current);
-      }
-    }
-    tree_[0] = current;
-  }
-
-  size_t k_;
-  size_t k_pad_;
-  Less less_;
-  bool built_;
-  std::vector<T> items_;
-  std::vector<uint8_t> exhausted_;  // avoid vector<bool>
-  std::vector<size_t> tree_;        // tree_[0] = winner, 1..k_pad-1 = losers
-};
-
-/// Loser tree whose exhausted sources hold a SENTINEL item instead of a
-/// per-source exhausted flag: the hot-path comparison is two Less calls and
-/// a rank compare, with no exhausted branches. The sentinel need not be
-/// strictly greater than every real item — a real item EQUAL to the
-/// sentinel still wins, because exhausting a source biases its tie-break
-/// rank past every live source (rank = k_pad + s), so live sources always
-/// beat exhausted ones on ties. Live-vs-live ties keep breaking by source
-/// index, preserving the (key, source, position) total order the merge
-/// relies on.
-///
-/// Extras over LoserTree, for the batched merge kernels:
-///  * live()            — number of non-exhausted sources (Empty == live 0)
-///  * IsLive(s)         — per-source liveness
-///  * Item(s)           — any source's current head
-///  * RunnerUpSource()  — the second-best source (valid while live() >= 2):
-///    it lost directly to the winner, so it sits on the winner's replay
-///    path; one O(log k) walk finds it. The winner may then advance through
-///    its buffer up to the runner-up's head without replaying the tree.
-template <typename T, typename Less>
-class SentinelLoserTree {
- public:
-  SentinelLoserTree(size_t num_sources, T sentinel, Less less = Less())
-      : k_(num_sources), less_(less), sentinel_(sentinel) {
-    DEMSORT_CHECK_GT(k_, 0u);
-    k_pad_ = 1;
-    while (k_pad_ < k_) k_pad_ <<= 1;
-    items_.assign(k_pad_, sentinel_);
-    rank_.resize(k_pad_);
-    for (size_t s = 0; s < k_pad_; ++s) rank_[s] = k_pad_ + s;
-    tree_.assign(k_pad_, 0);
-    built_ = false;
-  }
-
-  size_t num_sources() const { return k_; }
-  size_t live() const { return live_; }
-  bool Empty() const { return live_ == 0; }
-  bool IsLive(size_t s) const { return rank_[s] < k_pad_; }
-
-  void InitSource(size_t s, const T& item) {
-    DEMSORT_CHECK_LT(s, k_);
-    DEMSORT_CHECK(!built_);
-    items_[s] = item;
-    if (rank_[s] >= k_pad_) ++live_;
-    rank_[s] = s;
-  }
-
-  void Build() {
-    DEMSORT_CHECK(!built_);
-    built_ = true;
-    if (k_pad_ > 1) tree_[0] = BuildSubtree(1);
-  }
-
-  size_t WinnerSource() const { return tree_[0]; }
-  const T& Winner() const { return items_[tree_[0]]; }
-  const T& Item(size_t s) const { return items_[s]; }
-
-  void ReplaceWinner(const T& item) {
-    size_t w = tree_[0];
-    items_[w] = item;
-    Replay(w);
-  }
-
-  void ExhaustWinner() {
-    size_t w = tree_[0];
+    const size_t w = WinnerSource();
     DEMSORT_CHECK(IsLive(w));
-    items_[w] = sentinel_;
-    rank_[w] = k_pad_ + w;
+    head_[w] = &sentinel_;
     --live_;
-    Replay(w);
+    Replay({sentinel_key_, k_pad_ + w});
   }
 
-  /// Source holding the second-smallest head. Requires live() >= 2.
+  /// Source holding the second-smallest head. Requires live() >= 2. It lost
+  /// directly to the winner, so it sits on the winner's path: one O(log k)
+  /// walk over the cached nodes finds it.
   size_t RunnerUpSource() const {
     DEMSORT_CHECK_GE(live_, 2u);
-    size_t w = tree_[0];
-    size_t best = k_pad_;
-    for (size_t node = (k_pad_ + w) >> 1; node >= 1; node >>= 1) {
-      size_t cand = tree_[node];
-      if (best == k_pad_ || Beats(cand, best)) best = cand;
+    const Node* best = nullptr;
+    for (size_t node = (k_pad_ + WinnerSource()) >> 1; node >= 1;
+         node >>= 1) {
+      if (best == nullptr || Beats(tree_[node], *best)) best = &tree_[node];
     }
-    return best;
+    return best->rank & (k_pad_ - 1);
   }
 
  private:
-  /// Branch-light ordering: item compare, then the exhausted-biased rank.
-  bool Beats(size_t a, size_t b) const {
-    if (less_(items_[a], items_[b])) return true;
-    if (less_(items_[b], items_[a])) return false;
-    return rank_[a] < rank_[b];
+  using Traits = core::RecordTraits<R>;
+
+  /// A source's standing: its head's key prefix, and its tie-break rank —
+  /// s while live, k_pad + s once exhausted (the source is rank mod k_pad).
+  struct Node {
+    uint64_t key;
+    size_t rank;
+  };
+
+  /// True if a's head strictly precedes b's: prefix, then (when the prefix
+  /// is not the whole key) the records themselves, then rank.
+  bool Beats(const Node& a, const Node& b) const {
+    if (a.key != b.key) return a.key < b.key;
+    if constexpr (!Traits::kPrefixIsKey) {
+      const R& ra = *head_[a.rank & (k_pad_ - 1)];
+      const R& rb = *head_[b.rank & (k_pad_ - 1)];
+      typename Traits::Less less;
+      if (less(ra, rb)) return true;
+      if (less(rb, ra)) return false;
+    }
+    return a.rank < b.rank;
   }
 
-  size_t BuildSubtree(size_t node) {
-    if (node >= k_pad_) return node - k_pad_;
-    size_t w1 = BuildSubtree(2 * node);
-    size_t w2 = BuildSubtree(2 * node + 1);
+  /// Plays the subtree under `node`, leaving losers in it; returns the
+  /// winner.
+  Node BuildSubtree(size_t node) {
+    if (node >= k_pad_) {
+      const size_t s = node - k_pad_;
+      return IsLive(s) ? Node{Traits::KeyPrefix(*head_[s]), s}
+                       : Node{sentinel_key_, k_pad_ + s};
+    }
+    Node w1 = BuildSubtree(2 * node);
+    Node w2 = BuildSubtree(2 * node + 1);
     if (Beats(w1, w2)) {
       tree_[node] = w2;
       return w1;
@@ -224,25 +141,23 @@ class SentinelLoserTree {
     return w2;
   }
 
-  void Replay(size_t source) {
-    size_t current = source;
-    for (size_t node = (k_pad_ + source) >> 1; node >= 1; node >>= 1) {
-      if (Beats(tree_[node], current)) {
-        std::swap(tree_[node], current);
-      }
+  /// Replays the path from `current`'s leaf to the root.
+  void Replay(Node current) {
+    for (size_t node = (k_pad_ + (current.rank & (k_pad_ - 1))) >> 1;
+         node >= 1; node >>= 1) {
+      if (Beats(tree_[node], current)) std::swap(tree_[node], current);
     }
     tree_[0] = current;
   }
 
+  const R sentinel_ = Traits::MaxSentinel();
+  const uint64_t sentinel_key_ = Traits::KeyPrefix(sentinel_);
   size_t k_;
   size_t k_pad_;
-  Less less_;
-  T sentinel_;
-  bool built_;
+  bool built_ = false;
   size_t live_ = 0;
-  std::vector<T> items_;
-  std::vector<size_t> rank_;  // s when live, k_pad_ + s when exhausted
-  std::vector<size_t> tree_;  // tree_[0] = winner, 1..k_pad-1 = losers
+  std::vector<const R*> head_;
+  std::vector<Node> tree_;  // tree_[0] = winner, 1..k_pad-1 = losers
 };
 
 }  // namespace demsort::par

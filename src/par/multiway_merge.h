@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "core/record.h"
 #include "par/loser_tree.h"
 #include "par/multiway_select.h"
 #include "par/thread_pool.h"
@@ -17,61 +18,59 @@
 
 namespace demsort::par {
 
-/// Merges `sources` (each sorted by Less) into `out`, which must have room
-/// for the total number of elements. Stable across sources (ties resolve by
-/// source index). Returns the number of elements written.
-template <typename T, typename Less>
-size_t MultiwayMerge(const std::vector<std::span<const T>>& sources, T* out,
-                     Less less = Less()) {
+/// Merges `sources` (each sorted by RecordTraits<R>::Less) into `out`,
+/// which must have room for the total number of records. Stable across
+/// sources (ties resolve by source index). Returns the number of records
+/// written.
+template <typename R>
+size_t MultiwayMerge(const std::vector<std::span<const R>>& sources, R* out) {
   const size_t k = sources.size();
   if (k == 0) return 0;
-  LoserTree<T, Less> tree(k, less);
-  std::vector<size_t> cursor(k, 0);
+  LoserTree<R> tree(k);
   for (size_t s = 0; s < k; ++s) {
-    if (!sources[s].empty()) {
-      tree.InitSource(s, sources[s][0]);
-      cursor[s] = 1;
-    }
+    if (!sources[s].empty()) tree.InitSource(s, sources[s].data());
   }
   tree.Build();
-  size_t written = 0;
+  R* const first = out;
   while (!tree.Empty()) {
-    size_t w = tree.WinnerSource();
-    out[written++] = tree.Winner();
-    if (cursor[w] < sources[w].size()) {
-      tree.ReplaceWinner(sources[w][cursor[w]++]);
+    const size_t w = tree.WinnerSource();
+    const R* head = &tree.Winner();
+    *out++ = *head;
+    if (++head != sources[w].data() + sources[w].size()) {
+      tree.ReplaceWinner(head);
     } else {
       tree.ExhaustWinner();
     }
   }
-  return written;
+  return static_cast<size_t>(out - first);
 }
 
 /// Parallel k-way merge: splits the output into one chunk per pool thread
 /// using exact multiway selection, merges chunks independently.
-template <typename T, typename Less>
+template <typename R>
 size_t ParallelMultiwayMerge(ThreadPool& pool,
-                             const std::vector<std::span<const T>>& sources,
-                             T* out, Less less = Less()) {
+                             const std::vector<std::span<const R>>& sources,
+                             R* out) {
+  using Less = typename core::RecordTraits<R>::Less;
   size_t total = 0;
   for (const auto& s : sources) total += s.size();
   size_t parts = pool.num_threads();
   if (parts <= 1 || total < 4096) {
-    return MultiwayMerge(sources, out, less);
+    return MultiwayMerge(sources, out);
   }
 
   // Split positions for ranks t*total/parts, t = 0..parts.
   std::vector<std::vector<size_t>> split =
-      SelectSplitters<T, Less>(sources, parts, less);
+      SelectSplitters<R, Less>(sources, parts, Less());
 
   pool.ParallelFor(parts, [&](size_t t) {
-    std::vector<std::span<const T>> slice(sources.size());
+    std::vector<std::span<const R>> slice(sources.size());
     size_t out_offset = 0;
     for (size_t s = 0; s < sources.size(); ++s) {
       slice[s] = sources[s].subspan(split[t][s], split[t + 1][s] - split[t][s]);
       out_offset += split[t][s];
     }
-    MultiwayMerge(slice, out + out_offset, less);
+    MultiwayMerge(slice, out + out_offset);
   });
   return total;
 }

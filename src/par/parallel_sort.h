@@ -54,7 +54,7 @@ void ParallelSort(ThreadPool& pool, std::span<R> data) {
     size_t hi = std::min(n, lo + chunk);
     if (lo < hi) sources.push_back(std::span<const R>(&scratch[lo], hi - lo));
   }
-  ParallelMultiwayMerge(pool, sources, data.data(), Less());
+  ParallelMultiwayMerge(pool, sources, data.data());
 }
 
 }  // namespace demsort::par

@@ -30,9 +30,13 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
+  uint64_t seen = 0;
   while (true) {
-    work_cv_.wait(lock, [this] { return shutdown_ || current_ != nullptr; });
+    work_cv_.wait(lock, [&] {
+      return shutdown_ || (current_ != nullptr && generation_ != seen);
+    });
     if (shutdown_) return;
+    seen = generation_;
     Batch* batch = current_;
     while (batch->next_task < batch->num_tasks) {
       size_t task = batch->next_task++;
@@ -41,10 +45,6 @@ void ThreadPool::WorkerLoop() {
       lock.lock();
       ++batch->done;
       if (batch->done == batch->num_tasks) batch->done_cv.notify_all();
-    }
-    // Batch drained; wait for a new one (current_ is reset by the caller).
-    while (current_ == batch && !shutdown_) {
-      work_cv_.wait(lock);
     }
   }
 }
@@ -63,6 +63,7 @@ void ThreadPool::ParallelFor(size_t num_tasks,
     std::lock_guard<std::mutex> lock(mu_);
     DEMSORT_CHECK(current_ == nullptr) << "nested ParallelFor on one pool";
     current_ = &batch;
+    ++generation_;
   }
   work_cv_.notify_all();
   // The calling thread participates too.
@@ -76,8 +77,6 @@ void ThreadPool::ParallelFor(size_t num_tasks,
   }
   batch.done_cv.wait(lock, [&] { return batch.done == batch.num_tasks; });
   current_ = nullptr;
-  lock.unlock();
-  work_cv_.notify_all();
 }
 
 void ThreadPool::ParallelChunks(size_t begin, size_t end,

@@ -64,7 +64,11 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   Batch* current_ = nullptr;  // guarded by mu_
-  bool shutdown_ = false;     // guarded by mu_
+  /// Bumped per batch (guarded by mu_): back-to-back batches from one call
+  /// site often reuse the same stack address, so workers recognise a new
+  /// batch by its generation, not by current_.
+  uint64_t generation_ = 0;
+  bool shutdown_ = false;  // guarded by mu_
 };
 
 /// Turn-taking primitive for ordered hand-off between ParallelFor tasks:

@@ -16,6 +16,7 @@
 #include "test_util.h"
 #include "util/aligned_buffer.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace demsort::core {
 namespace {
@@ -23,12 +24,13 @@ namespace {
 using test::KVLess;
 
 /// Builds an on-disk extent from a sorted record vector.
-Extent<KV16> MakeExtent(io::BlockManager* bm, uint32_t run,
-                        uint64_t start_pos, const std::vector<KV16>& data) {
-  io::StripedWriter<KV16> writer(bm);
-  for (const KV16& r : data) writer.Append(r);
+template <typename R>
+Extent<R> MakeExtent(io::BlockManager* bm, uint32_t run, uint64_t start_pos,
+                     const std::vector<R>& data) {
+  io::StripedWriter<R> writer(bm);
+  writer.AppendSpan(data.data(), data.size());
   writer.Finish();
-  Extent<KV16> ext;
+  Extent<R> ext;
   ext.run = run;
   ext.start_pos = start_pos;
   ext.count = data.size();
@@ -37,16 +39,16 @@ Extent<KV16> MakeExtent(io::BlockManager* bm, uint32_t run,
   return ext;
 }
 
-std::vector<KV16> ReadOutput(io::BlockManager* bm,
-                             const MergeOutput<KV16>& out) {
-  size_t epb = bm->block_size() / sizeof(KV16);
-  std::vector<KV16> data;
+template <typename R>
+std::vector<R> ReadOutput(io::BlockManager* bm, const MergeOutput<R>& out) {
+  size_t epb = bm->block_size() / sizeof(R);
+  std::vector<R> data;
   AlignedBuffer buf(bm->block_size());
   uint64_t remaining = out.num_elements;
   for (const io::BlockId& id : out.blocks) {
     bm->ReadSync(id, buf.data());
     size_t take = static_cast<size_t>(std::min<uint64_t>(epb, remaining));
-    const KV16* records = reinterpret_cast<const KV16*>(buf.data());
+    const R* records = reinterpret_cast<const R*>(buf.data());
     data.insert(data.end(), records, records + take);
     remaining -= take;
   }
@@ -397,6 +399,101 @@ TEST(FinalMergeTest, PredictionReducesDemandFetches) {
     MergeOutput<KV16> out = FinalMerge<KV16>(ctx, cfg, std::move(extents));
     EXPECT_EQ(out.num_elements, 8000u);
   });
+}
+
+// ------------------------------------------- merge order against an oracle --
+
+/// Writes every run as two extents, merges them with FinalMerge on one and
+/// on four workers, and requires the output to equal the oracle record for
+/// record, payload included.
+template <typename R>
+void ExpectFinalMergeMatchesOracle(const test::SortedRuns<R>& in) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SortConfig config = test::SmallConfig();
+    config.threads_per_pe = threads;
+    test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
+      std::vector<std::vector<Extent<R>>> extents(in.runs.size());
+      for (size_t j = 0; j < in.runs.size(); ++j) {
+        const std::vector<R>& run = in.runs[j];
+        const size_t half = run.size() / 2;
+        const uint32_t id = static_cast<uint32_t>(j);
+        if (half > 0) {
+          extents[j].push_back(MakeExtent(
+              ctx.bm, id, 0, std::vector<R>(run.begin(), run.begin() + half)));
+        }
+        if (half < run.size()) {
+          extents[j].push_back(MakeExtent(
+              ctx.bm, id, half, std::vector<R>(run.begin() + half, run.end())));
+        }
+      }
+      MergeOutput<R> out = FinalMerge<R>(ctx, cfg, std::move(extents));
+      test::ExpectSameBytes(ReadOutput(ctx.bm, out), in.expect);
+    });
+  }
+}
+
+TEST(FinalMergeOracleTest, KV16MatchesStableSort) {
+  for (size_t k : test::kMergeWays) {
+    for (workload::Distribution dist : test::kDistributions) {
+      SCOPED_TRACE(std::string(workload::DistributionName(dist)) +
+                   " k=" + std::to_string(k));
+      ExpectFinalMergeMatchesOracle(test::DealSortedRuns(
+          workload::MakeKV16(dist, 3000, /*rank=*/1, /*num_pes=*/4, k), k,
+          k));
+    }
+    SCOPED_TRACE("key range 3, k=" + std::to_string(k));
+    Rng rng(k);
+    std::vector<KV16> records(3000);
+    for (size_t i = 0; i < records.size(); ++i) records[i] = {rng.Below(3), i};
+    ExpectFinalMergeMatchesOracle(test::DealSortedRuns(records, k, k + 1));
+  }
+}
+
+TEST(FinalMergeOracleTest, Gray100MatchesStableSort) {
+  for (size_t k : test::kMergeWays) {
+    for (test::GrayKeys keys : {test::GrayKeys::kUniform,
+                                test::GrayKeys::kBinaryBytes,
+                                test::GrayKeys::kLastByte}) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(keys)) +
+                   " k=" + std::to_string(k));
+      ExpectFinalMergeMatchesOracle(
+          test::DealSortedRuns(test::MakeGray100(keys, 2000, k), k, k));
+    }
+  }
+}
+
+// ------------------------------------------------ write-stall accounting --
+
+TEST(FinalMergeTest, IoWaitCoversWriteStalls) {
+  // Throttled disks: every block op sleeps about a millisecond of modeled
+  // seek, so the merge spends nearly all its wall waiting for reads or for
+  // the write window. Both waits must land in merge_io_wait_ms, on the
+  // single-worker path as on the parallel one, leaving merge_cpu_ms a small
+  // share.
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SortConfig config = test::SmallConfig();
+    config.threads_per_pe = threads;
+    config.disk_model.throttle = true;
+    config.disk_model.seek_ms = 1.0;
+    config.disk_model.mib_per_s = 1e6;
+    test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
+      Rng rng(5);
+      std::vector<std::vector<Extent<KV16>>> extents(3);
+      for (uint32_t j = 0; j < 3; ++j) {
+        std::vector<KV16> run(1000);
+        for (auto& r : run) r = {rng.Next(), 0};
+        std::sort(run.begin(), run.end(), KVLess());
+        extents[j].push_back(MakeExtent(ctx.bm, j, 0, run));
+      }
+      PhaseStats stats;
+      MergeOutput<KV16> out =
+          FinalMerge<KV16>(ctx, cfg, std::move(extents), &stats);
+      EXPECT_EQ(out.num_elements, 3000u);
+      EXPECT_GT(stats.merge_io_wait_ms, 2 * stats.merge_cpu_ms);
+    });
+  }
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
-#include <limits>
-#include <numeric>
-#include <random>
 #include <span>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/record.h"
@@ -14,6 +14,7 @@
 #include "par/multiway_merge.h"
 #include "par/parallel_sort.h"
 #include "par/thread_pool.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -22,10 +23,8 @@ namespace {
 
 using demsort::core::KV16;
 using KVLess = demsort::core::RecordTraits<KV16>::Less;
-
-struct IntLess {
-  bool operator()(int a, int b) const { return a < b; }
-};
+using test::GrayKeys;
+using test::MakeGray100;
 
 // --------------------------------------------------------- ThreadPool ----
 
@@ -67,38 +66,122 @@ TEST(ThreadPoolTest, EmptyWorkIsNoop) {
   pool.ParallelChunks(5, 5, [&](size_t, size_t) { FAIL(); });
 }
 
-// ---------------------------------------------------------- LoserTree ----
+/// One ParallelFor(2) whose tasks must overlap: each waits, for at most
+/// five seconds, for the other to start. True when both saw the other.
+bool TwoTasksOverlap(ThreadPool& pool) {
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  pool.ParallelFor(2, [&](size_t) {
+    started.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 2) met.fetch_add(1);
+  });
+  return met.load() == 2;
+}
 
-TEST(LoserTreeTest, SingleSource) {
-  LoserTree<int, IntLess> tree(1);
-  tree.InitSource(0, 7);
+TEST(ThreadPoolTest, BackToBackBatchesFromOneCallSiteReachWorkers) {
+  // Consecutive batches from one call site reuse the same stack address;
+  // a worker must still recognise each as new instead of sleeping through
+  // it and leaving the caller to run every task.
+  ThreadPool pool(2);
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(TwoTasksOverlap(pool)) << "round " << round;
+  }
+}
+
+// --------------------------------------------------------- LoserTree ----
+
+/// An order-preserving record for small keys k < 1024. Gray100 spreads k
+/// over key byte 7 (k / 4), inside the 64-bit prefix, and byte 9 (k % 4),
+/// past it, so the typed tests run both the prefix compare and the
+/// fallback to Less.
+template <typename R>
+R Rec(uint64_t k, uint64_t tag = 0);
+
+template <>
+KV16 Rec<KV16>(uint64_t k, uint64_t tag) {
+  return {k, tag};
+}
+
+template <>
+core::Gray100 Rec<core::Gray100>(uint64_t k, uint64_t tag) {
+  core::Gray100 r;
+  r.key[7] = static_cast<uint8_t>(k / 4);
+  r.key[9] = static_cast<uint8_t>(k % 4);
+  std::memcpy(r.payload.data(), &tag, sizeof(tag));
+  return r;
+}
+
+/// A real record equal to the tree's sentinel under Less.
+template <typename R>
+R MaxKeyRecord() {
+  return core::RecordTraits<R>::MaxSentinel();
+}
+
+template <typename R>
+class LoserTreeTest : public ::testing::Test {};
+using TreeRecords = ::testing::Types<KV16, core::Gray100>;
+TYPED_TEST_SUITE(LoserTreeTest, TreeRecords);
+
+TYPED_TEST(LoserTreeTest, SingleSource) {
+  const TypeParam head = Rec<TypeParam>(7);
+  LoserTree<TypeParam> tree(1);
+  tree.InitSource(0, &head);
   tree.Build();
-  EXPECT_FALSE(tree.Empty());
-  EXPECT_EQ(tree.Winner(), 7);
+  EXPECT_EQ(tree.live(), 1u);
+  EXPECT_EQ(&tree.Winner(), &head);
   tree.ExhaustWinner();
   EXPECT_TRUE(tree.Empty());
 }
 
-TEST(LoserTreeTest, AllSourcesExhausted) {
-  LoserTree<int, IntLess> tree(3);
+TYPED_TEST(LoserTreeTest, AllSourcesExhausted) {
+  LoserTree<TypeParam> tree(3);
   tree.Build();
+  EXPECT_TRUE(tree.Empty());
+  EXPECT_EQ(tree.live(), 0u);
+}
+
+TYPED_TEST(LoserTreeTest, MergesTwoSources) {
+  const TypeParam a[] = {Rec<TypeParam>(2), Rec<TypeParam>(9)};
+  const TypeParam b[] = {Rec<TypeParam>(1), Rec<TypeParam>(3)};
+  LoserTree<TypeParam> tree(2);
+  tree.InitSource(0, a);
+  tree.InitSource(1, b);
+  tree.Build();
+  EXPECT_EQ(tree.WinnerSource(), 1u);
+  EXPECT_EQ(&tree.Winner(), &b[0]);
+  tree.ReplaceWinner(&b[1]);
+  EXPECT_EQ(tree.WinnerSource(), 0u);
+  EXPECT_EQ(&tree.Winner(), &a[0]);
+  EXPECT_EQ(&tree.Head(1), &b[1]);
+}
+
+TYPED_TEST(LoserTreeTest, LiveSourceBeatsSentinelValuedRecord) {
+  // A real record EQUAL to the sentinel must still win against exhausted
+  // sources: exhaustion biases the tie-break rank, not the key compare.
+  const TypeParam low = Rec<TypeParam>(1);
+  const TypeParam max = MaxKeyRecord<TypeParam>();
+  LoserTree<TypeParam> tree(3);
+  tree.InitSource(0, &low);
+  tree.InitSource(2, &max);
+  tree.Build();
+  EXPECT_EQ(tree.live(), 2u);
+  EXPECT_EQ(tree.WinnerSource(), 0u);
+  tree.ExhaustWinner();
+  EXPECT_EQ(tree.live(), 1u);
+  EXPECT_EQ(tree.WinnerSource(), 2u);
+  EXPECT_EQ(&tree.Winner(), &max);
+  tree.ExhaustWinner();
   EXPECT_TRUE(tree.Empty());
 }
 
-TEST(LoserTreeTest, MergesTwoSources) {
-  LoserTree<int, IntLess> tree(2);
-  tree.InitSource(0, 2);
-  tree.InitSource(1, 1);
-  tree.Build();
-  EXPECT_EQ(tree.WinnerSource(), 1u);
-  EXPECT_EQ(tree.Winner(), 1);
-  tree.ReplaceWinner(3);
-  EXPECT_EQ(tree.Winner(), 2);
-}
-
-TEST(LoserTreeTest, TieBreaksBySourceIndex) {
-  LoserTree<int, IntLess> tree(4);
-  for (size_t s = 0; s < 4; ++s) tree.InitSource(s, 5);
+TYPED_TEST(LoserTreeTest, TieBreaksBySourceIndex) {
+  const TypeParam five = Rec<TypeParam>(5);
+  LoserTree<TypeParam> tree(4);
+  for (size_t s = 0; s < 4; ++s) tree.InitSource(s, &five);
   tree.Build();
   for (size_t expect = 0; expect < 4; ++expect) {
     EXPECT_EQ(tree.WinnerSource(), expect);
@@ -107,73 +190,136 @@ TEST(LoserTreeTest, TieBreaksBySourceIndex) {
   EXPECT_TRUE(tree.Empty());
 }
 
-TEST(LoserTreeTest, NonPowerOfTwoSources) {
+TYPED_TEST(LoserTreeTest, RunnerUpSourceIsSecondBest) {
+  const TypeParam heads[] = {Rec<TypeParam>(40), Rec<TypeParam>(10),
+                             Rec<TypeParam>(30), Rec<TypeParam>(20),
+                             Rec<TypeParam>(50)};
+  const TypeParam next = Rec<TypeParam>(25);
+  LoserTree<TypeParam> tree(5);
+  for (size_t s = 0; s < 5; ++s) tree.InitSource(s, &heads[s]);
+  tree.Build();
+  EXPECT_EQ(tree.WinnerSource(), 1u);
+  EXPECT_EQ(tree.RunnerUpSource(), 3u);  // head 20 is second-smallest
+  tree.ReplaceWinner(&next);
+  EXPECT_EQ(tree.WinnerSource(), 3u);
+  EXPECT_EQ(tree.RunnerUpSource(), 1u);  // now 25 at source 1
+  // On ties the runner-up is the lowest live source index among the tied.
+  tree.ReplaceWinner(&next);
+  EXPECT_EQ(tree.WinnerSource(), 1u);
+  EXPECT_EQ(tree.RunnerUpSource(), 3u);
+}
+
+TYPED_TEST(LoserTreeTest, LiveCountTracksExhaustion) {
+  const TypeParam three = Rec<TypeParam>(3);
+  const TypeParam one = Rec<TypeParam>(1);
+  LoserTree<TypeParam> tree(6);
+  tree.InitSource(1, &three);
+  tree.InitSource(4, &one);
+  tree.Build();
+  EXPECT_EQ(tree.live(), 2u);
+  EXPECT_TRUE(tree.IsLive(1));
+  EXPECT_TRUE(tree.IsLive(4));
+  EXPECT_FALSE(tree.IsLive(0));
+  tree.ExhaustWinner();
+  EXPECT_EQ(tree.live(), 1u);
+  EXPECT_FALSE(tree.IsLive(4));
+  tree.ExhaustWinner();
+  EXPECT_TRUE(tree.Empty());
+}
+
+TYPED_TEST(LoserTreeTest, NonPowerOfTwoSources) {
   for (size_t k : {3u, 5u, 6u, 7u, 9u, 13u}) {
-    LoserTree<int, IntLess> tree(k);
-    for (size_t s = 0; s < k; ++s) {
-      tree.InitSource(s, static_cast<int>(k - s));
-    }
+    std::vector<TypeParam> heads;
+    for (size_t s = 0; s < k; ++s) heads.push_back(Rec<TypeParam>(k - s));
+    LoserTree<TypeParam> tree(k);
+    for (size_t s = 0; s < k; ++s) tree.InitSource(s, &heads[s]);
     tree.Build();
-    // Winner should be the largest s (smallest value k-s).
+    // The winner is the largest s (smallest key k - s).
     EXPECT_EQ(tree.WinnerSource(), k - 1) << "k=" << k;
   }
 }
 
-// ------------------------------------------------------ MultiwayMerge ----
-
-std::vector<std::vector<int>> MakeSortedSequences(size_t k, size_t avg_len,
-                                                  uint64_t seed,
-                                                  int key_range = 1000000) {
-  Rng rng(seed);
-  std::vector<std::vector<int>> seqs(k);
-  for (auto& s : seqs) {
-    size_t len = rng.Below(2 * avg_len + 1);
-    s.resize(len);
-    for (auto& x : s) x = static_cast<int>(rng.Below(key_range));
-    std::sort(s.begin(), s.end());
+/// Gray100 keys equal in bytes 0-7: bytes 8-9 alone order them, and full
+/// ties still break by source index.
+TEST(LoserTreeGray100Test, PrefixTiesFallBackToTrailingKeyBytes) {
+  auto gray = [](uint8_t b8, uint8_t b9) {
+    core::Gray100 r;
+    r.key.fill(0xAB);
+    r.key[8] = b8;
+    r.key[9] = b9;
+    return r;
+  };
+  const core::Gray100 heads[] = {gray(1, 0), gray(0, 9), gray(0, 2),
+                                 gray(0, 2), gray(0, 3)};
+  LoserTree<core::Gray100> tree(5);
+  for (size_t s = 0; s < 5; ++s) tree.InitSource(s, &heads[s]);
+  tree.Build();
+  std::vector<size_t> order;
+  while (!tree.Empty()) {
+    order.push_back(tree.WinnerSource());
+    tree.ExhaustWinner();
   }
-  return seqs;
+  EXPECT_EQ(order, (std::vector<size_t>{2, 3, 4, 1, 0}));
 }
 
-TEST(MultiwayMergeTest, MatchesStdSort) {
-  for (uint64_t seed = 0; seed < 10; ++seed) {
-    auto seqs = MakeSortedSequences(1 + seed % 7, 50, seed);
-    std::vector<std::span<const int>> spans;
-    std::vector<int> expect;
-    for (auto& s : seqs) {
-      spans.emplace_back(s.data(), s.size());
-      expect.insert(expect.end(), s.begin(), s.end());
+// ------------------------------------------------------ MultiwayMerge ----
+
+/// MultiwayMerge and ParallelMultiwayMerge against the oracle.
+template <typename R>
+void ExpectMergeMatchesOracle(const test::SortedRuns<R>& in) {
+  std::vector<std::span<const R>> spans;
+  for (const auto& run : in.runs) spans.emplace_back(run.data(), run.size());
+  std::vector<R> out(in.expect.size());
+  EXPECT_EQ(MultiwayMerge<R>(spans, out.data()), in.expect.size());
+  test::ExpectSameBytes(out, in.expect);
+  ThreadPool pool(4);
+  std::vector<R> par_out(in.expect.size());
+  ParallelMultiwayMerge<R>(pool, spans, par_out.data());
+  test::ExpectSameBytes(par_out, in.expect);
+}
+
+TEST(MultiwayMergeTest, KV16MatchesStableSortOracle) {
+  for (size_t k : test::kMergeWays) {
+    for (workload::Distribution dist : test::kDistributions) {
+      SCOPED_TRACE(std::string(workload::DistributionName(dist)) +
+                   " k=" + std::to_string(k));
+      ExpectMergeMatchesOracle(test::DealSortedRuns(
+          workload::MakeKV16(dist, 6000, /*rank=*/1, /*num_pes=*/4, k), k,
+          k));
     }
-    std::sort(expect.begin(), expect.end());
-    std::vector<int> out(expect.size());
-    size_t n = MultiwayMerge<int, IntLess>(spans, out.data());
-    EXPECT_EQ(n, expect.size());
-    EXPECT_EQ(out, expect);
+    for (uint64_t range : {1u, 3u, 40u}) {
+      SCOPED_TRACE("key range " + std::to_string(range) +
+                   " k=" + std::to_string(k));
+      Rng rng(range * 100 + k);
+      std::vector<KV16> records(6000);
+      for (size_t i = 0; i < records.size(); ++i) {
+        records[i] = {rng.Below(range), i};
+      }
+      ExpectMergeMatchesOracle(test::DealSortedRuns(records, k, range + k));
+    }
+  }
+}
+
+TEST(MultiwayMergeTest, Gray100MatchesStableSortOracle) {
+  for (size_t k : test::kMergeWays) {
+    for (GrayKeys keys :
+         {GrayKeys::kUniform, GrayKeys::kBinaryBytes, GrayKeys::kLastByte}) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(keys)) +
+                   " k=" + std::to_string(k));
+      ExpectMergeMatchesOracle(
+          test::DealSortedRuns(MakeGray100(keys, 5000, k), k, k));
+    }
   }
 }
 
 TEST(MultiwayMergeTest, EmptyInputs) {
-  std::vector<std::span<const int>> spans;
-  std::vector<int> out;
-  EXPECT_EQ((MultiwayMerge<int, IntLess>(spans, out.data())), 0u);
+  std::vector<std::span<const KV16>> spans;
+  std::vector<KV16> out;
+  EXPECT_EQ(MultiwayMerge<KV16>(spans, out.data()), 0u);
 
-  std::vector<int> empty;
-  spans.assign(3, std::span<const int>(empty.data(), 0));
-  EXPECT_EQ((MultiwayMerge<int, IntLess>(spans, out.data())), 0u);
-}
-
-TEST(MultiwayMergeTest, HeavyDuplicates) {
-  auto seqs = MakeSortedSequences(5, 200, 99, /*key_range=*/3);
-  std::vector<std::span<const int>> spans;
-  std::vector<int> expect;
-  for (auto& s : seqs) {
-    spans.emplace_back(s.data(), s.size());
-    expect.insert(expect.end(), s.begin(), s.end());
-  }
-  std::sort(expect.begin(), expect.end());
-  std::vector<int> out(expect.size());
-  MultiwayMerge<int, IntLess>(spans, out.data());
-  EXPECT_EQ(out, expect);
+  std::vector<KV16> empty;
+  spans.assign(3, std::span<const KV16>(empty.data(), 0));
+  EXPECT_EQ(MultiwayMerge<KV16>(spans, out.data()), 0u);
 }
 
 TEST(MultiwayMergeTest, StableAcrossSources) {
@@ -186,25 +332,10 @@ TEST(MultiwayMergeTest, StableAcrossSources) {
   std::vector<std::span<const KV16>> spans;
   for (auto& s : seqs) spans.emplace_back(s.data(), s.size());
   std::vector<KV16> out(12);
-  MultiwayMerge<KV16, KVLess>(spans, out.data());
+  MultiwayMerge<KV16>(spans, out.data());
   for (int i = 0; i < 12; ++i) {
     EXPECT_EQ(out[i].value, static_cast<uint64_t>(i / 4));
   }
-}
-
-TEST(ParallelMultiwayMergeTest, MatchesSequential) {
-  ThreadPool pool(4);
-  auto seqs = MakeSortedSequences(6, 5000, 1234);
-  std::vector<std::span<const int>> spans;
-  size_t total = 0;
-  for (auto& s : seqs) {
-    spans.emplace_back(s.data(), s.size());
-    total += s.size();
-  }
-  std::vector<int> seq_out(total), par_out(total);
-  MultiwayMerge<int, IntLess>(spans, seq_out.data());
-  ParallelMultiwayMerge<int, IntLess>(pool, spans, par_out.data());
-  EXPECT_EQ(par_out, seq_out);
 }
 
 // ------------------------------------------------------- ParallelSort ----
@@ -219,10 +350,7 @@ void ExpectMatchesStableSort(int threads, std::vector<R> data) {
                    typename core::RecordTraits<R>::Less());
   ThreadPool pool(threads);
   ParallelSort(pool, std::span<R>(data));
-  ASSERT_EQ(data.size(), expect.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&data[i], &expect[i], sizeof(R)), 0) << "at " << i;
-  }
+  test::ExpectSameBytes(data, expect);
 }
 
 // Around the 8192-record switch to the chunked path, plus sizes the radix
@@ -245,43 +373,7 @@ TEST_P(ParallelSortKV16Test, MatchesStableSort) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ParallelSortKV16Test,
     ::testing::Combine(kSortThreads, kSortSizes,
-                       ::testing::Values(workload::Distribution::kUniform,
-                                         workload::Distribution::kSortedGlobal,
-                                         workload::Distribution::kWorstCaseLocal,
-                                         workload::Distribution::kReversedRanges,
-                                         workload::Distribution::kAllEqual,
-                                         workload::Distribution::kZipf)));
-
-enum class GrayKeys {
-  kUniform,      // every key byte random
-  kBinaryBytes,  // every byte 0 or 1: 1024 keys, ties at every digit
-  kLastByte,     // bytes 0..8 zero, byte 9 one of 16 values
-};
-
-std::vector<core::Gray100> MakeGray100(GrayKeys keys, size_t n,
-                                       uint64_t seed) {
-  Rng rng(seed);
-  std::vector<core::Gray100> data(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t b = 0; b < data[i].key.size(); ++b) {
-      uint64_t v = 0;
-      switch (keys) {
-        case GrayKeys::kUniform:
-          v = rng.Next();
-          break;
-        case GrayKeys::kBinaryBytes:
-          v = rng.Below(2);
-          break;
-        case GrayKeys::kLastByte:
-          v = b + 1 == data[i].key.size() ? rng.Below(16) : 0;
-          break;
-      }
-      data[i].key[b] = static_cast<uint8_t>(v);
-    }
-    std::memcpy(data[i].payload.data(), &i, sizeof(i));
-  }
-  return data;
-}
+                       ::testing::ValuesIn(test::kDistributions)));
 
 class ParallelSortGray100Test
     : public ::testing::TestWithParam<std::tuple<int, size_t, GrayKeys>> {};
@@ -335,121 +427,6 @@ TEST(RadixSortTest, KeyDigitsOrderLikeLess) {
       workload::MakeKV16(workload::Distribution::kZipf, 2000, 0, 1, 5));
   ExpectDigitsOrderLikeLess(MakeGray100(GrayKeys::kUniform, 2000, 5));
   ExpectDigitsOrderLikeLess(MakeGray100(GrayKeys::kBinaryBytes, 2000, 5));
-}
-
-// --------------------------------------------------- SentinelLoserTree ----
-
-constexpr int kIntSentinel = std::numeric_limits<int>::max();
-
-TEST(SentinelLoserTreeTest, SingleSource) {
-  SentinelLoserTree<int, IntLess> tree(1, kIntSentinel);
-  tree.InitSource(0, 7);
-  tree.Build();
-  EXPECT_EQ(tree.live(), 1u);
-  EXPECT_EQ(tree.Winner(), 7);
-  tree.ExhaustWinner();
-  EXPECT_TRUE(tree.Empty());
-}
-
-TEST(SentinelLoserTreeTest, LiveSourceBeatsSentinelValuedItem) {
-  // A real item EQUAL to the sentinel must still win against exhausted
-  // sources: exhaustion biases the tie-break rank, not the item compare.
-  SentinelLoserTree<int, IntLess> tree(3, kIntSentinel);
-  tree.InitSource(0, 1);
-  tree.InitSource(2, kIntSentinel);  // real item at the sentinel value
-  tree.Build();
-  EXPECT_EQ(tree.live(), 2u);
-  EXPECT_EQ(tree.WinnerSource(), 0u);
-  tree.ExhaustWinner();
-  EXPECT_EQ(tree.live(), 1u);
-  EXPECT_EQ(tree.WinnerSource(), 2u);
-  EXPECT_EQ(tree.Winner(), kIntSentinel);
-  tree.ExhaustWinner();
-  EXPECT_TRUE(tree.Empty());
-}
-
-TEST(SentinelLoserTreeTest, TieBreaksBySourceIndex) {
-  SentinelLoserTree<int, IntLess> tree(4, kIntSentinel);
-  for (size_t s = 0; s < 4; ++s) tree.InitSource(s, 5);
-  tree.Build();
-  for (size_t expect = 0; expect < 4; ++expect) {
-    EXPECT_EQ(tree.WinnerSource(), expect);
-    tree.ExhaustWinner();
-  }
-  EXPECT_TRUE(tree.Empty());
-}
-
-TEST(SentinelLoserTreeTest, RunnerUpSourceIsSecondBest) {
-  SentinelLoserTree<int, IntLess> tree(5, kIntSentinel);
-  int heads[] = {40, 10, 30, 20, 50};
-  for (size_t s = 0; s < 5; ++s) tree.InitSource(s, heads[s]);
-  tree.Build();
-  EXPECT_EQ(tree.WinnerSource(), 1u);
-  EXPECT_EQ(tree.RunnerUpSource(), 3u);  // head 20 is second-smallest
-  tree.ReplaceWinner(25);
-  EXPECT_EQ(tree.WinnerSource(), 3u);
-  EXPECT_EQ(tree.RunnerUpSource(), 1u);  // now 25 at source 1
-  // On ties the runner-up is the lowest live source index among the tied.
-  tree.ReplaceWinner(25);
-  EXPECT_EQ(tree.WinnerSource(), 1u);
-  EXPECT_EQ(tree.RunnerUpSource(), 3u);
-}
-
-TEST(SentinelLoserTreeTest, LiveCountTracksExhaustion) {
-  SentinelLoserTree<int, IntLess> tree(6, kIntSentinel);
-  tree.InitSource(1, 3);
-  tree.InitSource(4, 1);
-  tree.Build();
-  EXPECT_EQ(tree.live(), 2u);
-  EXPECT_TRUE(tree.IsLive(1));
-  EXPECT_TRUE(tree.IsLive(4));
-  EXPECT_FALSE(tree.IsLive(0));
-  tree.ExhaustWinner();
-  EXPECT_EQ(tree.live(), 1u);
-  EXPECT_FALSE(tree.IsLive(4));
-  tree.ExhaustWinner();
-  EXPECT_TRUE(tree.Empty());
-}
-
-/// Merge k random sorted runs with both trees and require identical
-/// (value, source) output streams — the sentinel tree must preserve the
-/// exact (key, source) total order of the classic tree.
-TEST(SentinelLoserTreeTest, MatchesClassicTreeOnRandomRuns) {
-  std::mt19937 rng(20260809);
-  for (int trial = 0; trial < 20; ++trial) {
-    size_t k = 1 + rng() % 9;
-    std::vector<std::vector<int>> runs(k);
-    for (auto& run : runs) {
-      run.resize(rng() % 60);
-      // Narrow key range to force many cross-run ties.
-      for (auto& x : run) x = static_cast<int>(rng() % 12);
-      std::sort(run.begin(), run.end());
-    }
-    auto drain = [&](auto& tree) {
-      std::vector<size_t> pos(k, 0);
-      for (size_t s = 0; s < k; ++s) {
-        if (!runs[s].empty()) tree.InitSource(s, runs[s][0]);
-        pos[s] = 1;
-      }
-      tree.Build();
-      std::vector<std::pair<int, size_t>> out;
-      while (!tree.Empty()) {
-        size_t w = tree.WinnerSource();
-        out.emplace_back(tree.Winner(), w);
-        if (pos[w] < runs[w].size()) {
-          tree.ReplaceWinner(runs[w][pos[w]++]);
-        } else {
-          tree.ExhaustWinner();
-        }
-      }
-      return out;
-    };
-    LoserTree<int, IntLess> classic(k);
-    SentinelLoserTree<int, IntLess> sentinel(k, kIntSentinel);
-    auto expect = drain(classic);
-    auto got = drain(sentinel);
-    ASSERT_EQ(got, expect) << "trial " << trial << " k=" << k;
-  }
 }
 
 // -------------------------------------------------------- SequenceGate ----
