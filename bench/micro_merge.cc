@@ -89,8 +89,10 @@ void BM_MultiwaySelect(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(32)->Iterations(2000);
 
-// ParallelSort on range(0) threads; every iteration sorts a fresh copy of
-// the same input.
+// ParallelSort on range(0) threads of range(1) records; every iteration
+// sorts a fresh copy of the same input, timed by wall clock (the caller
+// is one of the sorting threads). 2^18 KV16 and 41,943 Gray100
+// records are one run of the end-to-end benchmark (4 MiB memory_per_pe).
 template <typename R>
 void RunParallelSort(benchmark::State& state, const std::vector<R>& input) {
   demsort::par::ThreadPool pool(state.range(0));
@@ -108,26 +110,34 @@ void RunParallelSort(benchmark::State& state, const std::vector<R>& input) {
 }
 
 void BM_ParallelSort(benchmark::State& state) {
-  RunParallelSort(state, MakeKV16(Distribution::kUniform, 1 << 19, 0, 1, 3));
+  RunParallelSort(state, MakeKV16(Distribution::kUniform, state.range(1), 0,
+                                  1, 3));
 }
-BENCHMARK(BM_ParallelSort)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
+BENCHMARK(BM_ParallelSort)
+    ->ArgsProduct({{1, 2, 4}, {1 << 18, 1 << 19}})
+    ->UseRealTime();
 
 // 48-bit keys with heavy duplication: two constant digits, many ties.
 void BM_ParallelSortZipf(benchmark::State& state) {
-  RunParallelSort(state, MakeKV16(Distribution::kZipf, 1 << 19, 0, 1, 3));
+  RunParallelSort(state, MakeKV16(Distribution::kZipf, state.range(1), 0, 1,
+                                  3));
 }
-BENCHMARK(BM_ParallelSortZipf)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
+BENCHMARK(BM_ParallelSortZipf)
+    ->ArgsProduct({{1, 2, 4}, {1 << 18, 1 << 19}})
+    ->UseRealTime();
 
 // SortBenchmark records with random 10-byte keys: the tag-sort path.
 void BM_ParallelSortGray100(benchmark::State& state) {
   Rng rng(3);
-  std::vector<Gray100> input(1 << 17);
+  std::vector<Gray100> input(state.range(1));
   for (Gray100& r : input) {
     for (uint8_t& b : r.key) b = static_cast<uint8_t>(rng.Next());
   }
   RunParallelSort(state, input);
 }
-BENCHMARK(BM_ParallelSortGray100)->Arg(1)->Arg(2)->Arg(4)->Iterations(5);
+BENCHMARK(BM_ParallelSortGray100)
+    ->ArgsProduct({{1, 2, 4}, {41943, 1 << 17}})
+    ->UseRealTime();
 
 void BM_LoserTreeReplay(benchmark::State& state) {
   size_t k = state.range(0);

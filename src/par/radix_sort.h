@@ -1,13 +1,20 @@
-// Stable LSD radix sort on a record's key digits (the RecordTraits contract
+// Stable MSD radix sort on a record's key digits (the RecordTraits contract
 // in core/record.h): the local-sort kernel behind par::ParallelSort.
 //
 // The output is byte-identical to std::stable_sort under RecordTraits<R>::
-// Less: every pass distributes the records in input order, so ties keep
-// their input order. Sorted input returns after one scan, and a digit that
-// is constant across the input costs no pass (Zipf's 48-bit keys skip two of
-// eight, all-equal keys skip every one).
+// Less: every scatter distributes the records in input order and the small
+// buckets end in a stable insertion sort, so ties keep their input order.
 //
-// Records of up to 16 bytes (KV16) move through the passes themselves.
+// The kernel scatters on the most significant digit into the other of two
+// buffers, then recurses into each bucket on the next digit with the roles
+// of the buffers swapped, so after the first scatter every bucket works on
+// cache-resident data. Sorted input returns after one scan; one all-digit
+// histogram skips the digits that are constant across the input (Zipf's
+// 48-bit keys start two digits down); inside a bucket a constant digit
+// costs a count but no scatter, and a bucket of equal keys ends after one
+// early-exit scan. Depth is at most kKeyDigits.
+//
+// Records of up to 16 bytes (KV16) move through the scatters themselves.
 // Larger records (Gray100) are represented by 16-byte (key, index) tags:
 // only the tags are radix-sorted, then each record moves once.
 #ifndef DEMSORT_PAR_RADIX_SORT_H_
@@ -28,6 +35,9 @@ namespace demsort::par {
 namespace radix_internal {
 
 inline constexpr size_t kBuckets = 256;
+
+/// Buckets of at most this many elements end in an insertion sort.
+inline constexpr size_t kInsertionSortMax = 48;
 
 /// The key of a record that sorts itself.
 template <typename R>
@@ -77,30 +87,123 @@ struct TagKey {
   }
 };
 
-/// LSD-sorts the n elements at `a`, using the n elements at `b` as the
-/// other side of every pass. Returns whichever of the two holds the result.
+/// One histogram per key digit.
+template <typename Key>
+using DigitCounts = std::array<std::array<size_t, kBuckets>, Key::kDigits>;
+
+/// Adds every digit of the n elements at `a` to `count`.
 template <typename Key, typename E>
-E* SortPingPong(E* a, E* b, size_t n) {
-  if (std::is_sorted(a, a + n, [](const E& x, const E& y) {
-        return Key::Less(x, y);
-      })) {
-    return a;
-  }
-  // One counting scan serves every pass: a pass permutes the elements but
-  // leaves each digit's histogram unchanged.
-  std::array<std::array<size_t, kBuckets>, Key::kDigits> count{};
+void CountDigits(const E* a, size_t n, DigitCounts<Key>& count) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t d = 0; d < Key::kDigits; ++d) ++count[d][Key::Digit(a[i], d)];
   }
-  for (size_t d = 0; d < Key::kDigits; ++d) {
-    std::array<size_t, kBuckets>& offset = count[d];
-    if (offset[Key::Digit(a[0], d)] == n) continue;  // constant digit
-    size_t sum = 0;
-    for (size_t& c : offset) sum += std::exchange(c, sum);
-    for (size_t i = 0; i < n; ++i) b[offset[Key::Digit(a[i], d)]++] = a[i];
-    std::swap(a, b);
+}
+
+/// 1 + the most significant digit that is not constant across the n
+/// counted elements; 0 when every digit is (all keys equal).
+template <typename Key>
+size_t SignificantDigits(const DigitCounts<Key>& count, size_t n) {
+  for (size_t d = Key::kDigits; d-- > 0;) {
+    if (std::find(count[d].begin(), count[d].end(), n) == count[d].end()) {
+      return d + 1;
+    }
   }
-  return a;
+  return 0;
+}
+
+/// Exclusive prefix sums: count[b] becomes the first position of bucket b.
+inline void BucketStarts(std::array<size_t, kBuckets>& count) {
+  size_t sum = 0;
+  for (size_t& c : count) sum += std::exchange(c, sum);
+}
+
+/// Moves the n elements at `a` to `to`, in input order, each to
+/// next[its digit d]++; afterwards next[b] is the end of bucket b.
+template <typename Key, typename E>
+void Scatter(const E* a, E* to, size_t n, size_t d,
+             std::array<size_t, kBuckets>& next) {
+  for (size_t i = 0; i < n; ++i) to[next[Key::Digit(a[i], d)]++] = a[i];
+}
+
+/// Stable insertion sort of the n elements at `a` into `to`, which may be
+/// `a` itself.
+template <typename Key, typename E>
+void InsertionSort(const E* a, E* to, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const E e = a[i];
+    size_t j = i;
+    for (; j > 0 && Key::Less(e, to[j - 1]); --j) to[j] = to[j - 1];
+    to[j] = e;
+  }
+}
+
+template <typename Key, typename E>
+void SortBucket(E* a, E* b, size_t n, size_t digits, bool into_b);
+
+/// Scatters the n elements at `a` into `b` on digit d, whose bucket starts
+/// are `next`, then sorts every bucket on the digits below d. The result
+/// lands in `b` if `into_b`, otherwise back in `a`.
+template <typename Key, typename E>
+void ScatterAndRecurse(E* a, E* b, size_t n, size_t d,
+                       std::array<size_t, kBuckets>& next, bool into_b) {
+  Scatter<Key>(a, b, n, d, next);
+  size_t begin = 0;
+  for (size_t end : next) {
+    // A bucket of one element is sorted; below the top level of a small
+    // input (Gray100 tags) most buckets hold at most one.
+    if (end - begin > 1) {
+      SortBucket<Key>(b + begin, a + begin, end - begin, d, !into_b);
+    } else if (end - begin == 1 && !into_b) {
+      a[begin] = b[begin];
+    }
+    begin = end;
+  }
+}
+
+/// Sorts the n elements at `a`, whose digits at and above `digits` are all
+/// equal, using the n elements at `b` as the other buffer. The result lands
+/// in `b` if `into_b`, otherwise in `a`.
+template <typename Key, typename E>
+void SortBucket(E* a, E* b, size_t n, size_t digits, bool into_b) {
+  E* to = into_b ? b : a;
+  if (n <= kInsertionSortMax) {
+    InsertionSort<Key>(a, to, n);
+    return;
+  }
+  const E* differs = std::find_if(a + 1, a + n, [&](const E& e) {
+    return Key::Less(a[0], e) || Key::Less(e, a[0]);
+  });
+  if (differs == a + n) digits = 0;  // all keys equal
+  while (digits-- > 0) {
+    std::array<size_t, kBuckets> count{};
+    for (size_t i = 0; i < n; ++i) ++count[Key::Digit(a[i], digits)];
+    if (count[Key::Digit(a[0], digits)] == n) continue;  // constant digit
+    BucketStarts(count);
+    ScatterAndRecurse<Key>(a, b, n, digits, count, into_b);
+    return;
+  }
+  if (into_b) std::copy(a, a + n, b);
+}
+
+/// Sorts the n elements at `a`, using the n elements at `b` as the other
+/// buffer. The result lands in `b` if `into_b`, otherwise in `a`.
+template <typename Key, typename E>
+void MsdSort(E* a, E* b, size_t n, bool into_b) {
+  const bool sorted = std::is_sorted(a, a + n, [](const E& x, const E& y) {
+    return Key::Less(x, y);
+  });
+  size_t digits = 0;
+  DigitCounts<Key> count{};
+  if (!sorted) {
+    CountDigits<Key>(a, n, count);
+    digits = SignificantDigits<Key>(count, n);
+  }
+  if (digits == 0) {
+    if (into_b) std::copy(a, a + n, b);
+    return;
+  }
+  BucketStarts(count[digits - 1]);
+  ScatterAndRecurse<Key>(a, b, n, digits - 1, count[digits - 1], into_b);
 }
 
 /// The records' tags in sorted order: tags[i].index is the input position
@@ -114,9 +217,7 @@ std::vector<Tag> SortedTags(std::span<const R> records) {
   for (size_t i = 0; i < n; ++i) {
     tags[i] = TagKey<R>::Make(records[i], static_cast<uint32_t>(i));
   }
-  if (SortPingPong<TagKey<R>>(tags.data(), other.data(), n) != tags.data()) {
-    tags.swap(other);
-  }
+  MsdSort<TagKey<R>>(tags.data(), other.data(), n, /*into_b=*/false);
   return tags;
 }
 
@@ -141,27 +242,11 @@ void PermuteInPlace(std::span<R> data, std::vector<Tag>& tags) {
 
 }  // namespace radix_internal
 
-/// Sorts `src` stably into `dst`, which has the same size; `src` holds
-/// unspecified records afterwards. Records of up to 16 bytes allocate
-/// nothing; larger ones allocate 2 * src.size() 16-byte tags.
-template <typename R>
-void RadixSortInto(std::span<R> src, std::span<R> dst) {
-  using namespace radix_internal;
-  DEMSORT_CHECK_EQ(src.size(), dst.size());
-  const size_t n = src.size();
-  if constexpr (kSortsTags<R>) {
-    std::vector<Tag> tags = SortedTags<R>(src);
-    for (size_t i = 0; i < n; ++i) dst[i] = src[tags[i].index];
-  } else {
-    R* sorted = SortPingPong<RecordKey<R>>(src.data(), dst.data(), n);
-    if (sorted != dst.data()) std::copy(sorted, sorted + n, dst.data());
-  }
-}
-
 /// Sorts `data` stably in place with at most ceil(n/2) records of scratch,
 /// the buffer std::stable_sort allocates. Records of up to 16 bytes sort
-/// both halves against one half-size buffer, then merge them through it;
-/// larger records need 2n tags (32n bytes, under ceil(n/2) records).
+/// both halves against one half-size buffer — the upper half back in place,
+/// the lower half into the buffer — then merge them through it; larger
+/// records need 2n tags (32n bytes, under ceil(n/2) records).
 template <typename R>
 void RadixSort(std::span<R> data) {
   using namespace radix_internal;
@@ -178,11 +263,8 @@ void RadixSort(std::span<R> data) {
     R* lo = data.data();
     R* hi = lo + n_lo;
     R* s = scratch.data();
-    // The upper half ends in place, the lower half in the scratch buffer.
-    R* sorted = SortPingPong<RecordKey<R>>(hi, s, n_hi);
-    if (sorted != hi) std::copy(sorted, sorted + n_hi, hi);
-    sorted = SortPingPong<RecordKey<R>>(lo, s, n_lo);
-    if (sorted != s) std::copy(sorted, sorted + n_lo, s);
+    MsdSort<RecordKey<R>>(hi, s, n_hi, /*into_b=*/false);
+    MsdSort<RecordKey<R>>(lo, s, n_lo, /*into_b=*/true);
 
     // Stable merge into data, ties from the lower half first. The write
     // cursor trails the upper half's read cursor by the lower half's

@@ -353,8 +353,8 @@ void ExpectMatchesStableSort(int threads, std::vector<R> data) {
   test::ExpectSameBytes(data, expect);
 }
 
-// Around the 8192-record switch to the chunked path, plus sizes the radix
-// kernel's halves and chunks split unevenly.
+// Around the 8192-record switch to the parallel path, plus sizes the radix
+// kernel's halves and the parallel scatter's chunks split unevenly.
 const auto kSortSizes =
     ::testing::Values<size_t>(0, 1, 2, 8191, 8192, 8193, 50000);
 const auto kSortThreads = ::testing::Values(1, 2, 4);
@@ -397,6 +397,104 @@ TEST(ParallelSortTest, ReverseSorted) {
       data[i] = {(data.size() - i) / 3, i};  // descending, with ties
     }
     ExpectMatchesStableSort(threads, data);
+  }
+}
+
+/// KV16 records keyed by `key(i)`, valued by their input index i.
+template <typename KeyFn>
+std::vector<KV16> KeyedKV16(size_t n, KeyFn key) {
+  std::vector<KV16> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = {key(i), i};
+  return data;
+}
+
+// One run at the end-to-end benchmark's 4 MiB memory_per_pe: the top-digit
+// scatter, the bucket groups and the second-level buckets at their real
+// sizes.
+TEST(ParallelSortTest, RunSizedInputs) {
+  for (int threads : {1, 2, 4}) {
+    for (auto dist :
+         {workload::Distribution::kUniform, workload::Distribution::kZipf}) {
+      SCOPED_TRACE(std::string(workload::DistributionName(dist)) +
+                   " threads=" + std::to_string(threads));
+      ExpectMatchesStableSort(
+          threads, workload::MakeKV16(dist, 1 << 18, 0, 1, 40 + threads));
+    }
+  }
+}
+
+// Over 90% of the records share one top digit, so the bucket group that
+// holds it is far larger than n / threads and the others are small. In
+// the last bucket, later groups start at the end of the bucket range.
+TEST(ParallelSortTest, OneHeavyTopBucket) {
+  for (int threads : {2, 4}) {
+    for (uint64_t heavy : {0x00, 0x5A, 0xFF}) {
+      SCOPED_TRACE("heavy " + std::to_string(heavy) +
+                   " threads=" + std::to_string(threads));
+      Rng rng(threads + heavy);
+      ExpectMatchesStableSort(threads, KeyedKV16(100000, [&](size_t) {
+                                return rng.Below(20) == 0
+                                           ? rng.Next()
+                                           : heavy << 56 | rng.Below(1 << 20);
+                              }));
+    }
+  }
+}
+
+// Only the lowest digit varies, then only the highest: every other digit
+// is constant in the top-level histogram and in every bucket.
+TEST(ParallelSortTest, OneVaryingDigit) {
+  for (int threads : {1, 2, 4}) {
+    Rng rng(7 + threads);
+    ExpectMatchesStableSort(
+        threads, KeyedKV16(50000, [&](size_t) { return rng.Below(256); }));
+    ExpectMatchesStableSort(threads, KeyedKV16(50000, [&](size_t) {
+                              return rng.Below(256) << 56;
+                            }));
+  }
+}
+
+// Top-digit buckets of exactly 47, 48 and 49 records, around the
+// insertion-sort cutoff, with distinct low digits inside each bucket.
+// `copies` shuffled copies of the 256 buckets are concatenated: one copy
+// for the parallel path, two for one thread, whose kernel sorts each half.
+std::vector<KV16> BucketsAroundInsertionCutoff(size_t copies, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<KV16> data;
+  for (size_t c = 0; c < copies; ++c) {
+    std::vector<uint64_t> keys;
+    for (uint64_t top = 0; top < 256; ++top) {
+      for (uint64_t low = 0; low < 47 + top % 3; ++low) {
+        keys.push_back(top << 56 | low);
+      }
+    }
+    for (size_t i = keys.size(); i > 1; --i) {
+      std::swap(keys[i - 1], keys[rng.Below(i)]);
+    }
+    for (uint64_t k : keys) data.push_back({k, data.size()});
+  }
+  return data;
+}
+
+TEST(ParallelSortTest, BucketsAroundInsertionCutoff) {
+  ExpectMatchesStableSort(1, BucketsAroundInsertionCutoff(2, 1));
+  ExpectMatchesStableSort(2, BucketsAroundInsertionCutoff(1, 2));
+  ExpectMatchesStableSort(4, BucketsAroundInsertionCutoff(1, 4));
+}
+
+// Gray100 tags keep key bytes 0-7 in one word and bytes 8-9 in another:
+// keys that only differ in bytes 8-9, and keys that are all equal.
+TEST(ParallelSortTest, Gray100TiesInHighKeyBytes) {
+  for (int threads : {2, 4}) {
+    std::vector<core::Gray100> low_bytes_only =
+        MakeGray100(GrayKeys::kUniform, 50000, threads);
+    std::vector<core::Gray100> all_equal = low_bytes_only;
+    for (core::Gray100& r : low_bytes_only) {
+      std::fill(r.key.begin(), r.key.begin() + 8, 0x42);
+    }
+    for (core::Gray100& r : all_equal) r.key.fill(0x42);
+    ExpectMatchesStableSort(threads, low_bytes_only);
+    ExpectMatchesStableSort(threads, all_equal);
   }
 }
 
