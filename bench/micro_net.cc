@@ -17,13 +17,6 @@
 // exits nonzero unless piggybacking cuts control messages by >= 40% and
 // total messages strictly; add --snapshot=FILE to write the measurements
 // as JSON (the machine-readable perf trajectory, see bench/run_bench.sh).
-//
-// `--topo-compare` is the hierarchy smoke: the same streamed exchange over
-// the same 2-PEs-per-node machine with flat vs two-level collective
-// schedules — it exits nonzero unless the two-level schedule puts strictly
-// fewer messages on the node uplinks and the cross-node connection count
-// is the node mesh N*(N-1) rather than the flat P*(P-1). Also honors
-// --snapshot=FILE.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -37,20 +30,16 @@
 
 #include "net/cluster.h"
 #include "net/comm.h"
-#include "net/hierarchical_transport.h"
 #include "net/tcp_transport.h"
-#include "net/topology.h"
 #include "util/timer.h"
 
 namespace {
 
 using demsort::net::Cluster;
 using demsort::net::Comm;
-using demsort::net::HierCluster;
 using demsort::net::NetStatsSnapshot;
 using demsort::net::StreamCreditMode;
 using demsort::net::StreamOptions;
-using demsort::net::Topology;
 using demsort::net::TransportKind;
 
 void RunWith(TransportKind kind, int pes,
@@ -372,174 +361,6 @@ int RunCreditCompare(const std::string& snapshot_path) {
   return pass ? 0 : 1;
 }
 
-// --------------------------------------------------- topology compare ----
-
-struct TopoModeStats {
-  uint64_t total_msgs = 0;
-  uint64_t inter_msgs = 0;
-  uint64_t inter_bytes = 0;
-  uint64_t intra_bytes = 0;
-  uint64_t uplink_msgs = 0;
-  uint64_t pool_leases = 0;
-  uint64_t pool_hits = 0;
-  double seconds = 0;
-};
-
-/// The streamed exchange over the SAME physical hierarchy, with either the
-/// flat collective schedules (every cross-node pair streams through the
-/// uplink independently) or the two-level schedules (node-local pack,
-/// leader-to-leader rounds, local scatter).
-TopoModeStats RunTopoExchange(const Topology& topo, bool flat_collectives,
-                              size_t per_pair, size_t chunk, int reps) {
-  HierCluster::Options options;
-  options.topology = topo;
-  options.flat_collectives = flat_collectives;
-  int64_t t0 = demsort::NowNanos();
-  HierCluster::Result result = HierCluster::Run(options, [&](Comm& comm) {
-    std::vector<std::vector<uint64_t>> sends(comm.size());
-    for (int d = 0; d < comm.size(); ++d) {
-      sends[d].assign(per_pair / 8, comm.rank() * 1000 + d);
-    }
-    std::vector<std::span<const uint8_t>> spans(comm.size());
-    for (int d = 0; d < comm.size(); ++d) {
-      spans[d] = std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(sends[d].data()),
-          sends[d].size() * sizeof(uint64_t));
-    }
-    StreamOptions sopts;
-    sopts.chunk_bytes = chunk;
-    sopts.align_bytes = sizeof(uint64_t);
-    sopts.min_chunk_bytes = chunk;
-    sopts.max_chunk_bytes = chunk;
-    for (int i = 0; i < reps; ++i) {
-      uint64_t received = 0;
-      comm.AlltoallvStream(
-          spans,
-          [&](int, std::span<const uint8_t> data, bool) {
-            received += data.size();
-          },
-          nullptr, sopts);
-      benchmark::DoNotOptimize(received);
-    }
-  });
-  TopoModeStats s;
-  s.seconds = (demsort::NowNanos() - t0) * 1e-9;
-  for (const NetStatsSnapshot& pe : result.stats) {
-    s.total_msgs += pe.messages_sent;
-    s.inter_msgs += pe.inter_node_msgs;
-    s.inter_bytes += pe.inter_node_bytes;
-    s.intra_bytes += pe.intra_node_bytes;
-    s.pool_leases += pe.pool_leases;
-    s.pool_hits += pe.pool_hits;
-  }
-  s.uplink_msgs = result.uplink_total.messages_sent;
-  return s;
-}
-
-void PrintTopoMode(const char* name, const TopoModeStats& s) {
-  std::printf("%-12s  %10llu  %11llu  %13.1f  %13.1f  %11llu  %9.1f  %8.3f\n",
-              name, static_cast<unsigned long long>(s.total_msgs),
-              static_cast<unsigned long long>(s.inter_msgs),
-              static_cast<double>(s.inter_bytes) / (1 << 20),
-              static_cast<double>(s.intra_bytes) / (1 << 20),
-              static_cast<unsigned long long>(s.uplink_msgs),
-              100.0 * static_cast<double>(s.pool_hits) /
-                  static_cast<double>(std::max<uint64_t>(s.pool_leases, 1)),
-              s.seconds);
-}
-
-/// The self-checking hierarchy smoke (CI runs this in Release): at P = 8
-/// with 2 PEs/node the two-level schedule must put strictly fewer
-/// messages on the node uplinks than the flat pairwise schedule over the
-/// same hierarchy, the cross-node connection arithmetic must be the node
-/// mesh N*(N-1), not the flat P*(P-1) — AND the uplink win must not be
-/// bought with time or local copies: two-level wall time must stay within
-/// 1.25x of flat and its intra-node volume under 2x flat's (the zero-copy
-/// leader data path pays for the hierarchy).
-int RunTopoCompare(const std::string& snapshot_path) {
-  const int pes = 8;
-  const int per_node = 2;
-  const size_t per_pair = 256 << 10;
-  const size_t chunk = 16 << 10;
-  const int reps = 5;
-  Topology topo = Topology::Uniform(pes, per_node);
-
-  TopoModeStats flat = RunTopoExchange(topo, /*flat_collectives=*/true,
-                                       per_pair, chunk, reps);
-  TopoModeStats hier = RunTopoExchange(topo, /*flat_collectives=*/false,
-                                       per_pair, chunk, reps);
-
-  const uint64_t flat_links = Topology::FlatConnections(pes);
-  const uint64_t hier_links = topo.InterNodeConnections();
-  std::printf(
-      "topology comparison: P=%d, %d PEs/node (%d nodes), %zu B/pair, "
-      "%zu B chunks, %d reps\n",
-      pes, per_node, topo.num_nodes(), per_pair, chunk, reps);
-  std::printf("%-12s  %10s  %11s  %13s  %13s  %11s  %9s  %8s\n", "schedule",
-              "total_msgs", "inter_msgs", "inter_MiB", "intra_MiB",
-              "uplink_msgs", "pool_hit%", "sec");
-  PrintTopoMode("flat", flat);
-  PrintTopoMode("two-level", hier);
-  std::printf(
-      "inter-node connections: hier %llu (= N*(N-1)) vs flat %llu "
-      "(= P*(P-1))\n",
-      static_cast<unsigned long long>(hier_links),
-      static_cast<unsigned long long>(flat_links));
-
-  if (!snapshot_path.empty()) {
-    std::FILE* f = std::fopen(snapshot_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", snapshot_path.c_str());
-      return 2;
-    }
-    auto write_mode = [f](const char* name, const TopoModeStats& s,
-                          bool last) {
-      std::fprintf(f,
-                   "    \"%s\": {\"total_msgs\": %llu, \"inter_msgs\": %llu, "
-                   "\"inter_bytes\": %llu, \"intra_bytes\": %llu, "
-                   "\"uplink_msgs\": %llu, \"pool_leases\": %llu, "
-                   "\"pool_hits\": %llu, \"seconds\": %.6f}%s\n",
-                   name, static_cast<unsigned long long>(s.total_msgs),
-                   static_cast<unsigned long long>(s.inter_msgs),
-                   static_cast<unsigned long long>(s.inter_bytes),
-                   static_cast<unsigned long long>(s.intra_bytes),
-                   static_cast<unsigned long long>(s.uplink_msgs),
-                   static_cast<unsigned long long>(s.pool_leases),
-                   static_cast<unsigned long long>(s.pool_hits), s.seconds,
-                   last ? "" : ",");
-    };
-    std::fprintf(f,
-                 "{\n  \"bench\": \"micro_net_topo\",\n  \"pes\": %d,\n"
-                 "  \"pes_per_node\": %d,\n  \"per_pair_bytes\": %zu,\n"
-                 "  \"chunk_bytes\": %zu,\n  \"reps\": %d,\n"
-                 "  \"inter_node_connections\": %llu,\n"
-                 "  \"flat_connections\": %llu,\n  \"modes\": {\n",
-                 pes, per_node, per_pair, chunk, reps,
-                 static_cast<unsigned long long>(hier_links),
-                 static_cast<unsigned long long>(flat_links));
-    write_mode("flat", flat, false);
-    write_mode("two_level", hier, true);
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-  }
-
-  const double wall_ratio = hier.seconds / flat.seconds;
-  const double intra_ratio = static_cast<double>(hier.intra_bytes) /
-                             static_cast<double>(flat.intra_bytes);
-  std::printf(
-      "two-level/flat ratios: wall %.2fx (must be <= 1.25), intra bytes "
-      "%.2fx (must be < 2)\n",
-      wall_ratio, intra_ratio);
-  const bool pass = hier_links == static_cast<uint64_t>(topo.num_nodes()) *
-                                      (topo.num_nodes() - 1) &&
-                    hier_links < flat_links &&
-                    hier.inter_msgs < flat.inter_msgs &&
-                    hier.uplink_msgs < flat.uplink_msgs &&
-                    wall_ratio <= 1.25 && intra_ratio < 2.0;
-  std::printf("topo-compare: %s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
-}
-
 }  // namespace
 
 /// Custom main (overrides benchmark_main's): --credit-mode= / --chunk-mode=
@@ -551,7 +372,6 @@ int main(int argc, char** argv) {
   std::string filter_arg;
   std::string credit_mode, chunk_mode, snapshot;
   bool credit_compare = false;
-  bool topo_compare = false;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     const std::string credit_prefix = "--credit-mode=";
@@ -578,14 +398,11 @@ int main(int argc, char** argv) {
       snapshot = arg.substr(snapshot_prefix.size());
     } else if (arg == "--credit-compare") {
       credit_compare = true;
-    } else if (arg == "--topo-compare") {
-      topo_compare = true;
     } else {
       args.push_back(argv[i]);
     }
   }
   if (credit_compare) return RunCreditCompare(snapshot);
-  if (topo_compare) return RunTopoCompare(snapshot);
   if (!credit_mode.empty() || !chunk_mode.empty()) {
     filter_arg = "--benchmark_filter=StreamTuning/" +
                  (credit_mode.empty() ? std::string(".*") : credit_mode) +

@@ -1,9 +1,6 @@
 #!/usr/bin/env bash
 # Reproducible perf snapshot: runs the streaming-collective comparison
-# (micro_net --credit-compare), the flat-vs-hierarchical topology sweep
-# (micro_net --topo-compare, P=8 at 2 PEs/node — since the zero-copy
-# leader path this also gates two-level wall <= 1.25x flat and intra-node
-# bytes < 2x flat), the fig5 all-to-all I/O-volume sweep at fixed
+# (micro_net --credit-compare), the fig5 all-to-all I/O-volume sweep at fixed
 # seeds/sizes, and — since the async storage engine — the overlap and
 # prefetch ablations swept across storage backends and queue depths. Emits
 # one machine-readable BENCH_PR9.json — the file future PRs diff to see
@@ -46,11 +43,6 @@ trap 'rm -rf "$tmpdir"' EXIT
 
 # 1. Streaming credit/chunk comparison (also the pass/fail smoke).
 "$BUILD_DIR/micro_net" --credit-compare --snapshot="$tmpdir/stream.json"
-
-# 1b. Flat vs hierarchical schedules over the same 2-PEs/node machine
-#     (also the pass/fail smoke: fewer uplink messages, N*(N-1) links,
-#     two-level wall <= 1.25x flat, intra-node bytes < 2x flat).
-"$BUILD_DIR/micro_net" --topo-compare --snapshot="$tmpdir/topo.json"
 
 # 2. Fig. 5 all-to-all I/O volume at fixed sizes: P = 1..8 at the default
 #    131072 elements/PE — large enough that the a2a phase actually hits
@@ -150,8 +142,6 @@ finish_rows() {  # strips the trailing comma of the last row (if any)
   echo '  "fixed_params": {"fig5_elements_per_pe": 131072, "fig5_max_pes": 8, "ablation_pes": 4, "ablation_repeats": 3, "merge_elements": 262144, "merge_runs": 8, "merge_reps": 2},'
   echo '  "stream":'
   sed 's/^/  /' "$tmpdir/stream.json" | sed '$ s/}$/},/'
-  echo '  "topo":'
-  sed 's/^/  /' "$tmpdir/topo.json" | sed '$ s/}$/},/'
   echo '  "fig5_a2a_io_over_n": {'
   echo '    "rows": ['
   cat "$tmpdir/fig5_rows.json"

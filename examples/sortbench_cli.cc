@@ -509,7 +509,7 @@ int RunHierNode(const net::Topology& topo, int node, int listen_fd,
       threads.emplace_back([&, rank] {
         int rc = 0;
         try {
-          net::Comm comm(rank, topo.num_pes(), &hier, &topo);
+          net::Comm comm(rank, topo.num_pes(), &hier);
           PeOutcome outcome = RunOnePe(comm, options);
           rc = GatherAndReport(comm, options, outcome, start_nanos);
         } catch (const net::CommError& e) {

@@ -1,14 +1,12 @@
 // Recycling frame-buffer pool and the pooled-buffer handle (Frame) that
 // moves through the transport instead of per-message vector allocations.
 //
-// The leader store-and-forward path of the hierarchical transport touches
-// every cross-node byte several times: pack, frame, demux, per-PE forward.
-// Allocating a fresh std::vector at each hop is what made the two-level
-// machine lose to the flat mesh at small P. A Frame leases its backing
+// The hierarchical transport touches every cross-node byte at several
+// hops: frame, uplink, demux, mailbox. Allocating a fresh std::vector at
+// each hop would cost an allocation per message. A Frame leases its backing
 // buffer from a BufferPool and returns it on destruction, so steady-state
 // traffic allocates O(pool) buffers, not O(messages); `Consume` replaces
-// the front-erase memmove with an offset bump, and `Prepend` writes a frame
-// header into pre-reserved headroom so forwarding never reassembles.
+// the front-erase memmove with an offset bump.
 //
 // A Frame keeps its pool alive via shared_ptr: frames legally outlive the
 // transport that leased them (a node's frame lands in a peer node's mailbox
@@ -21,7 +19,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -186,7 +183,7 @@ class BufferPool {
 };
 
 /// Move-only handle on a message payload: a byte buffer, a logical window
-/// into it (`offset_` bytes of headroom precede the window), and an
+/// into it (`offset_` consumed bytes precede the window), and an
 /// optional owning pool the buffer returns to on destruction. Implicitly
 /// convertible from a plain vector so unpooled call sites keep working;
 /// such frames simply free their buffer like before.
@@ -231,19 +228,10 @@ class Frame {
   bool empty() const { return size() == 0; }
   std::span<const uint8_t> span() const { return {data(), size()}; }
 
-  /// Advances the window past `n` leading bytes (a consumed header). O(1):
-  /// the bytes become headroom, available again to Prepend.
+  /// Advances the window past `n` leading bytes (a consumed header). O(1).
   void Consume(size_t n) { offset_ += n; }
-  size_t headroom() const { return offset_; }
 
-  /// Writes `n` bytes immediately before the window and widens the window
-  /// to include them. Requires headroom() >= n.
-  void Prepend(const void* src, size_t n) {
-    offset_ -= n;
-    std::memcpy(buf_.data() + offset_, src, n);
-  }
-
-  /// Detaches the payload as a plain vector (erasing any headroom). The
+  /// Detaches the payload as a plain vector (erasing consumed bytes). The
   /// buffer leaves the pool's ownership — its budget charge is released
   /// but it will not be recycled.
   std::vector<uint8_t> IntoVector() && {

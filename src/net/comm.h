@@ -1,5 +1,8 @@
 // Comm: the per-PE handle onto the message-passing substrate (the MPI role),
-// layered over a pluggable net::Transport (in-process Fabric or TCP).
+// layered over a pluggable net::Transport (in-process Fabric, TCP, or the
+// node-aware HierarchicalTransport). Every transport runs the same flat
+// collective schedules: a node hierarchy is routing inside the transport,
+// never a second schedule here.
 //
 // Semantics follow MPI where it matters to the algorithms:
 //  * Isend(dst, tag, data, bytes) copies the payload before returning (the
@@ -33,14 +36,12 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "net/message.h"
 #include "net/net_stats.h"
-#include "net/topology.h"
 #include "net/transport.h"
 #include "util/logging.h"
 
@@ -63,37 +64,17 @@ class Comm {
   static constexpr size_t kDefaultStreamChunkBytes = size_t{256} << 10;
 
   /// Un-credited chunks a streaming sender may have in flight per
-  /// destination; the receiver's consumption returns the credits, so
-  /// receive-side buffering is bounded by roughly this many chunks per
+  /// destination. The receiver grants this first window in its size header
+  /// when it enters the round and returns one credit per consumed chunk,
+  /// so receive-side buffering is bounded by roughly this many chunks per
   /// active source (see AlltoallvStream).
   static constexpr uint64_t kStreamSendCreditChunks = 4;
 
-  /// With a hierarchical `topology` (node-local PE groups; see
-  /// net::Topology) the collectives run their two-level schedules:
-  /// node-local traffic stays on the shared-memory path and only the node
-  /// leaders exchange across nodes. A null or flat topology keeps the
-  /// classic flat schedules. The topology must outlive the Comm and must
-  /// describe exactly `size` PEs.
-  Comm(int rank, int size, Transport* transport,
-       const Topology* topology = nullptr)
-      : rank_(rank), size_(size), transport_(transport), topology_(topology) {
-    if (TwoLevelActive()) {
-      // The leader sub-communicator allocates its collective tags from the
-      // upper half of the window, so a leader's two tag sequences can never
-      // alias each other's live exchanges.
-      tag_limit_ = kCollectiveTagSpace / 2;
-    }
-  }
+  Comm(int rank, int size, Transport* transport)
+      : rank_(rank), size_(size), transport_(transport) {}
 
   int rank() const { return rank_; }
   int size() const { return size_; }
-
-  const Topology* topology() const { return topology_; }
-  /// True when the collectives run their two-level (node-aware) schedules.
-  bool TwoLevelActive() const {
-    return topology_ != nullptr && topology_->num_pes() == size_ &&
-           topology_->hierarchical();
-  }
 
   // ------------------------------------------------------------ pt2pt ----
   /// Nonblocking send; the payload is copied out before return.
@@ -274,7 +255,8 @@ class Comm {
   /// lands — so unpacking, disk writes, and the tail of the network
   /// transfer overlap. The receiver returns one credit per consumed chunk
   /// and a sender keeps at most kStreamSendCreditChunks un-credited chunks
-  /// in flight per destination, so receive-side buffering is
+  /// in flight per destination — none before the destination has entered
+  /// the round and granted the first window — so receive-side buffering is
   /// O(credit x max chunk) per active source ON EVERY TRANSPORT — chunking
   /// alone would not bound it on an uncapped fabric — instead of
   /// O(payload) per source.
@@ -352,14 +334,12 @@ class Comm {
   /// fetch rounds) under SPMD discipline without colliding with the
   /// built-in collectives.
   int AllocateCollectiveTag() {
-    // SPMD discipline keeps per-PE counters aligned across the cluster.
-    // (Hierarchical Comms run in half the window: the leader
-    // sub-communicator owns the other half — see the constructor.)
-    DEMSORT_CHECK_LT(collective_seq_, tag_limit_)
+    // SPMD discipline keeps per-PE counters aligned across the cluster, and
+    // one Comm per PE owns the whole window.
+    DEMSORT_CHECK_LT(collective_seq_, kCollectiveTagSpace)
         << "collective tag space exhausted; widen kCollectiveTagSpace "
            "(tags are plain ints) before reuse can alias a live exchange";
-    int tag =
-        kCollectiveTagBase + static_cast<int>(tag_offset_ + collective_seq_);
+    int tag = kCollectiveTagBase + static_cast<int>(collective_seq_);
     ++collective_seq_;
     return tag;
   }
@@ -398,7 +378,6 @@ class Comm {
     uint64_t min_chunk_bytes = 0;
     uint64_t max_chunk_bytes = 0;
     bool piggyback = true;
-    uint64_t credit_unit = 1;
     /// The controller resizes chunks only when the bounds leave it room.
     bool adaptive() const { return min_chunk_bytes < max_chunk_bytes; }
   };
@@ -465,61 +444,6 @@ class Comm {
   std::vector<std::vector<uint8_t>> TreeAllgatherBytes(
       const std::vector<uint8_t>& local);
 
-  // ---- two-level (node-aware) schedules; see the "Topology & hierarchy"
-  // section of the README. Active when TwoLevelActive().
-  void BarrierTwoLevel();
-  void BroadcastTwoLevel(int root, std::vector<uint8_t>& data);
-  std::vector<std::vector<uint8_t>> AllgatherBytesTwoLevel(
-      const std::vector<uint8_t>& local);
-  /// Frame-granular delivery of the internal streaming engine: the landed
-  /// chunk arrives as the pooled transport frame itself (chunk header
-  /// already consumed into headroom), MOVED — the two-level demux forwards
-  /// it onward without a copy. Engine-internal; the public API stays
-  /// span-based.
-  using FrameConsumer = std::function<void(int src, Frame chunk, bool last)>;
-  /// Segmented send payload: the stream for one destination is the
-  /// concatenation of these spans, walked in order by the sender — chunks
-  /// are cut at segment boundaries, so no segment is ever coalesced into
-  /// a scratch buffer. Unlike StreamSendProvider's until-next-call rule,
-  /// every span (and the returned outer span) must stay valid until the
-  /// exchange returns: the two-level leader streams straight out of the
-  /// landed pack frames. The self stream must be empty.
-  using StreamSegments = std::span<const std::span<const uint8_t>>;
-  using SegmentedSendProvider = std::function<StreamSegments(int dst)>;
-  /// `frame_consumer`, when set, replaces `consumer` entirely (which may
-  /// then be null); the self stream must be empty under framed delivery.
-  /// `seg_send_for`, when set, replaces `send_for` (which may then be
-  /// null).
-  void AlltoallvStreamFlat(const StreamSendProvider& send_for,
-                           const ChunkConsumer& consumer,
-                           const StreamSizeCallback& on_size,
-                           const StreamOptions& options,
-                           const FrameConsumer& frame_consumer = nullptr,
-                           const SegmentedSendProvider& seg_send_for = nullptr);
-  /// Store-and-forward sends (this PE moving another PE's bytes): same
-  /// delivery semantics as IsendGather/IsendFrame, but a transport that
-  /// knows the hop is internal (the hierarchical leader path) exempts it
-  /// from the per-PE traffic counters like a self-send — each logical byte
-  /// is counted once, at its real hop.
-  SendRequest IsendGatherForward(int dst, int tag, const void* header,
-                                 size_t header_bytes, const void* data,
-                                 size_t bytes) {
-    return transport_->IsendGatherForward(rank_, dst, tag, header,
-                                          header_bytes, data, bytes);
-  }
-  SendRequest IsendFrameForward(int dst, int tag, Frame frame) {
-    return transport_->IsendFrameForward(rank_, dst, tag, std::move(frame));
-  }
-  void AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
-                               const ChunkConsumer& consumer,
-                               const StreamSizeCallback& on_size,
-                               const StreamOptions& options);
-  /// The node-leader sub-communicator (leaders only; lazily built): sub
-  /// rank n == node n, mapped onto the full transport by leader rank. Its
-  /// adaptive-chunk controller state persists across collectives like the
-  /// parent's.
-  Comm& LeaderComm();
-
   /// Adaptive-chunk controller state, persistent across collectives so a
   /// converged size carries over to the next exchange with the same peer.
   struct StreamPeerTuning {
@@ -530,12 +454,7 @@ class Comm {
   int rank_;
   int size_;
   Transport* transport_;
-  const Topology* topology_ = nullptr;
-  std::unique_ptr<Transport> leader_transport_;
-  std::unique_ptr<Comm> leader_comm_;
   uint32_t collective_seq_ = 0;
-  uint32_t tag_offset_ = 0;
-  uint32_t tag_limit_ = kCollectiveTagSpace;
   size_t send_window_bytes_ = kDefaultSendWindowBytes;
   size_t stream_chunk_bytes_ = kDefaultStreamChunkBytes;
   StreamCreditMode stream_credit_mode_ = StreamCreditMode::kPiggyback;

@@ -146,8 +146,8 @@ void HierarchicalTransport::ReactorLoop() {
   // every mailbox drain signals. The Snapshot-before-scan ordering makes
   // the sleep race-free — anything that fires mid-scan bumps the count and
   // the Wait returns immediately. Sleeping (instead of a backoff poll)
-  // matters beyond CPU: demux latency quantizes the leaders' credit loop,
-  // and a sleep-polled reactor visibly starves credit piggybacking.
+  // matters beyond CPU: demux latency quantizes every cross-node credit
+  // loop, and a sleep-polled reactor visibly starves credit piggybacking.
   struct Peer {
     int node = -1;
     RecvRequest rr;
@@ -242,9 +242,9 @@ void HierarchicalTransport::ReactorLoop() {
           DEMSORT_CHECK(local(dst))
               << "misrouted uplink frame for PE " << dst << " at node "
               << node_;
-          // Strip the routing header in place: the bytes become Prepend
-          // headroom, and the payload MOVES into the mailbox — the frame's
-          // only copies are at the two Isend contract boundaries.
+          // Strip the routing header in place, and the payload MOVES into
+          // the mailbox — the frame's only copies are at the two Isend
+          // contract boundaries.
           frame.Consume(sizeof(HierFrameHeader));
           const int ld = topo_.local_rank(dst);
           stats_[ld]->RecordRecv(frame.size());
@@ -333,43 +333,6 @@ SendRequest HierarchicalTransport::IsendGather(int src, int dst, int tag,
   return UplinkSend(src, dst, tag, header, header_bytes, data, bytes);
 }
 
-SendRequest HierarchicalTransport::IsendGatherForward(
-    int src, int dst, int tag, const void* header, size_t header_bytes,
-    const void* data, size_t bytes) {
-  DEMSORT_CHECK(local(src))
-      << "hierarchical endpoint serves node " << node_ << ", not PE " << src;
-  if (!local(dst)) {
-    // Cross-node forwarding is genuine uplink traffic; count it normally.
-    return UplinkSend(src, dst, tag, header, header_bytes, data, bytes);
-  }
-  // Store-and-forward delivery: the leader is moving bytes that were
-  // already counted at their real hop (the direct intra-node frame or the
-  // leader-to-leader aggregate), so like a self-send it records neither
-  // send nor receive — only the pool lease.
-  const size_t total = header_bytes + bytes;
-  std::vector<uint8_t> buf =
-      pool_->Lease(total, stats_[topo_.local_rank(src)].get());
-  std::memcpy(buf.data(), header, header_bytes);
-  if (bytes != 0) std::memcpy(buf.data() + header_bytes, data, bytes);
-  Frame payload(std::move(buf), pool_, total);
-  return mailbox(topo_.local_rank(dst), src)
-      .Offer(tag, std::move(payload), /*exempt_from_cap=*/true);
-}
-
-SendRequest HierarchicalTransport::IsendFrameForward(int src, int dst,
-                                                     int tag, Frame frame) {
-  DEMSORT_CHECK(local(src))
-      << "hierarchical endpoint serves node " << node_ << ", not PE " << src;
-  if (!local(dst)) {
-    return UplinkSend(src, dst, tag, nullptr, 0, frame.data(), frame.size());
-  }
-  // The zero-copy fast path: an already-assembled (typically landed and
-  // Consume/Prepend-retargeted) frame moves straight into the destination
-  // mailbox — no lease, no copy, no counters (see IsendGatherForward).
-  return mailbox(topo_.local_rank(dst), src)
-      .Offer(tag, std::move(frame), /*exempt_from_cap=*/true);
-}
-
 SendRequest HierarchicalTransport::UplinkSend(int src, int dst, int tag,
                                               const void* header,
                                               size_t header_bytes,
@@ -384,9 +347,8 @@ SendRequest HierarchicalTransport::UplinkSend(int src, int dst, int tag,
   const int dst_node = topo_.node_of(dst);
   // One pooled buffer holds the complete wire frame — routing header,
   // caller's gather header, payload — assembled in a single pass and MOVED
-  // onto the uplink. The routing header's 16 bytes become Consume headroom
-  // at the receiving reactor, which the two-level demux reuses as Prepend
-  // room when re-targeting the frame to its final PE.
+  // onto the uplink; the receiving reactor strips the routing header with
+  // an in-place Consume.
   const size_t total = sizeof(hdr) + header_bytes + bytes;
   std::vector<uint8_t> buf = pool_->Lease(total, &s);
   std::memcpy(buf.data(), &hdr, sizeof(hdr));
@@ -520,8 +482,7 @@ HierCluster::Result HierCluster::Run(const Options& options,
     Transport* transport = node_endpoints[topo.node_of(pe)];
     threads.emplace_back([&, pe, transport] {
       try {
-        Comm comm(pe, P, transport,
-                  options.flat_collectives ? nullptr : &topo);
+        Comm comm(pe, P, transport);
         body(comm);
       } catch (const std::exception& e) {
         errors[pe] = std::current_exception();

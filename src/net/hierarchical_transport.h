@@ -127,14 +127,6 @@ class HierarchicalTransport : public Transport {
   SendRequest IsendGather(int src, int dst, int tag, const void* header,
                           size_t header_bytes, const void* data,
                           size_t bytes) override;
-  /// Store-and-forward variants (leader moving another PE's bytes): same
-  /// delivery semantics, but exempt from the per-PE traffic counters like
-  /// self-sends — each logical byte is counted once, at its real hop.
-  SendRequest IsendGatherForward(int src, int dst, int tag,
-                                 const void* header, size_t header_bytes,
-                                 const void* data, size_t bytes) override;
-  SendRequest IsendFrameForward(int src, int dst, int tag,
-                                Frame frame) override;
   RecvRequest Irecv(int dst, int src, int tag) override;
 
   void KillPe(int pe, const Status& status) override;
@@ -245,13 +237,7 @@ class HierCluster {
     size_t uplink_channel_cap_bytes = 0;
     /// Demux pause watermark (see HierarchicalTransport::Options).
     size_t recv_watermark_bytes = 0;
-    /// Run the PEs' Comms WITHOUT the topology: collectives use the flat
-    /// schedules while the traffic still routes through the hierarchy —
-    /// the A/B baseline of micro_net --topo-compare.
-    bool flat_collectives = false;
     /// Per-node frame-pool budget (see HierarchicalTransport::Options).
-    /// Declared after flat_collectives so existing positional
-    /// initializers keep their meaning.
     size_t pool_budget_bytes = 0;
     /// Test seam: wraps each NODE transport (e.g. in net::FaultTransport)
     /// before any Comm is built over it. Called once per node per epoch;

@@ -33,10 +33,13 @@ struct Message {
 // Every (sender → receiver) stream of one collective travels as one
 // StreamSizeHeader message followed by zero or more chunk messages, each a
 // StreamChunkHeader immediately followed by the chunk's payload bytes.
-// Both headers carry a `credits` field: in the symmetric exchanges every PE
-// is simultaneously a sender and a receiver of its round partner, so
-// flow-control credits for the REVERSE stream ride on outgoing data frames
-// instead of costing a dedicated message each (credit piggybacking).
+// Both headers carry credits for the REVERSE stream. The size header's
+// grant opens the partner's first credit window, so no data chunk is sent
+// before its receiver has entered the round. After that, in the symmetric
+// exchanges every PE is simultaneously a sender and a receiver of its
+// round partner, so the credits returned for consumed chunks ride on
+// outgoing data frames instead of costing a dedicated message each (credit
+// piggybacking).
 // Standalone StreamCreditMsg messages remain the fallback for the cases a
 // data frame cannot cover: the sender's own stream is already finished (the
 // asymmetric tail), piggybacking is disabled, or the receiver is blocked
@@ -48,7 +51,9 @@ struct Message {
 /// First message of a stream: the payload's total size.
 struct StreamSizeHeader {
   uint64_t total_bytes = 0;
-  /// Piggybacked credits for the reverse stream (usually 0 at stream start).
+  /// The reverse stream's first credit window (Comm::
+  /// kStreamSendCreditChunks): sent on round entry, it is what lets the
+  /// partner start sending data chunks.
   uint32_t credits = 0;
   uint32_t reserved = 0;
 };
@@ -110,13 +115,6 @@ struct StreamOptions {
   /// clamps the chunk); 0 = auto (chunk * kStreamAutoRangeFactor).
   size_t max_chunk_bytes = 0;
   StreamCreditMode credit_mode = StreamCreditMode::kAuto;
-  /// Flow-control units granted per consumed wire chunk (and charged per
-  /// sent one). A leader engine that coarsens its wire chunk by the
-  /// aggregation factor sets this to the same factor, keeping credits
-  /// denominated in per-pair chunks — credit totals (and the piggyback /
-  /// standalone split the counters report) stay topology-invariant.
-  /// 0 or 1 = one credit per wire chunk (the flat engine's unit).
-  uint64_t credit_unit = 0;
 };
 
 /// Auto [min, max] chunk bounds span this factor below and above the

@@ -5,11 +5,10 @@
 // The paper's testbed runs multiple PEs per node behind one network
 // interface; a flat full-mesh transport ignores that and pays P*(P-1)
 // connections plus per-PE wire traffic even between PEs of the same node.
-// A Topology is the map the hierarchical transport and the two-level
-// collectives consult: ranks are CONTIGUOUS per node (node n owns ranks
-// [node_first(n), node_first(n) + node_size(n))), and the node's first
-// rank is its leader — the rank that fronts the node in leader-to-leader
-// exchanges.
+// A Topology is the map the hierarchical transport routes by: ranks are
+// CONTIGUOUS per node (node n owns ranks [node_first(n), node_first(n) +
+// node_size(n))), and the node's first rank is its leader — the rank that
+// fronts the node's uplink.
 #ifndef DEMSORT_NET_TOPOLOGY_H_
 #define DEMSORT_NET_TOPOLOGY_H_
 
@@ -82,12 +81,10 @@ class Topology {
   int node_size(int node) const { return node_sizes_[node]; }
   /// First global rank of `node`; ranks are contiguous per node.
   int node_first(int node) const { return node_first_[node]; }
-  /// The node's first rank fronts it in leader-to-leader exchanges.
-  int leader_of(int node) const { return node_first_[node]; }
-  int leader_of_rank(int rank) const { return node_first_[node_of(rank)]; }
-  int local_rank(int rank) const { return rank - leader_of_rank(rank); }
-  bool is_leader(int rank) const { return rank == leader_of_rank(rank); }
-  bool same_node(int a, int b) const { return node_of(a) == node_of(b); }
+  int local_rank(int rank) const { return rank - node_first_[node_of(rank)]; }
+  /// The node's first rank is its leader: it fronts the node's uplink, so
+  /// its death is the node's death (see HierarchicalTransport).
+  bool is_leader(int rank) const { return local_rank(rank) == 0; }
 
   /// True when the two-level structure is non-trivial: more than one node
   /// AND at least one node with more than one PE. A flat machine (every

@@ -316,24 +316,6 @@ class Transport {
     return Isend(src, dst, tag, frame.data(), frame.size());
   }
 
-  /// Forwarding variants: identical delivery semantics to IsendGather /
-  /// IsendFrame, but the transfer is transport-internal store-and-forward
-  /// traffic (a leader moving another PE's bytes), NOT application traffic
-  /// originated by `src`. Node-aware transports override these to skip the
-  /// per-PE traffic counters — like self-sends — so `--stats` reports each
-  /// logical byte once, at the hop that really moved it. Defaults delegate
-  /// to the normal (counted) path.
-  virtual SendRequest IsendGatherForward(int src, int dst, int tag,
-                                         const void* header,
-                                         size_t header_bytes,
-                                         const void* data, size_t bytes) {
-    return IsendGather(src, dst, tag, header, header_bytes, data, bytes);
-  }
-  virtual SendRequest IsendFrameForward(int src, int dst, int tag,
-                                        Frame frame) {
-    return IsendFrame(src, dst, tag, std::move(frame));
-  }
-
   /// Nonblocking posted receive at PE `dst` for the next message from
   /// (src, tag), in send order.
   virtual RecvRequest Irecv(int dst, int src, int tag) = 0;

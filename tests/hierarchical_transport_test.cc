@@ -1,15 +1,15 @@
-// The hierarchical transport and the two-level collectives, swept over
-// degenerate and uneven node shapes: a single PE, one big node, even
-// nodes, a singleton-plus-big-node split, and an uneven three-node
-// machine. Covers the collective contract (same results as the flat
-// schedules), the streaming protocol variants (standalone, piggyback,
-// adaptive), failure containment through the proxy (kill a non-leader,
-// kill a leader = node death, sever cross-node and intra-node links), the
-// N*(N-1) inter-node connection arithmetic, the intra/inter traffic
-// classification, the demux watermark's buffering bound, the frame
-// pool's recycling bound (allocations stay O(pool), not O(messages)),
-// and the single uplink reactor's failover (one dead peer node must not
-// stop service to the survivors).
+// The hierarchical transport under the flat collective schedules, swept
+// over degenerate and uneven node shapes: a single PE, one big node, even
+// nodes, a singleton-plus-big-node split, and uneven three-node machines.
+// Covers the collective contract, the streaming protocol variants
+// (standalone, piggyback, adaptive, and piggyback under a demux watermark
+// below one credit window), failure containment through the proxy (kill a
+// non-leader, kill a leader = node death, sever cross-node and intra-node
+// links), the N*(N-1) inter-node connection arithmetic, the intra/inter
+// traffic classification, the demux watermark's buffering bound, the frame
+// pool's recycling bound (allocations stay O(pool), not O(messages)), and
+// the single uplink reactor's failover (one dead peer node must not stop
+// service to the survivors).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -31,11 +31,9 @@ namespace demsort::net {
 namespace {
 
 std::vector<std::vector<int>> TestShapes() {
-  // {1,2,2} is load-bearing: it is the smallest shape where a LOCAL
-  // leader-pair scaling factor (k x k_peer) would differ per leader
-  // (2 vs 4) — the two-level stream options must come out identical on
-  // every leader anyway, or the credit economy deadlocks. The other
-  // uneven shapes ({1,3}, {2,3,2}) coincidentally agree.
+  // Degenerate ({1}, {4}), even ({2,2}) and uneven node shapes: the uplink
+  // reactor serves one, two or three peer nodes, and nodes of different
+  // sizes share it.
   return {{1}, {4}, {2, 2}, {1, 3}, {1, 2, 2}, {2, 3, 2}};
 }
 
@@ -154,17 +152,27 @@ TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
     StreamCreditMode credit;
     bool fixed_chunks;  // min == max == StreamBody's chunk
     const char* name;
+    size_t recv_watermark_bytes = 0;
   };
   const Mode modes[] = {
       {StreamCreditMode::kStandalone, true, "standalone"},
       {StreamCreditMode::kPiggyback, true, "piggyback"},
       {StreamCreditMode::kPiggyback, false, "adaptive"},
+      // A demux watermark below one credit window (4 chunks plus their
+      // headers): the reactor pauses a whole peer node's uplink whenever
+      // one mailbox fills, so a chunk sent to a partner that has not yet
+      // entered its round would park behind the pause and deadlock.
+      {StreamCreditMode::kPiggyback, true, "watermark",
+       4 * kStreamBodyChunk},
   };
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
     for (const Mode& mode : modes) {
       SCOPED_TRACE("shape " + topo.ToString() + " mode " + mode.name);
-      HierCluster::Run(topo, [&](Comm& comm) {
+      HierCluster::Options cluster_options;
+      cluster_options.topology = topo;
+      cluster_options.recv_watermark_bytes = mode.recv_watermark_bytes;
+      HierCluster::Run(cluster_options, [&](Comm& comm) {
         StreamOptions options;
         options.credit_mode = mode.credit;
         if (mode.fixed_chunks) {
@@ -218,7 +226,7 @@ TEST(HierarchicalTransportTest, IntraInterCountersClassifyTraffic) {
   // (and the receive-buffering gauge exemption) must follow that split.
   Topology topo = ShapeTopo({2, 2});
   HierCluster::Result result = HierCluster::Run(
-      HierCluster::Options{topo, 0, 0, /*flat_collectives=*/true},
+      HierCluster::Options{.topology = topo},
       [](Comm& comm) {
         std::vector<uint8_t> data(1000, 7);
         if (comm.rank() == 0) {
@@ -244,41 +252,8 @@ TEST(HierarchicalTransportTest, IntraInterCountersClassifyTraffic) {
   }
 }
 
-TEST(HierarchicalTransportTest, TwoLevelSendsFewerInterNodeMessages) {
-  // The same exchange over the same physical hierarchy, flat vs two-level
-  // collective schedules: the node-aware schedule must put fewer messages
-  // on the uplink — the reduction micro_net --topo-compare CI-asserts.
-  Topology topo = Topology::Uniform(8, 2);
-  auto run = [&](bool flat) {
-    HierCluster::Options options;
-    options.topology = topo;
-    options.flat_collectives = flat;
-    return HierCluster::Run(options, [](Comm& comm) {
-      const int P = comm.size();
-      std::vector<std::vector<uint64_t>> sends(P);
-      for (int d = 0; d < P; ++d) {
-        sends[d].assign(2048, comm.rank() * 100 + d);
-      }
-      for (int i = 0; i < 3; ++i) {
-        auto recvd = comm.Alltoallv<uint64_t>(sends);
-        for (int s = 0; s < P; ++s) ASSERT_EQ(recvd[s].size(), 2048u);
-      }
-    });
-  };
-  HierCluster::Result flat = run(true);
-  HierCluster::Result hier = run(false);
-  auto inter_msgs = [](const HierCluster::Result& r) {
-    uint64_t total = 0;
-    for (const NetStatsSnapshot& s : r.stats) total += s.inter_node_msgs;
-    return total;
-  };
-  EXPECT_LT(inter_msgs(hier), inter_msgs(flat))
-      << "two-level schedules must reduce uplink messages";
-  EXPECT_LT(hier.uplink_total.messages_sent, flat.uplink_total.messages_sent);
-}
-
 TEST(HierarchicalTransportTest, PooledFramesRecycleAcrossRepeats) {
-  // Repeated streamed exchanges over the two-level machine: after the
+  // Repeated streamed exchanges over the hierarchical transport: after the
   // first repetition primes the pool, frames must come from recycling,
   // not fresh allocation. `leases - hits` counts fresh allocations; with
   // 8 repetitions the fresh share must stay well below the total — the
@@ -379,7 +354,7 @@ std::vector<PeOutcome> RunHierWithFault(
     Transport* transport = faults[topo.node_of(pe)].get();
     threads.emplace_back([&, pe, transport] {
       try {
-        Comm comm(pe, P, transport, &topo);
+        Comm comm(pe, P, transport);
         body(comm);
         outcomes[pe].completed = true;
       } catch (const CommError& e) {
@@ -439,7 +414,7 @@ TEST(HierarchicalFaultTest, SeverCrossNodeLeaderLinkFailsBothEndpoints) {
   Topology topo = ShapeTopo({2, 3, 2});
   FaultInjector::Spec spec;
   spec.link_src = 0;  // leader of node 0
-  spec.link_dst = 2;  // leader of node 1 — the pair the engine streams on
+  spec.link_dst = 2;  // leader of node 1: the pair streams across the uplink
   spec.fail_at_op = 2;
   auto outcomes = RunHierWithFault(topo, spec, StreamKillBody);
   for (size_t pe = 0; pe < outcomes.size(); ++pe) {
@@ -455,7 +430,7 @@ TEST(HierarchicalFaultTest, SeverCrossNodeLeaderLinkFailsBothEndpoints) {
 TEST(HierarchicalFaultTest, SeverIntraNodeLinkFailsBothEndpoints) {
   Topology topo = ShapeTopo({2, 3, 2});
   FaultInjector::Spec spec;
-  spec.link_src = 3;  // same node as 4: the link carries the direct frame
+  spec.link_src = 3;  // same node as 4: the link is shared memory
   spec.link_dst = 4;
   spec.fail_at_op = 1;
   auto outcomes = RunHierWithFault(topo, spec, StreamKillBody);

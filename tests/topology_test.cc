@@ -1,4 +1,4 @@
-// net::Topology: the rank→node map of the two-level machine, and the
+// net::Topology: the rank→node map of the hierarchical transport, and the
 // hosts-file slot syntax ("host:port xK") that feeds it.
 #include <gtest/gtest.h>
 
@@ -27,10 +27,10 @@ TEST(TopologyTest, FlatAndUniformShapes) {
   EXPECT_EQ(two.num_nodes(), 4);
   EXPECT_TRUE(two.hierarchical());
   EXPECT_EQ(two.node_of(5), 2);
-  EXPECT_EQ(two.leader_of(2), 4);
+  EXPECT_EQ(two.node_first(2), 4);
   EXPECT_EQ(two.local_rank(5), 1);
-  EXPECT_TRUE(two.same_node(4, 5));
-  EXPECT_FALSE(two.same_node(3, 4));
+  EXPECT_EQ(two.node_of(4), two.node_of(5));
+  EXPECT_NE(two.node_of(3), two.node_of(4));
 
   // Remainder node: Uniform(7, 2) = {2, 2, 2, 1}.
   Topology ragged = Topology::Uniform(7, 2);
@@ -46,10 +46,10 @@ TEST(TopologyTest, UnevenShapeAndConnectionCounts) {
   EXPECT_EQ(t.num_pes(), 7);
   EXPECT_EQ(t.num_nodes(), 3);
   EXPECT_EQ(t.node_first(1), 2);
-  EXPECT_EQ(t.leader_of(1), 2);
   EXPECT_EQ(t.node_of(4), 1);
   EXPECT_EQ(t.local_rank(4), 2);
-  EXPECT_EQ(t.leader_of_rank(6), 5);
+  EXPECT_TRUE(t.is_leader(5));
+  EXPECT_FALSE(t.is_leader(6));
   EXPECT_EQ(t.ToString(), "{2,3,2}");
   // N*(N-1) directed node channels vs P*(P-1) flat ones — the socket math
   // the hierarchy exists for.
@@ -118,7 +118,7 @@ TEST_F(HostsFileTest, MixedSlotCountsFeedTopology) {
   EXPECT_EQ(topo.num_nodes(), 3);
   EXPECT_TRUE(topo.hierarchical());
   EXPECT_EQ(topo.node_of(4), 1);   // beta's last PE
-  EXPECT_EQ(topo.leader_of(1), 2);  // beta's leader rank
+  EXPECT_EQ(topo.node_first(1), 2);  // beta's leader rank
   EXPECT_EQ(topo.InterNodeConnections(), 6u);
 }
 

@@ -50,10 +50,9 @@ std::vector<PeOutcome> RunWithFault(TransportKind kind, int num_pes,
                                     const std::function<void(Comm&)>& body) {
   auto injector = std::make_shared<FaultInjector>(spec);
   std::vector<PeOutcome> outcomes(num_pes);
-  auto pe_main = [&](int pe, Transport* transport,
-                     const Topology* topo = nullptr) {
+  auto pe_main = [&](int pe, Transport* transport) {
     try {
-      Comm comm(pe, num_pes, transport, topo);
+      Comm comm(pe, num_pes, transport);
       body(comm);
       outcomes[pe].completed = true;
     } catch (const CommError& e) {
@@ -100,8 +99,7 @@ std::vector<PeOutcome> RunWithFault(TransportKind kind, int num_pes,
     threads.reserve(num_pes);
     for (int pe = 0; pe < num_pes; ++pe) {
       Transport* transport = faults[topo.node_of(pe)].get();
-      threads.emplace_back(
-          [&, pe, transport] { pe_main(pe, transport, &topo); });
+      threads.emplace_back([&, pe, transport] { pe_main(pe, transport); });
     }
     for (auto& t : threads) t.join();
     for (auto& node : nodes) node->Shutdown();

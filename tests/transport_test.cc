@@ -350,10 +350,10 @@ TEST_P(TransportParamTest, PiggybackedCreditsRideDataFrames) {
         nullptr, options);
     for (int s = 0; s < P; ++s) EXPECT_EQ(got[s], per_pair);
     NetStatsSnapshot delta = comm.StatsSnapshot() - before;
-    // Cluster-level accounting: under a node topology the leaders return
-    // the credits for their whole node, so the counters concentrate on
-    // them — the protocol property (credits ride data frames, standalone
-    // messages stay the exception) is a property of the cluster total.
+    // Cluster-level accounting: how one PE's credits split between data
+    // frames and standalone messages depends on its rounds' timing — the
+    // protocol property (credits ride data frames, standalone messages
+    // stay the exception) is a property of the cluster total.
     const uint64_t cluster_piggy =
         comm.AllreduceSum<uint64_t>(delta.piggybacked_credits);
     const uint64_t cluster_ctrl =
