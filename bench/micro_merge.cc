@@ -55,7 +55,27 @@ void RunMultiwayMerge(benchmark::State& state,
 void BM_MultiwayMerge(benchmark::State& state) {
   RunMultiwayMerge(state, MakeRuns(state.range(0), 1 << 16, 42));
 }
-BENCHMARK(BM_MultiwayMerge)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Iterations(5);
+BENCHMARK(BM_MultiwayMerge)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(64)
+    ->Iterations(5);
+
+// The workload generator's Zipf keys (4096 values, s = 1): long runs of
+// equal keys, which the kernel's galloping copies a span at a time.
+void BM_MultiwayMergeZipf(benchmark::State& state) {
+  std::vector<std::vector<KV16>> runs(state.range(0));
+  for (size_t s = 0; s < runs.size(); ++s) {
+    runs[s] = MakeKV16(Distribution::kZipf, 1 << 16, static_cast<int>(s),
+                       static_cast<int>(runs.size()), 42);
+    std::stable_sort(runs[s].begin(), runs[s].end(), KVLess());
+  }
+  RunMultiwayMerge(state, runs);
+}
+BENCHMARK(BM_MultiwayMergeZipf)->Arg(4)->Arg(16)->Arg(24)->Iterations(5);
 
 // SortBenchmark records with random 10-byte keys: every record the merge
 // moves is 100 bytes, and Less is a 10-byte memcmp.

@@ -27,12 +27,13 @@
 // the body blocks in between, so the output manifest (ordered block list +
 // first records) is indistinguishable from the single-threaded engine's.
 //
-// The inner loop is batched: one loser-tree replay per span, where a span
-// is every consecutive winner record up to the runner-up's head (galloped
-// in the winner's contiguous buffer, entered with timsort-style hysteresis
-// so uniformly interleaved runs pay nothing over a record-at-a-time loop),
-// with tree-free galloping when only two sources remain live and straight
-// streaming for the last one.
+// The inner loop is par::MergeKernel, the same kernel as the in-memory
+// merge of run formation: each run is a chain of segment spans fed through
+// the prefetcher (SegmentSource), and the kernel copies winners straight
+// into the current output block — the striped writer's block, a partition's
+// head, body block or tail, or a block-sized staging window in front of a
+// record sink. Galloping with hysteresis makes clustered runs cost one
+// replay per span, not per record.
 #ifndef DEMSORT_CORE_FINAL_MERGE_H_
 #define DEMSORT_CORE_FINAL_MERGE_H_
 
@@ -50,7 +51,7 @@
 #include "core/run_index.h"
 #include "io/striped_writer.h"
 #include "obs/trace.h"
-#include "par/loser_tree.h"
+#include "par/multiway_merge.h"
 #include "par/thread_pool.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
@@ -428,181 +429,47 @@ inline size_t EffectiveMergeWorkers(par::ThreadPool* pool,
   return std::max<size_t>(w, 1);
 }
 
-/// Galloping span search: the first index in [lo, hi) whose record fails
-/// `take` (a monotone predicate over the sorted records — true on a prefix).
-/// Exponential probes from lo, then partition_point inside the bracket:
-/// ~1 compare when the span is empty or unit-length, O(log span) when it is
-/// long — unlike a plain bound over [lo, hi), which pays O(log(hi-lo)) even
-/// for the unit spans that dominate uniformly interleaved runs.
-template <typename R, typename Take>
-size_t GallopSpan(const R* base, size_t lo, size_t hi, const Take& take) {
-  if (lo == hi || !take(base[lo])) return lo;
-  size_t good = 0;  // offset from lo; prefix [lo, lo+good] known good
-  size_t next = 1;
-  while (lo + next < hi && take(base[lo + next])) {
-    good = next;
-    next <<= 1;
-  }
-  const R* first = base + lo + good + 1;
-  const R* last = base + std::min(hi, lo + next);
-  return static_cast<size_t>(std::partition_point(first, last, take) - base);
-}
+/// The kernel's source policy over one (slice of the) segment set: run j's
+/// spans are its segments in order, acquired through the prefetcher. A
+/// segment is released when the kernel asks for the next one, which is right
+/// before its source's head is replaced or exhausted, as the tree's
+/// pointer-lifetime contract allows.
+template <typename R>
+class SegmentSource {
+ public:
+  SegmentSource(MergePrefetcher<R>& prefetcher,
+                std::vector<std::vector<MergeSegment<R>>>& segments)
+      : prefetcher_(prefetcher),
+        segments_(segments),
+        current_(segments.size(), 0) {}
 
-/// The merge inner loop over one (slice of the) segment set. `emit(ptr, n)`
-/// receives sorted spans and must copy before returning. Returns records
-/// emitted. Drives the loser tree span-at-a-time (one replay per span). The
-/// tree holds pointers into the current segments; a segment is released
-/// only right before its source's head is replaced or exhausted, as the
-/// tree's pointer-lifetime contract allows.
-template <typename R, typename Emit>
-uint64_t RunMergeLoop(MergePrefetcher<R>& prefetcher,
-                      std::vector<std::vector<MergeSegment<R>>>& segments,
-                      Emit&& emit) {
-  using Less = typename RecordTraits<R>::Less;
-  Less less;
-  const size_t num_runs = segments.size();
-  if (num_runs == 0) return 0;
+  size_t num_sources() const { return segments_.size(); }
 
-  struct Cursor {
-    size_t seg = 0;
-    size_t offset = 0;  // within the segment
-    const R* records = nullptr;
-  };
-  std::vector<Cursor> cursors(num_runs);
-  uint64_t merged = 0;
-
-  par::LoserTree<R> tree(std::max<size_t>(1, num_runs));
-  for (size_t j = 0; j < num_runs; ++j) {
-    if (!segments[j].empty()) {
-      cursors[j].records = prefetcher.Acquire(j, 0);
-      tree.InitSource(j, cursors[j].records);
-    }
-  }
-  tree.Build();
-
-  // Streams the rest of run j (current position to the end), whole
-  // segment-spans at a time.
-  auto emit_rest_of_run = [&](size_t j) {
-    Cursor& cur = cursors[j];
-    while (true) {
-      const MergeSegment<R>& sg = segments[j][cur.seg];
-      if (cur.offset < sg.take) {
-        emit(cur.records + cur.offset, sg.take - cur.offset);
-        merged += sg.take - cur.offset;
-      }
-      prefetcher.Release(j, cur.seg);
-      ++cur.seg;
-      cur.offset = 0;
-      if (cur.seg == segments[j].size()) return;
-      cur.records = prefetcher.Acquire(j, cur.seg);
-    }
-  };
-
-  // Batched main loop with timsort-style hysteresis: single-record steps
-  // (one replay, no runner-up walk) until one source has won kMinGallop
-  // times in a row — evidence of a locally disjoint key range — then a
-  // galloped span up to the runner-up's head (ties included when the
-  // winner's source index is smaller — exactly the order the
-  // record-at-a-time loop produces), with one replay for the whole span.
-  // Uniformly interleaved runs thus cost the same as the classic loop,
-  // while clustered runs collapse to O(log span) per span.
-  constexpr size_t kMinGallop = 4;
-  size_t last_winner = num_runs;
-  size_t streak = 0;
-  while (tree.live() > 2) {
-    size_t j = tree.WinnerSource();
-    Cursor& cur = cursors[j];
-    const MergeSegment<R>& sg = segments[j][cur.seg];
-    if (j == last_winner) {
-      ++streak;
-    } else {
-      last_winner = j;
-      streak = 1;
-    }
-    size_t hi;
-    if (streak < kMinGallop) {
-      hi = cur.offset + 1;
-    } else {
-      size_t ru = tree.RunnerUpSource();
-      const R& limit = tree.Head(ru);
-      const R* base = cur.records;
-      hi = j < ru
-               ? GallopSpan(base, cur.offset, sg.take,
-                            [&](const R& rec) { return !less(limit, rec); })
-               : GallopSpan(base, cur.offset, sg.take,
-                            [&](const R& rec) { return less(rec, limit); });
-    }
-    emit(cur.records + cur.offset, hi - cur.offset);
-    merged += hi - cur.offset;
-    cur.offset = hi;
-    if (cur.offset == sg.take) {
-      prefetcher.Release(j, cur.seg);
-      ++cur.seg;
-      cur.offset = 0;
-      if (cur.seg == segments[j].size()) {
-        tree.ExhaustWinner();
-        continue;
-      }
-      cur.records = prefetcher.Acquire(j, cur.seg);
-    }
-    tree.ReplaceWinner(cur.records + cur.offset);
+  bool First(size_t j, const R** begin, const R** end) {
+    if (segments_[j].empty()) return false;
+    Open(j, begin, end);
+    return true;
   }
 
-  if (tree.live() == 2) {
-    // Two-source gallop: no tree replays at all, just head-vs-head binary
-    // searches. a < b so ties emit from a first.
-    size_t a = num_runs, b = num_runs;
-    for (size_t s = 0; s < num_runs; ++s) {
-      if (tree.IsLive(s)) (a == num_runs ? a : b) = s;
-    }
-    while (true) {
-      Cursor& ca = cursors[a];
-      Cursor& cb = cursors[b];
-      const R& ha = ca.records[ca.offset];
-      const R& hb = cb.records[cb.offset];
-      if (!less(hb, ha)) {
-        const MergeSegment<R>& sa = segments[a][ca.seg];
-        size_t hi =
-            GallopSpan(ca.records, ca.offset, sa.take,
-                       [&](const R& rec) { return !less(hb, rec); });
-        emit(ca.records + ca.offset, hi - ca.offset);
-        merged += hi - ca.offset;
-        ca.offset = hi;
-        if (ca.offset == sa.take) {
-          prefetcher.Release(a, ca.seg);
-          ++ca.seg;
-          ca.offset = 0;
-          if (ca.seg == segments[a].size()) {
-            emit_rest_of_run(b);
-            break;
-          }
-          ca.records = prefetcher.Acquire(a, ca.seg);
-        }
-      } else {
-        const MergeSegment<R>& sb = segments[b][cb.seg];
-        size_t hi =
-            GallopSpan(cb.records, cb.offset, sb.take,
-                       [&](const R& rec) { return less(rec, ha); });
-        emit(cb.records + cb.offset, hi - cb.offset);
-        merged += hi - cb.offset;
-        cb.offset = hi;
-        if (cb.offset == sb.take) {
-          prefetcher.Release(b, cb.seg);
-          ++cb.seg;
-          cb.offset = 0;
-          if (cb.seg == segments[b].size()) {
-            emit_rest_of_run(a);
-            break;
-          }
-          cb.records = prefetcher.Acquire(b, cb.seg);
-        }
-      }
-    }
-  } else if (tree.live() == 1) {
-    emit_rest_of_run(tree.WinnerSource());
+  bool Next(size_t j, const R** begin, const R** end) {
+    prefetcher_.Release(j, current_[j]);
+    if (++current_[j] == segments_[j].size()) return false;
+    Open(j, begin, end);
+    return true;
   }
-  return merged;
-}
+
+ private:
+  void Open(size_t j, const R** begin, const R** end) {
+    const uint32_t take = segments_[j][current_[j]].take;
+    DEMSORT_CHECK_GT(take, 0u) << "the merge kernel needs non-empty spans";
+    *begin = prefetcher_.Acquire(j, current_[j]);
+    *end = *begin + take;
+  }
+
+  MergePrefetcher<R>& prefetcher_;
+  std::vector<std::vector<MergeSegment<R>>>& segments_;
+  std::vector<size_t> current_;
+};
 
 /// What one merge worker reports back for the phase gauges.
 struct MergeWorkerMetrics {
@@ -634,7 +501,9 @@ inline void AccumulateMergeMetrics(PhaseStats* stats, size_t workers,
 /// the first grid line (head) and the one after the last (tail) stay in
 /// memory for the stitching pass; the grid-aligned body in between is
 /// written as full blocks straight from this worker, through its own striped
-/// writer with a bounded window of in-flight writes.
+/// writer with a bounded window of in-flight writes. It is the merge
+/// kernel's output policy: its windows cover the head, then each body
+/// block, then the tail.
 template <typename R>
 class PartitionBlockWriter {
  public:
@@ -643,22 +512,34 @@ class PartitionBlockWriter {
                        size_t max_in_flight)
       : body_(bm, std::max<size_t>(max_in_flight, 1)) {
     uint64_t to_grid = (epb - global_offset % epb) % epb;
-    head_target_ = std::min<uint64_t>(to_grid, count);
-    body_target_ = (count - head_target_) / epb * epb;
-    head_.reserve(head_target_);
+    head_.resize(std::min<uint64_t>(to_grid, count));
+    body_target_ = (count - head_.size()) / epb * epb;
+    tail_.resize(count - head_.size() - body_target_);
   }
 
-  void Append(const R* records, size_t n) {
-    size_t take = std::min<uint64_t>(n, head_target_ - head_.size());
-    head_.insert(head_.end(), records, records + take);
-    records += take;
-    n -= take;
-    take = std::min<uint64_t>(n, body_target_ - body_.total_appended());
-    if (take > 0) body_.AppendSpan(records, take);
-    tail_.insert(tail_.end(), records + take, records + n);
+  R* Window(size_t* room) {
+    if (head_fill_ < head_.size()) {
+      *room = head_.size() - head_fill_;
+      return head_.data() + head_fill_;
+    }
+    if (body_.total_appended() < body_target_) return body_.Window(room);
+    *room = tail_.size() - tail_fill_;
+    return tail_.data() + tail_fill_;
+  }
+
+  void Commit(size_t n) {
+    if (head_fill_ < head_.size()) {
+      head_fill_ += n;
+    } else if (body_.total_appended() < body_target_) {
+      body_.Commit(n);
+    } else {
+      tail_fill_ += n;
+    }
   }
 
   void Finish() {
+    DEMSORT_CHECK_EQ(head_fill_, head_.size());
+    DEMSORT_CHECK_EQ(tail_fill_, tail_.size());
     DEMSORT_CHECK_EQ(body_.pending_fill(), 0u)
         << "partition body not grid-aligned";
     body_.Finish();
@@ -674,10 +555,30 @@ class PartitionBlockWriter {
 
  private:
   io::StripedWriter<R> body_;
-  uint64_t head_target_ = 0;
   uint64_t body_target_ = 0;
   std::vector<R> head_;
   std::vector<R> tail_;
+  size_t head_fill_ = 0;
+  size_t tail_fill_ = 0;
+};
+
+/// The merge kernel's output policy for a record sink: a block-sized staging
+/// window, handed to `deliver(records, n)` on every Commit.
+template <typename R, typename Deliver>
+class StagingWindow {
+ public:
+  StagingWindow(size_t records, Deliver deliver)
+      : buffer_(records), deliver_(std::move(deliver)) {}
+
+  R* Window(size_t* room) {
+    *room = buffer_.size();
+    return buffer_.data();
+  }
+  void Commit(size_t n) { deliver_(buffer_.data(), n); }
+
+ private:
+  std::vector<R> buffer_;
+  Deliver deliver_;
 };
 
 }  // namespace internal
@@ -721,10 +622,12 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
         internal::WorkerPrefetchPool(config, num_runs, live_runs,
                                      bm->num_disks(), 1));
     int64_t t0 = NowNanos();
-    uint64_t merged = internal::RunMergeLoop(
-        prefetcher, segments, [&sink](const R* records, size_t n) {
-          for (size_t i = 0; i < n; ++i) sink(records[i]);
-        });
+    auto deliver = [&sink](const R* records, size_t n) {
+      for (size_t i = 0; i < n; ++i) sink(records[i]);
+    };
+    internal::StagingWindow<R, decltype(deliver)> staging(epb, deliver);
+    internal::SegmentSource<R> src(prefetcher, segments);
+    uint64_t merged = par::MergeKernel<R>(src, staging);
     DEMSORT_CHECK_EQ(merged, total);
     std::vector<internal::MergeWorkerMetrics> ms(1);
     ms[0] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
@@ -785,7 +688,9 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
       }
     };
     int64_t t0 = NowNanos();
-    uint64_t merged = internal::RunMergeLoop(prefetcher, segs, deliver);
+    internal::StagingWindow<R, decltype(deliver)> staging(epb, deliver);
+    internal::SegmentSource<R> src(prefetcher, segs);
+    uint64_t merged = par::MergeKernel<R>(src, staging);
     DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
     gate.WaitTurn(t);
     if (!direct) flush_pending();
@@ -833,10 +738,8 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
         internal::WorkerPrefetchPool(config, num_runs, live_runs,
                                      bm->num_disks(), 1));
     int64_t t0 = NowNanos();
-    uint64_t merged = internal::RunMergeLoop(
-        prefetcher, segments, [&writer](const R* records, size_t n) {
-          writer.AppendSpan(records, n);
-        });
+    internal::SegmentSource<R> src(prefetcher, segments);
+    uint64_t merged = par::MergeKernel<R>(src, writer);
     DEMSORT_CHECK_EQ(merged, total);
     writer.Finish();
     std::vector<internal::MergeWorkerMetrics> ms(1);
@@ -875,9 +778,8 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
           bm, epb, plan.offsets[t], plan.offsets[t + 1] - plan.offsets[t],
           write_window);
       int64_t t0 = NowNanos();
-      uint64_t merged = internal::RunMergeLoop(
-          prefetcher, segs,
-          [&](const R* records, size_t n) { parts[t]->Append(records, n); });
+      internal::SegmentSource<R> src(prefetcher, segs);
+      uint64_t merged = par::MergeKernel<R>(src, *parts[t]);
       DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
       parts[t]->Finish();
       metrics[t] = {merged, NowNanos() - t0,

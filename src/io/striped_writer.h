@@ -4,6 +4,7 @@
 #ifndef DEMSORT_IO_STRIPED_WRITER_H_
 #define DEMSORT_IO_STRIPED_WRITER_H_
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <vector>
@@ -38,19 +39,34 @@ class StripedWriter {
   }
 
   void AppendSpan(const R* records, size_t count) {
-    // Bulk path: whole block-sized (or tail-sized) spans are memcpy'd at
-    // once instead of record-at-a-time.
     while (count > 0) {
-      if (fill_ == 0) first_records_.push_back(records[0]);
-      size_t take = std::min(epb_ - fill_, count);
-      std::memcpy(current_.data() + fill_ * sizeof(R), records,
-                  take * sizeof(R));
-      fill_ += take;
-      total_ += take;
+      size_t room = 0;
+      R* window = Window(&room);
+      const size_t take = std::min(room, count);
+      std::memcpy(static_cast<void*>(window), records, take * sizeof(R));
+      Commit(take);
       records += take;
       count -= take;
-      if (fill_ == epb_) Flush();
     }
+  }
+
+  /// Writable space for the next *room >= 1 records: the rest of the
+  /// current block. Valid until the next Commit or Append.
+  R* Window(size_t* room) {
+    *room = epb_ - fill_;
+    return reinterpret_cast<R*>(current_.data()) + fill_;
+  }
+
+  /// Appends the first `n` records written into the current Window.
+  void Commit(size_t n) {
+    DEMSORT_CHECK_LE(n, epb_ - fill_);
+    if (n == 0) return;
+    if (fill_ == 0) {
+      first_records_.push_back(*reinterpret_cast<const R*>(current_.data()));
+    }
+    fill_ += n;
+    total_ += n;
+    if (fill_ == epb_) Flush();
   }
 
   /// Splices `count` already-written full blocks (with their first records)

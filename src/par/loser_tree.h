@@ -10,6 +10,13 @@
 // on a type whose prefix is not the whole key, and it never copies one (the
 // fixed-length form of Bingmann's LCP-aware loser tree).
 //
+// Branch-free replay: each level of a replay selects the new loser and the
+// climbing winner with a mask rather than a branch. In a merge of
+// interleaved runs a level's outcome is unpredictable, so a branch would
+// mispredict about half the time; duplicate-heavy runs, where the branch
+// predicts well, are left to the merge kernel's galloping
+// (par/multiway_merge.h), which skips the tree for whole spans.
+//
 // Sentinel sources: an exhausted source points at a RecordTraits<R>::
 // MaxSentinel record and takes rank k_pad + s instead of s. A real record
 // EQUAL to the sentinel still wins, because exhausted ranks sort past every
@@ -22,7 +29,6 @@
 #define DEMSORT_PAR_LOSER_TREE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/record.h"
@@ -141,11 +147,27 @@ class LoserTree {
     return w2;
   }
 
-  /// Replays the path from `current`'s leaf to the root.
+  /// Replays the path from `current`'s leaf to the root, selecting each
+  /// level's loser through a mask (see "Branch-free replay" above).
   void Replay(Node current) {
     for (size_t node = (k_pad_ + (current.rank & (k_pad_ - 1))) >> 1;
          node >= 1; node >>= 1) {
-      if (Beats(tree_[node], current)) std::swap(tree_[node], current);
+      const Node up = tree_[node];
+      bool swap;
+      if constexpr (Traits::kPrefixIsKey) {
+        swap = (up.key < current.key) |
+               ((up.key == current.key) & (up.rank < current.rank));
+      } else {
+        // Distinct prefixes are the common, predictable case; only a tie on
+        // the prefix reads the records.
+        swap = up.key != current.key ? up.key < current.key
+                                     : Beats(up, current);
+      }
+      const uint64_t mask = 0 - static_cast<uint64_t>(swap);
+      const uint64_t key_x = (up.key ^ current.key) & mask;
+      const size_t rank_x = (up.rank ^ current.rank) & mask;
+      tree_[node] = {up.key ^ key_x, up.rank ^ rank_x};
+      current = {current.key ^ key_x, current.rank ^ rank_x};
     }
     tree_[0] = current;
   }

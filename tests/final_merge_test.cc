@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/final_merge.h"
@@ -405,13 +406,19 @@ TEST(FinalMergeTest, PredictionReducesDemandFetches) {
 
 /// Writes every run as two extents, merges them with FinalMerge on one and
 /// on four workers, and requires the output to equal the oracle record for
-/// record, payload included.
+/// record, payload included. Each runs at the small test block and at a
+/// 7-record block, where partition heads and tails, output windows, segment
+/// ends and gallop spans cross block boundaries all the time.
 template <typename R>
 void ExpectFinalMergeMatchesOracle(const test::SortedRuns<R>& in) {
-  for (uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+  const std::pair<uint32_t, size_t> kEngines[] = {
+      {1, 0}, {4, 0}, {1, 7 * sizeof(R)}, {4, 7 * sizeof(R)}};
+  for (const auto& [threads, block_size] : kEngines) {
+    SCOPED_TRACE("threads=" + std::to_string(threads) +
+                 " block_size=" + std::to_string(block_size));
     SortConfig config = test::SmallConfig();
     config.threads_per_pe = threads;
+    if (block_size != 0) config.block_size = block_size;
     test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
       std::vector<std::vector<Extent<R>>> extents(in.runs.size());
       for (size_t j = 0; j < in.runs.size(); ++j) {

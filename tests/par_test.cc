@@ -278,6 +278,37 @@ void ExpectMergeMatchesOracle(const test::SortedRuns<R>& in) {
   test::ExpectSameBytes(par_out, in.expect);
 }
 
+/// Sorted runs built round by round so that one source wins 3, 4 or 5
+/// times in a row, around the kernel's kMinGallop: round r gives `len`
+/// consecutive keys to one source, and the next round's source starts on
+/// the same key, so the gallop limit ties across sources in both source
+/// orders. Every fourth round also gives one equal key to every source.
+/// `make(key, tag)` builds a record; keys only grow, so every run is sorted,
+/// and the oracle is the stable sort of the runs' concatenation.
+template <typename R, typename Make>
+test::SortedRuns<R> StreakRuns(size_t k, Make make) {
+  test::SortedRuns<R> out;
+  out.runs.resize(k);
+  uint64_t key = 0;
+  uint64_t tag = 0;
+  for (size_t r = 0; r < 1200; ++r) {
+    std::vector<R>& run = out.runs[(r * 7) % k];
+    const size_t len = 3 + r % 3;
+    for (size_t i = 0; i < len; ++i) run.push_back(make(key + i, tag++));
+    key += len - 1;  // the next round starts on this round's last key
+    if (r % 4 == 0) {
+      ++key;
+      for (auto& each : out.runs) each.push_back(make(key, tag++));
+    }
+  }
+  for (const auto& run : out.runs) {
+    out.expect.insert(out.expect.end(), run.begin(), run.end());
+  }
+  std::stable_sort(out.expect.begin(), out.expect.end(),
+                   typename core::RecordTraits<R>::Less());
+  return out;
+}
+
 TEST(MultiwayMergeTest, KV16MatchesStableSortOracle) {
   for (size_t k : test::kMergeWays) {
     for (workload::Distribution dist : test::kDistributions) {
@@ -297,6 +328,9 @@ TEST(MultiwayMergeTest, KV16MatchesStableSortOracle) {
       }
       ExpectMergeMatchesOracle(test::DealSortedRuns(records, k, range + k));
     }
+    SCOPED_TRACE("winner streaks 3-5 k=" + std::to_string(k));
+    ExpectMergeMatchesOracle(StreakRuns<KV16>(
+        k, [](uint64_t key, uint64_t tag) { return KV16{key, tag}; }));
   }
 }
 
@@ -309,6 +343,20 @@ TEST(MultiwayMergeTest, Gray100MatchesStableSortOracle) {
       ExpectMergeMatchesOracle(
           test::DealSortedRuns(MakeGray100(keys, 5000, k), k, k));
     }
+    // Keys 4q..4q+3 share their 8-byte prefix (bytes 4-7 hold q) and differ
+    // only in byte 9, past it: most neighbours tie on the prefix alone.
+    SCOPED_TRACE("winner streaks 3-5, prefix ties, k=" + std::to_string(k));
+    ExpectMergeMatchesOracle(
+        StreakRuns<core::Gray100>(k, [](uint64_t key, uint64_t tag) {
+          core::Gray100 r;
+          const uint32_t q = static_cast<uint32_t>(key / 4);
+          for (int b = 0; b < 4; ++b) {
+            r.key[4 + b] = static_cast<uint8_t>(q >> (8 * (3 - b)));
+          }
+          r.key[9] = static_cast<uint8_t>(key % 4);
+          std::memcpy(r.payload.data(), &tag, sizeof(tag));
+          return r;
+        }));
   }
 }
 

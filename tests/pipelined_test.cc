@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "core/final_merge.h"
 #include "core/pipelined.h"
+#include "io/striped_writer.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace demsort::core {
 namespace {
@@ -102,6 +106,58 @@ TEST(PipelinedSortTest, EmptyProducers) {
         PipelinedSort<KV16>(ctx, cfg, producer, consumer);
     EXPECT_EQ(result.consumed_elements, 0u);
   });
+}
+
+/// MergeExtentsToSink, the merge behind PipelinedSort, at a 7-record block
+/// on one and four workers: the sink must see the stable-sort oracle record
+/// for record while staging windows, segment ends and gallop spans cross
+/// block boundaries all the time.
+template <typename R>
+void ExpectSinkMatchesOracle(const test::SortedRuns<R>& in) {
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SortConfig config = test::SmallConfig();
+    config.threads_per_pe = threads;
+    config.block_size = 7 * sizeof(R);
+    test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
+      std::vector<std::vector<Extent<R>>> extents(in.runs.size());
+      for (size_t j = 0; j < in.runs.size(); ++j) {
+        if (in.runs[j].empty()) continue;
+        io::StripedWriter<R> writer(ctx.bm);
+        writer.AppendSpan(in.runs[j].data(), in.runs[j].size());
+        writer.Finish();
+        Extent<R> ext;
+        ext.run = static_cast<uint32_t>(j);
+        ext.count = in.runs[j].size();
+        ext.blocks = writer.blocks();
+        ext.block_first_records = writer.block_first_records();
+        extents[j].push_back(std::move(ext));
+      }
+      std::vector<R> seen;
+      EXPECT_EQ(MergeExtentsToSink<R>(ctx, cfg, std::move(extents),
+                                      [&seen](const R& r) {
+                                        seen.push_back(r);
+                                      }),
+                in.expect.size());
+      test::ExpectSameBytes(seen, in.expect);
+    });
+  }
+}
+
+TEST(MergeExtentsToSinkTest, TinyBlocksMatchStableSortOracle) {
+  for (size_t k : {2, 5, 16}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectSinkMatchesOracle(test::DealSortedRuns(
+        workload::MakeKV16(workload::Distribution::kZipf, 3000, /*rank=*/1,
+                           /*num_pes=*/4, k),
+        k, k));
+    ExpectSinkMatchesOracle(test::DealSortedRuns(
+        workload::MakeKV16(workload::Distribution::kUniform, 3000,
+                           /*rank=*/1, /*num_pes=*/4, k),
+        k, k + 1));
+    ExpectSinkMatchesOracle(test::DealSortedRuns(
+        test::MakeGray100(test::GrayKeys::kLastByte, 2000, k), k, k));
+  }
 }
 
 }  // namespace
