@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Reproducible perf snapshot: runs the streaming-collective comparison
-# (micro_net --credit-compare), the fig5 all-to-all I/O-volume sweep at fixed
-# seeds/sizes, and — since the async storage engine — the overlap and
+# Reproducible perf snapshot: runs the fig5 all-to-all I/O-volume sweep at
+# fixed seeds/sizes, and — since the async storage engine — the overlap and
 # prefetch ablations swept across storage backends and queue depths. Emits
 # one machine-readable BENCH_PR9.json — the file future PRs diff to see
 # the perf trajectory.
@@ -31,7 +30,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_PR9.json}"
 
-for bin in micro_net fig5_alltoall_io_volume ablation_overlap ablation_prefetch ablation_merge sortbench_cli trace_lint; do
+for bin in fig5_alltoall_io_volume ablation_overlap ablation_prefetch ablation_merge sortbench_cli trace_lint; do
   if [[ ! -x "$BUILD_DIR/$bin" ]]; then
     echo "error: $BUILD_DIR/$bin not built" >&2
     exit 2
@@ -41,10 +40,7 @@ done
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
-# 1. Streaming credit/chunk comparison (also the pass/fail smoke).
-"$BUILD_DIR/micro_net" --credit-compare --snapshot="$tmpdir/stream.json"
-
-# 2. Fig. 5 all-to-all I/O volume at fixed sizes: P = 1..8 at the default
+# 1. Fig. 5 all-to-all I/O volume at fixed sizes: P = 1..8 at the default
 #    131072 elements/PE — large enough that the a2a phase actually hits
 #    disk (tiny inputs take the in-place fast path and report all-zero
 #    columns, which would carry no trajectory signal). Parsed to JSON rows.
@@ -60,7 +56,7 @@ awk '
   }
 ' "$tmpdir/fig5.txt" | sed '$ s/,$//' > "$tmpdir/fig5_rows.json"
 
-# 3. Storage-engine ablations. Each (backend, queue-depth) cell runs the
+# 2. Storage-engine ablations. Each (backend, queue-depth) cell runs the
 #    run-formation overlap ablation (sync vs async crossed with overlap
 #    on/off; ioq_peak proves the async rows actually ran at depth) and the
 #    final-merge prefetch ablation. Unavailable backends print a
@@ -140,8 +136,6 @@ finish_rows() {  # strips the trailing comma of the last row (if any)
   echo '{'
   echo '  "snapshot": "BENCH_PR9",'
   echo '  "fixed_params": {"fig5_elements_per_pe": 131072, "fig5_max_pes": 8, "ablation_pes": 4, "ablation_repeats": 3, "merge_elements": 262144, "merge_runs": 8, "merge_reps": 2},'
-  echo '  "stream":'
-  sed 's/^/  /' "$tmpdir/stream.json" | sed '$ s/}$/},/'
   echo '  "fig5_a2a_io_over_n": {'
   echo '    "rows": ['
   cat "$tmpdir/fig5_rows.json"
@@ -168,7 +162,7 @@ finish_rows() {  # strips the trailing comma of the last row (if any)
   echo '}'
 } > "$OUT"
 
-# 4. Straggler snapshot: one P=4 hierarchical sort with the per-rank
+# 3. Straggler snapshot: one P=4 hierarchical sort with the per-rank
 #    per-phase stats JSON, structurally validated before it is kept.
 "$BUILD_DIR/sortbench_cli" --transport=hier --pes 4 --pes-per-node 2 \
   --records-per-pe 20000 --stats-json="$OUT.stats.json" > /dev/null

@@ -43,9 +43,6 @@ struct SortConfig {
   /// net::kStreamAutoRangeFactor). min == max fixes the chunk size.
   size_t stream_chunk_min_bytes = 0;
   size_t stream_chunk_max_bytes = 0;
-  /// kAuto defers to the Comm default (piggyback): flow-control credits
-  /// ride reverse data frames in the symmetric exchange rounds.
-  net::StreamCreditMode stream_credit_mode = net::StreamCreditMode::kAuto;
   /// Prefetch buffer pool size in blocks; 0 = auto. With W merge workers the
   /// pool is split across partitions (floor: 2 blocks per live run per
   /// worker).
@@ -97,7 +94,6 @@ struct SortConfig {
     options.align_bytes = align_bytes;
     options.min_chunk_bytes = stream_chunk_min_bytes;
     options.max_chunk_bytes = stream_chunk_max_bytes;
-    options.credit_mode = stream_credit_mode;
     return options;
   }
 

@@ -263,8 +263,8 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
     const StreamOptions& options) const {
   ResolvedStreamTuning t;
   t.align_bytes = std::max<uint64_t>(1, options.align_bytes);
-  uint64_t base =
-      options.chunk_bytes != 0 ? options.chunk_bytes : stream_chunk_bytes_;
+  uint64_t base = options.chunk_bytes != 0 ? options.chunk_bytes
+                                           : kDefaultStreamChunkBytes;
   t.base_chunk_bytes =
       std::max(t.align_bytes, base / t.align_bytes * t.align_bytes);
   // An explicit max is a memory CAP: the base (and therefore every wire
@@ -288,10 +288,6 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
                      : t.base_chunk_bytes * kStreamAutoRangeFactor;
   max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
   t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
-  StreamCreditMode credit_mode = options.credit_mode == StreamCreditMode::kAuto
-                                     ? stream_credit_mode_
-                                     : options.credit_mode;
-  t.piggyback = credit_mode != StreamCreditMode::kStandalone;
   return t;
 }
 
@@ -309,11 +305,11 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
 // payload), each chunk <= the resolved max chunk so the receiver can bound
 // its posted lookahead without knowing the adaptive controller's choices.
 // Credits: the size header grants the first kStreamSendCreditChunks, then
-// one per consumed chunk, returned piggybacked or as standalone
-// StreamCreditMsg; the receiver's LAST credit-tag message carries
-// kStreamCreditCloseFlag (sent when it has consumed the stream), which is
-// how the sender knows to stop re-posting credit receives — every posted
-// receive is matched, no probe primitive needed, nothing leaks.
+// one per consumed chunk, piggybacked on a reverse data frame, or (at the
+// tail and when blocked) as a standalone StreamCreditMsg; the receiver's
+// LAST credit-tag message carries kStreamCreditCloseFlag (sent when it has
+// consumed the stream), which is how the sender knows to stop re-posting
+// credit receives — every posted receive is matched, nothing leaks.
 //
 // Liveness: no indefinite blocking wait is taken inside a round — every
 // gate (partner credits, send-window admission, incoming chunks) is polled
@@ -486,7 +482,7 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
     // Credits can ride an upcoming data frame only while our own stream
     // to q still has chunks to send.
     auto piggyback_possible = [&]() -> bool {
-      return tune.piggyback && (!header_sent || sent_bytes < total_out);
+      return !header_sent || sent_bytes < total_out;
     };
 
     // Posted chunk receives: bounded by the number of messages PROVABLY
@@ -623,7 +619,7 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
           break;  // admission-gated; not a consumer-pace signal
         }
         uint32_t carried = 0;
-        if (tune.piggyback && pending_credits > 0) {
+        if (pending_credits > 0) {
           carried = static_cast<uint32_t>(
               std::min<uint64_t>(pending_credits, UINT32_MAX));
           pending_credits -= carried;

@@ -348,19 +348,6 @@ class Comm {
   size_t send_window_bytes() const { return send_window_bytes_; }
   void set_send_window_bytes(size_t bytes) { send_window_bytes_ = bytes; }
 
-  /// Chunk of the streaming Alltoallv (must be > 0).
-  size_t stream_chunk_bytes() const { return stream_chunk_bytes_; }
-  void set_stream_chunk_bytes(size_t bytes) {
-    DEMSORT_CHECK_GT(bytes, 0u);
-    stream_chunk_bytes_ = bytes;
-  }
-
-  /// Comm-level default behind StreamOptions' kAuto credit mode.
-  StreamCreditMode stream_credit_mode() const { return stream_credit_mode_; }
-  void set_stream_credit_mode(StreamCreditMode mode) {
-    stream_credit_mode_ = mode;
-  }
-
   /// Consecutive no-stall credit checks before the adaptive controller
   /// doubles the chunk, and the credit-stall duration above which it
   /// halves it (a stall that long means the consumer, not the wire, is
@@ -377,7 +364,6 @@ class Comm {
     uint64_t base_chunk_bytes = 0;
     uint64_t min_chunk_bytes = 0;
     uint64_t max_chunk_bytes = 0;
-    bool piggyback = true;
     /// The controller resizes chunks only when the bounds leave it room.
     bool adaptive() const { return min_chunk_bytes < max_chunk_bytes; }
   };
@@ -456,8 +442,6 @@ class Comm {
   Transport* transport_;
   uint32_t collective_seq_ = 0;
   size_t send_window_bytes_ = kDefaultSendWindowBytes;
-  size_t stream_chunk_bytes_ = kDefaultStreamChunkBytes;
-  StreamCreditMode stream_credit_mode_ = StreamCreditMode::kPiggyback;
   std::vector<StreamPeerTuning> stream_tuning_;
 };
 

@@ -40,13 +40,13 @@ struct Message {
 // round partner, so the credits returned for consumed chunks ride on
 // outgoing data frames instead of costing a dedicated message each (credit
 // piggybacking).
-// Standalone StreamCreditMsg messages remain the fallback for the cases a
-// data frame cannot cover: the sender's own stream is already finished (the
-// asymmetric tail), piggybacking is disabled, or the receiver is blocked
-// and must not withhold credits (liveness). The final credit-tag message of
-// every stream carries kStreamCreditCloseFlag — it is how the sender knows
-// no further credit messages will arrive, keeping posted receives exactly
-// matched (no stale receives, no probe primitive needed).
+// Standalone StreamCreditMsg messages carry credits only where a data frame
+// cannot: the receiver's own stream to the partner is already finished (the
+// asymmetric tail), or the receiver is blocked and must not withhold
+// credits (liveness). The final credit-tag message of every stream carries
+// kStreamCreditCloseFlag — it is how the sender knows no further credit
+// messages will arrive, keeping posted receives exactly matched (no stale
+// receives, no probe primitive needed).
 
 /// First message of a stream: the payload's total size.
 struct StreamSizeHeader {
@@ -84,17 +84,6 @@ static_assert(std::is_trivially_copyable_v<StreamCreditMsg>);
 // ---------------------------------------------------------------------------
 // Streaming-collective tuning.
 
-/// How flow-control credits travel back to the sender.
-enum class StreamCreditMode {
-  /// Use the Comm-level default (kPiggyback unless reconfigured).
-  kAuto,
-  /// One standalone credit message per consumed chunk (the PR 2 protocol).
-  kStandalone,
-  /// Ride credits on reverse-direction data frames; standalone messages
-  /// only for the tail/asymmetric/liveness cases.
-  kPiggyback,
-};
-
 /// Per-call tuning of a streaming collective. SPMD discipline: every PE of
 /// the cluster must pass identical options to the same collective call —
 /// the receiver derives its buffering bound (max chunk) from them.
@@ -114,7 +103,6 @@ struct StreamOptions {
   /// Upper chunk bound, a memory cap (an explicit max below the chunk
   /// clamps the chunk); 0 = auto (chunk * kStreamAutoRangeFactor).
   size_t max_chunk_bytes = 0;
-  StreamCreditMode credit_mode = StreamCreditMode::kAuto;
 };
 
 /// Auto [min, max] chunk bounds span this factor below and above the

@@ -1,9 +1,9 @@
 // The hierarchical transport under the flat collective schedules, swept
 // over degenerate and uneven node shapes: a single PE, one big node, even
 // nodes, a singleton-plus-big-node split, and uneven three-node machines.
-// Covers the collective contract, the streaming protocol variants
-// (standalone, piggyback, adaptive, and piggyback under a demux watermark
-// below one credit window), failure containment through the proxy (kill a
+// Covers the collective contract, the streaming exchange (fixed chunks,
+// adaptive chunks, and fixed chunks under a demux watermark below one
+// credit window), failure containment through the proxy (kill a
 // non-leader, kill a leader = node death, sever cross-node and intra-node
 // links), the N*(N-1) inter-node connection arithmetic, the intra/inter
 // traffic classification, the demux watermark's buffering bound, the frame
@@ -149,21 +149,18 @@ void StreamBody(Comm& comm, StreamOptions options) {
 
 TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
   struct Mode {
-    StreamCreditMode credit;
     bool fixed_chunks;  // min == max == StreamBody's chunk
     const char* name;
     size_t recv_watermark_bytes = 0;
   };
   const Mode modes[] = {
-      {StreamCreditMode::kStandalone, true, "standalone"},
-      {StreamCreditMode::kPiggyback, true, "piggyback"},
-      {StreamCreditMode::kPiggyback, false, "adaptive"},
+      {true, "fixed"},
+      {false, "adaptive"},
       // A demux watermark below one credit window (4 chunks plus their
       // headers): the reactor pauses a whole peer node's uplink whenever
       // one mailbox fills, so a chunk sent to a partner that has not yet
       // entered its round would park behind the pause and deadlock.
-      {StreamCreditMode::kPiggyback, true, "watermark",
-       4 * kStreamBodyChunk},
+      {true, "watermark", 4 * kStreamBodyChunk},
   };
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
@@ -174,7 +171,6 @@ TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
       cluster_options.recv_watermark_bytes = mode.recv_watermark_bytes;
       HierCluster::Run(cluster_options, [&](Comm& comm) {
         StreamOptions options;
-        options.credit_mode = mode.credit;
         if (mode.fixed_chunks) {
           options.min_chunk_bytes = kStreamBodyChunk;
           options.max_chunk_bytes = kStreamBodyChunk;

@@ -41,6 +41,16 @@ namespace {
 constexpr int kP = 4;
 constexpr uint64_t kElements = 4096;
 
+// The phase-boundary calibration needs the op sequence at the transport
+// seam to reproduce exactly, whatever the timing. The production streaming
+// config guarantees that at this size: a PE's whole input fits one default
+// chunk, so every stream is a single chunk, no per-chunk credit is ever
+// returned, and the adaptive chunk controller never resizes (it shrinks
+// only after a credit stall, which needs more than kStreamSendCreditChunks
+// chunks in flight).
+static_assert(kElements * sizeof(core::KV16) <=
+              net::Comm::kDefaultStreamChunkBytes);
+
 std::string MakeTempDir() {
   char tmpl[] = "/tmp/demsort_recovery_XXXXXX";
   const char* dir = ::mkdtemp(tmpl);
@@ -49,9 +59,8 @@ std::string MakeTempDir() {
 }
 
 /// The deterministic test config: file backend rooted in `dir` (manifests
-/// alongside run files), tiny blocks, and FIXED stream chunking/crediting —
-/// the op sequence at the transport seam must reproduce exactly for the
-/// phase-boundary calibration to carry over to the kill runs.
+/// alongside run files), tiny blocks, and the default streaming config
+/// (deterministic at kElements, see above).
 core::SortConfig MakeConfig(const std::string& dir) {
   core::SortConfig config;
   config.block_size = 4 * 1024;
@@ -60,10 +69,6 @@ core::SortConfig MakeConfig(const std::string& dir) {
   config.threads_per_pe = 1;
   config.async_io = false;
   config.seed = 1;
-  // min == max: every chunk is the default size, whatever the timing.
-  config.stream_chunk_min_bytes = net::Comm::kDefaultStreamChunkBytes;
-  config.stream_chunk_max_bytes = net::Comm::kDefaultStreamChunkBytes;
-  config.stream_credit_mode = net::StreamCreditMode::kStandalone;
   config.backend = io::BlockManager::BackendKind::kFile;
   config.file_dir = dir;
   config.checkpoint_dir = dir;

@@ -257,16 +257,13 @@ TEST_P(TransportParamTest, AlltoallvStreamChunkLargerThanPayload) {
   RunWith(kind(), pes(), [](Comm& comm) { StreamExchangeBody(comm, 4096); });
 }
 
-TEST_P(TransportParamTest, AlltoallvStreamStandaloneCreditsAndFixedChunks) {
-  // The standalone-credit protocol variant (one credit message per
-  // consumed chunk) with min == max (no resizing) must deliver identically
-  // — it is micro_net's comparison baseline and the fallback for
-  // asymmetric exchanges.
+TEST_P(TransportParamTest, AlltoallvStreamFixedChunks) {
+  // min == max pins every chunk (except the tail) to one size, so the
+  // adaptive controller never resizes; delivery must be identical.
   RunWith(kind(), pes(), [](Comm& comm) {
     StreamOptions options;
     options.min_chunk_bytes = 64;
     options.max_chunk_bytes = 64;
-    options.credit_mode = StreamCreditMode::kStandalone;
     StreamExchangeBody(comm, 64, options);
   });
 }
@@ -341,7 +338,6 @@ TEST_P(TransportParamTest, PiggybackedCreditsRideDataFrames) {
     options.chunk_bytes = kChunk;
     options.min_chunk_bytes = kChunk;
     options.max_chunk_bytes = kChunk;
-    options.credit_mode = StreamCreditMode::kPiggyback;
     comm.AlltoallvStream(
         spans,
         [&](int src, std::span<const uint8_t> data, bool) {
@@ -760,15 +756,13 @@ TEST(DegeneratePTest, CollectivesAtTrivialAndOddP) {
             std::vector<std::vector<uint32_t>>(static_cast<size_t>(P)));
         ASSERT_EQ(none.size(), static_cast<size_t>(P));
         for (const auto& v : none) EXPECT_TRUE(v.empty());
-        // Streaming exchange with rank-dependent payload sizes, under both
-        // credit protocols (the tournament pairing (r - rank) mod P is the
-        // schedule actually exercised at odd P — partner mutuality must
-        // hold without the XOR shortcut).
-        for (StreamCreditMode credit_mode :
-             {StreamCreditMode::kPiggyback, StreamCreditMode::kStandalone}) {
+        // Streaming exchange with rank-dependent payload sizes (the
+        // tournament pairing (r - rank) mod P is the schedule actually
+        // exercised at odd P — partner mutuality must hold without the XOR
+        // shortcut).
+        {
           StreamOptions options;
           options.chunk_bytes = 256;
-          options.credit_mode = credit_mode;
           std::vector<uint8_t> payload(static_cast<size_t>(512 * (me + 1)),
                                        static_cast<uint8_t>(me));
           std::vector<std::span<const uint8_t>> spans(
