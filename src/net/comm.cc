@@ -304,20 +304,36 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
 // separate): StreamSizeHeader, then chunk messages (StreamChunkHeader +
 // payload), each chunk <= the resolved max chunk so the receiver can bound
 // its posted lookahead without knowing the adaptive controller's choices.
-// Credits: the size header grants the first kStreamSendCreditChunks, then
-// one per consumed chunk, piggybacked on a reverse data frame, or (at the
-// tail and when blocked) as a standalone StreamCreditMsg; the receiver's
-// LAST credit-tag message carries kStreamCreditCloseFlag (sent when it has
-// consumed the stream), which is how the sender knows to stop re-posting
-// credit receives — every posted receive is matched, nothing leaks.
+// Credits: the size header grants the first W = kStreamSendCreditChunks,
+// then one per consumed chunk, piggybacked on a reverse data frame or sent
+// as a standalone StreamCreditMsg; the receiver's LAST credit-tag message
+// carries kStreamCreditCloseFlag (sent when it has consumed the stream),
+// which is how the sender knows to stop re-posting credit receives — every
+// posted receive is matched, nothing leaks.
+// The consumer runs as soon as a chunk lands, so the credit the partner
+// still holds is W - pending - (chunks and credits in flight), where
+// pending is what this PE owes it: the partner can be blocked only once
+// pending == W. Two rules follow, and they make the number of standalone
+// messages a function of the chunk count rather than of scheduling:
+//  - outside the close, a standalone credit message is sent only when
+//    pending == W, so each one returns a whole window;
+//  - a sender never spends its last credit on a frame with nothing to
+//    carry (pending == 0) while the partner's stream is still arriving: it
+//    waits for a chunk to credit, which breaks the lock-step in which both
+//    partners spend their windows empty-handed and then block on each
+//    other with a full window pending.
 //
 // Liveness: no indefinite blocking wait is taken inside a round — every
 // gate (partner credits, send-window admission, incoming chunks) is polled
 // while the other directions keep progressing; a pass that makes no
-// progress first flushes any piggyback-withheld credits standalone (a
+// progress first flushes a full window of withheld credits standalone (a
 // blocked PE must never starve its partner's sender), then sleeps on the
 // RecvSignal eventcount, woken by the next receive completion or by the
-// timed fallback for the gates that are not receives.
+// timed fallback for the gates that are not receives. Withheld credits
+// never stall the partner: below a full window it still holds credit or
+// has frames in flight to this PE. Nor does a held-back last credit: with
+// nothing pending, the partner holds W minus what is in flight toward this
+// PE, and whatever is in flight lands and changes the state.
 // Rounds of different PEs need not be synchronized: a fast PE's size
 // header simply queues at the future partner, and a waiting chain always
 // ends at a pair that is in its mutual round, which makes progress. No
@@ -466,10 +482,12 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
     bool close_sent = false;
 
     // Sends q's credits standalone: always when closing (the mandatory
-    // last credit message of the stream), otherwise only if any are
-    // pending. A blocked or tail-phase receiver must not withhold.
+    // last credit message of the stream), otherwise only once a whole
+    // window is pending — the one state in which q can be blocked on it.
     auto flush_credits = [&](bool closing) {
-      if (close_sent || (!closing && pending_credits == 0)) return;
+      if (close_sent || (!closing && pending_credits < kStreamSendCredit)) {
+        return;
+      }
       DEMSORT_CHECK_LE(pending_credits, uint64_t{UINT32_MAX});
       StreamCreditMsg cm{static_cast<uint32_t>(pending_credits),
                          closing ? kStreamCreditCloseFlag : 0u};
@@ -477,12 +495,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
       track_send(Isend(q, credit_tag, &cm, sizeof(cm)), sizeof(cm));
       my_stats.RecordCreditMsg();
       if (closing) close_sent = true;
-    };
-
-    // Credits can ride an upcoming data frame only while our own stream
-    // to q still has chunks to send.
-    auto piggyback_possible = [&]() -> bool {
-      return !header_sent || sent_bytes < total_out;
     };
 
     // Posted chunk receives: bounded by the number of messages PROVABLY
@@ -557,7 +569,9 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
           flush_credits(/*closing=*/true);
         } else {
           post_recvs();
-          if (!piggyback_possible()) flush_credits(/*closing=*/false);
+          // Credits ride an upcoming data frame while our own stream to q
+          // still has chunks to send; after that, only a full window goes.
+          if (sent_bytes == total_out) flush_credits(/*closing=*/false);
         }
       }
       return progress;
@@ -577,9 +591,14 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
       // Until q's header lands, q has not entered the round: that wait is
       // round skew, not consumer pacing, so it starts no stall clock.
       while (size_known && sent_bytes < total_out) {
-        if (chunks_sent >= credits_in) {
-          // Credit-gated: the consumer's pace, not the transport's
-          // admission, is what must throttle this stream.
+        // Credit-gated: the consumer's pace, not the transport's
+        // admission, is what must throttle this stream. The window's last
+        // credit is kept for a frame that can carry credit back while q's
+        // stream is still arriving (its next chunk lands soon: q holds
+        // credit or has frames in flight to this PE).
+        if (chunks_sent >= credits_in ||
+            (credits_in - chunks_sent == 1 && pending_credits == 0 &&
+             taken_bytes < total_in)) {
           if (stall_started_ns < 0) stall_started_ns = NowNanos();
           break;
         }
@@ -647,7 +666,7 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
         signal.Reset();
         continue;
       }
-      // Blocked with nothing to do: release any piggyback-withheld
+      // Blocked with nothing to do: release a full window of withheld
       // credits first — a stalled PE must never starve its partner's
       // sender (the liveness valve of the piggyback protocol).
       flush_credits(/*closing=*/false);

@@ -266,8 +266,12 @@ class Comm {
   /// otherwise): in each round the PE streams to exactly the partner that
   /// is streaming to it, so flow-control credits ride the reverse data
   /// frames (StreamChunkHeader::credits) instead of costing a message per
-  /// chunk; standalone credit messages remain for the tail and liveness
-  /// cases (see message.h and the README's collective-tuning section).
+  /// chunk. A standalone credit message returns a whole window, in the
+  /// tail and liveness cases, plus one close per stream; a sender keeps
+  /// its window's last credit for a frame that can carry credit back. So
+  /// the number of standalone messages follows from the chunk count, not
+  /// from scheduling (see message.h and the README's collective-tuning
+  /// section).
   /// When the resolved bounds leave room (min < max) a per-destination
   /// controller resizes chunks within [min, max] from the measured credit
   /// turnaround; min == max is fixed chunking. Chunks from one source

@@ -41,9 +41,13 @@ struct Message {
 // outgoing data frames instead of costing a dedicated message each (credit
 // piggybacking).
 // Standalone StreamCreditMsg messages carry credits only where a data frame
-// cannot: the receiver's own stream to the partner is already finished (the
-// asymmetric tail), or the receiver is blocked and must not withhold
-// credits (liveness). The final credit-tag message of every stream carries
+// cannot, and only once a whole window (Comm::kStreamSendCreditChunks) is
+// pending, the one state in which the partner can be blocked on them: when
+// the receiver's own stream to the partner is already finished (the
+// asymmetric tail), or when the receiver is blocked (liveness). A sender
+// keeps its window's last credit for a frame that can carry credit back,
+// so the partners do not both spend their windows empty-handed and then
+// block on each other. The final credit-tag message of every stream carries
 // kStreamCreditCloseFlag — it is how the sender knows no further credit
 // messages will arrive, keeping posted receives exactly matched (no stale
 // receives, no probe primitive needed).
