@@ -199,27 +199,23 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
   SortRunResult result;
   // Credit frames share the socket with data frames; a watermark below one
   // credit window lets the reader pause with a credit queued behind data,
-  // throttling the streamed exchanges (see TcpTransport::Options). The
-  // window is sized from the LARGEST chunk the adaptive controller may
-  // grow to, not the configured initial chunk — and on the hierarchical
-  // transport by the number of PEs SHARING the node's uplink endpoint,
-  // whose flows all land behind the same demux pause: a per-PE-sized
-  // watermark would silently under-provision the node endpoint.
+  // throttling the streamed exchanges (see TcpTransport::Options). On the
+  // hierarchical transport the window is multiplied by the number of PEs
+  // SHARING the node's uplink endpoint, whose flows all land behind the
+  // same demux pause: a per-PE-sized watermark would silently
+  // under-provision the node endpoint.
   if (run_options.tcp_recv_watermark_bytes != 0 ||
       run_options.pool_budget_bytes != 0) {
     size_t chunk = config.stream_chunk_bytes != 0
                        ? config.stream_chunk_bytes
                        : net::Comm::kDefaultStreamChunkBytes;
-    size_t max_chunk = config.stream_chunk_max_bytes != 0
-                           ? config.stream_chunk_max_bytes
-                           : chunk * net::kStreamAutoRangeFactor;
     size_t pes_per_uplink =
         run_options.transport == net::TransportKind::kHier
             ? static_cast<size_t>(
                   run_options.pes_per_node > 0 ? run_options.pes_per_node : 2)
             : 1;
     size_t credit_window = net::Comm::kStreamSendCreditChunks *
-                           (max_chunk + sizeof(net::StreamChunkHeader)) *
+                           (chunk + sizeof(net::StreamChunkHeader)) *
                            pes_per_uplink;
     if ((run_options.transport == net::TransportKind::kTcp ||
          run_options.transport == net::TransportKind::kHier) &&
@@ -227,13 +223,13 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
         run_options.tcp_recv_watermark_bytes < credit_window) {
       std::fprintf(stderr,
                    "warning: --recv-watermark=%zu is below the streaming "
-                   "credit window (%zu bytes = %llu chunks x %zu max x %zu "
+                   "credit window (%zu bytes = %llu chunks x %zu B x %zu "
                    "PE(s) per uplink); credit frames may stall behind "
                    "paused reads\n",
                    run_options.tcp_recv_watermark_bytes, credit_window,
                    static_cast<unsigned long long>(
                        net::Comm::kStreamSendCreditChunks),
-                   max_chunk, pes_per_uplink);
+                   chunk, pes_per_uplink);
     }
     // The pool budget gates frame LEASES like the watermark gates frame
     // delivery: with a watermark pause holding up to a watermark's worth

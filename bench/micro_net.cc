@@ -8,11 +8,9 @@
 // peak_netbuf_B counter, O(credit x chunk x sources)); run it alone with
 // --benchmark_filter=AlltoallvStreamed.
 //
-// The StreamTuning family A/Bs the streaming collective's chunk controller
-// (msgs_per_record, ctrl_msgs, piggy_credits, converged_chunk_B columns):
-// the `fixed` row pins min == max == chunk, the `adaptive` row runs the
-// auto bounds around it. Pick one with e.g.
-// --benchmark_filter=StreamTuning/fixed.
+// StreamTuning reports the streaming collective's credit economy at a
+// 16 KiB chunk (msgs_per_record, ctrl_msgs, piggy_credits columns); run it
+// alone with --benchmark_filter=StreamTuning.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -142,19 +140,17 @@ void AlltoallvStreamed(benchmark::State& state) {
 BENCHMARK(AlltoallvStreamed)
     ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
 
-// ------------------------------------------------- stream tuning A/B ----
+// ------------------------------------------------ stream credit economy ----
 
-/// Chunk-controller comparison columns on the in-process fabric: messages
-/// per record (the per-chunk overhead the tuning exists to shave),
-/// standalone credit messages vs piggybacked credits, and the converged
-/// chunk size. Fixed chunks pin min == max == chunk; adaptive runs the
-/// auto bounds around it.
-void StreamTuning(benchmark::State& state, bool fixed_chunks) {
+/// Credit-protocol columns on the in-process fabric at a 16 KiB chunk:
+/// messages per record (the per-chunk overhead), standalone credit
+/// messages vs piggybacked credits, and the peak receive buffering.
+void StreamTuning(benchmark::State& state) {
   const int pes = static_cast<int>(state.range(0));
   const size_t per_pair = static_cast<size_t>(state.range(1));
   const size_t chunk = 16 << 10;
   const int reps = 5;
-  NetStatsSnapshot last;  // last iteration: counters summed, gauges maxed
+  NetStatsSnapshot last;  // last iteration: counters summed, peak maxed
   for (auto _ : state) {
     Cluster::Options options;
     options.num_pes = pes;
@@ -163,13 +159,8 @@ void StreamTuning(benchmark::State& state, bool fixed_chunks) {
       for (int d = 0; d < comm.size(); ++d) {
         sends[d].assign(per_pair / 8, comm.rank() * 1000 + d);
       }
-      StreamOptions sopts;
-      sopts.chunk_bytes = chunk;
-      sopts.align_bytes = sizeof(uint64_t);
-      if (fixed_chunks) {
-        sopts.min_chunk_bytes = chunk;
-        sopts.max_chunk_bytes = chunk;
-      }
+      const StreamOptions sopts{.chunk_bytes = chunk,
+                                .align_bytes = sizeof(uint64_t)};
       for (int i = 0; i < reps; ++i) {
         uint64_t received = 0;
         comm.AlltoallvStream(
@@ -192,8 +183,6 @@ void StreamTuning(benchmark::State& state, bool fixed_chunks) {
       last.piggybacked_credits += pe.piggybacked_credits;
       last.recv_buffer_peak_bytes =
           std::max(last.recv_buffer_peak_bytes, pe.recv_buffer_peak_bytes);
-      last.stream_chunk_bytes =
-          std::max(last.stream_chunk_bytes, pe.stream_chunk_bytes);
     }
   }
   const uint64_t records =
@@ -203,17 +192,12 @@ void StreamTuning(benchmark::State& state, bool fixed_chunks) {
   state.counters["ctrl_msgs"] = static_cast<double>(last.credit_msgs);
   state.counters["piggy_credits"] =
       static_cast<double>(last.piggybacked_credits);
-  state.counters["converged_chunk_B"] =
-      static_cast<double>(last.stream_chunk_bytes);
   state.counters["peak_netbuf_B"] =
       static_cast<double>(last.recv_buffer_peak_bytes);
   state.SetBytesProcessed(state.iterations() * reps * pes * (pes - 1) *
                           per_pair);
 }
-BENCHMARK_CAPTURE(StreamTuning, fixed, /*fixed_chunks=*/true)
-    ->Args({8, 256 << 10})->Iterations(3);
-BENCHMARK_CAPTURE(StreamTuning, adaptive, /*fixed_chunks=*/false)
-    ->Args({8, 256 << 10})->Iterations(3);
+BENCHMARK(StreamTuning)->Args({8, 256 << 10})->Iterations(3);
 
 /// Bulk single-pair bandwidth: one 64 MiB message each way.
 void Bandwidth(benchmark::State& state, TransportKind kind) {

@@ -207,15 +207,15 @@ PeOutcome RunOnePe(net::Comm& comm, const CliOptions& options) {
 /// --stats: per-phase cluster totals, including the peak receive-side
 /// network buffering (max over PEs) — the number the streaming exchanges
 /// keep at O(chunk x sources) instead of O(sub-step payload) — plus the
-/// credit-protocol gauges: standalone credit messages vs credits that rode
-/// data frames for free, and the adaptive controller's converged chunk.
+/// credit-protocol counters: standalone credit messages vs credits that
+/// rode data frames for free.
 void PrintPhaseStats(const std::vector<core::SortReport>& reports) {
   std::printf(
-      "%-18s  %10s  %12s  %12s  %10s  %10s  %14s  %11s  %11s  %9s  %9s"
+      "%-18s  %10s  %12s  %12s  %10s  %10s  %14s  %11s  %11s  %9s"
       "  %8s  %8s  %10s  %7s  %10s  %10s\n",
       "phase", "wall_max_s", "io_MiB", "net_out_MiB", "intra_MiB",
       "inter_MiB", "peak_netbuf_KiB", "credit_msgs", "piggy_creds",
-      "chunk_KiB", "pool_hit%", "ioq_peak", "ioq_mean", "io_lat_us",
+      "pool_hit%", "ioq_peak", "ioq_mean", "io_lat_us",
       "mrg_wrk", "mrg_cpu_ms", "mrg_iow_ms");
   for (int p = 0; p < static_cast<int>(core::Phase::kNumPhases); ++p) {
     core::Phase phase = static_cast<core::Phase>(p);
@@ -227,7 +227,6 @@ void PrintPhaseStats(const std::vector<core::SortReport>& reports) {
     uint64_t peak_buf = 0;
     uint64_t credit_msgs = 0;
     uint64_t piggy = 0;
-    uint64_t chunk = 0;
     uint64_t pool_leases = 0;
     uint64_t pool_hits = 0;
     uint64_t ioq_peak = 0;
@@ -247,7 +246,6 @@ void PrintPhaseStats(const std::vector<core::SortReport>& reports) {
       peak_buf = std::max(peak_buf, s.net.recv_buffer_peak_bytes);
       credit_msgs += s.net.credit_msgs;
       piggy += s.net.piggybacked_credits;
-      chunk = std::max(chunk, s.net.stream_chunk_bytes);
       pool_leases += s.net.pool_leases;
       pool_hits += s.net.pool_hits;
       ioq_peak = std::max(ioq_peak, s.io.queue_depth_peak);
@@ -260,7 +258,7 @@ void PrintPhaseStats(const std::vector<core::SortReport>& reports) {
     }
     std::printf(
         "%-18s  %10.3f  %12.1f  %12.1f  %10.1f  %10.1f  %14.1f  %11llu  "
-        "%11llu  %9.1f  %9.1f  %8llu  %8.2f  %10.1f  %7llu  %10.1f  %10.1f\n",
+        "%11llu  %9.1f  %8llu  %8.2f  %10.1f  %7llu  %10.1f  %10.1f\n",
         core::PhaseName(phase), wall_max_s,
         static_cast<double>(io_bytes) / (1 << 20),
         static_cast<double>(net_bytes) / (1 << 20),
@@ -269,7 +267,6 @@ void PrintPhaseStats(const std::vector<core::SortReport>& reports) {
         static_cast<double>(peak_buf) / 1024.0,
         static_cast<unsigned long long>(credit_msgs),
         static_cast<unsigned long long>(piggy),
-        static_cast<double>(chunk) / 1024.0,
         100.0 * static_cast<double>(pool_hits) /
             static_cast<double>(std::max<uint64_t>(pool_leases, 1)),
         static_cast<unsigned long long>(ioq_peak),

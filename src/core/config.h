@@ -36,13 +36,9 @@ struct SortConfig {
   /// redistribution, selection gathers): each destination's payload travels
   /// as bounded chunks the receiver unpacks as they land, so receive-side
   /// buffering is O(chunk x sources) instead of O(sub-step payload).
-  /// 0 = net::Comm::kDefaultStreamChunkBytes. This is the INITIAL chunk;
-  /// the controller resizes within [min, max] below.
+  /// 0 = net::Comm::kDefaultStreamChunkBytes. Every chunk but a stream's
+  /// last has this size, aligned down to the stream's record size.
   size_t stream_chunk_bytes = 0;
-  /// Chunk bounds; 0 = auto (stream_chunk_bytes divided / multiplied by
-  /// net::kStreamAutoRangeFactor). min == max fixes the chunk size.
-  size_t stream_chunk_min_bytes = 0;
-  size_t stream_chunk_max_bytes = 0;
   /// Prefetch buffer pool size in blocks; 0 = auto. With W merge workers the
   /// pool is split across partitions (floor: 2 blocks per live run per
   /// worker).
@@ -92,8 +88,6 @@ struct SortConfig {
     net::StreamOptions options;
     options.chunk_bytes = stream_chunk_bytes;
     options.align_bytes = align_bytes;
-    options.min_chunk_bytes = stream_chunk_min_bytes;
-    options.max_chunk_bytes = stream_chunk_max_bytes;
     return options;
   }
 

@@ -376,7 +376,7 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
     };
 
     // Frames are a byte stream whose cursor handles any chunk boundary, so
-    // alignment is 1 and the adaptive controller may pick any size.
+    // alignment is 1 and the chunk need not be a record multiple.
     comm.AlltoallvStream(provide, consume, /*on_size=*/nullptr,
                          config.StreamOptionsFor(/*align_bytes=*/1));
     for (int src = 0; src < P; ++src) {

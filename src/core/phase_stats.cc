@@ -56,13 +56,15 @@ void PhaseCollector::Begin(Phase phase) {
   bm_->DrainAll();
   phase_start_ns_ = NowNanos();
   // One boundary for every per-phase high-water gauge: the disks' queue
-  // depth peak and the transport's receive-buffer peak / stream chunk all
-  // restart here, so each phase reports its own marks and consecutive
-  // phases cannot leak peaks into each other.
+  // depth peak and the transport's receive-buffer peak restart here, so
+  // each phase reports its own marks and consecutive phases cannot leak
+  // peaks into each other. The epoch-level recovery gauges (restarts,
+  // phases replayed, recovery wall) deliberately survive: they describe
+  // the job, not a phase.
   bm_->ResetQueueDepthPeaks();
   io_at_begin_ = bm_->TotalStats();
   busy_at_begin_s_ = MaxDiskBusyS();
-  comm_->stats().ResetPhaseGauges();
+  comm_->stats().ResetRecvBufferPeak();
   net_at_begin_ = comm_->StatsSnapshot();
 #if DEMSORT_TRACING
   // The phase track: one span per Begin/End pair on the PE's own thread,

@@ -259,36 +259,11 @@ class RecvSignal {
 
 }  // namespace
 
-Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
-    const StreamOptions& options) const {
-  ResolvedStreamTuning t;
-  t.align_bytes = std::max<uint64_t>(1, options.align_bytes);
-  uint64_t base = options.chunk_bytes != 0 ? options.chunk_bytes
-                                           : kDefaultStreamChunkBytes;
-  t.base_chunk_bytes =
-      std::max(t.align_bytes, base / t.align_bytes * t.align_bytes);
-  // An explicit max is a memory CAP: the base (and therefore every wire
-  // chunk, in any mode) is clamped into it, never the cap raised to the
-  // base — bench_util's watermark guidance relies on this.
-  if (options.max_chunk_bytes != 0) {
-    uint64_t cap = std::max(t.align_bytes, options.max_chunk_bytes /
-                                               t.align_bytes * t.align_bytes);
-    t.base_chunk_bytes = std::min(t.base_chunk_bytes, cap);
-  }
-  // Fixed chunking is simply min == max: explicit bounds are taken as given
-  // (aligned, and widened to contain the base), auto bounds span
-  // kStreamAutoRangeFactor either side of the base.
-  uint64_t min = options.min_chunk_bytes != 0
-                     ? options.min_chunk_bytes
-                     : t.base_chunk_bytes / kStreamAutoRangeFactor;
-  min = std::max(t.align_bytes, min / t.align_bytes * t.align_bytes);
-  t.min_chunk_bytes = std::min(min, t.base_chunk_bytes);
-  uint64_t max = options.max_chunk_bytes != 0
-                     ? options.max_chunk_bytes
-                     : t.base_chunk_bytes * kStreamAutoRangeFactor;
-  max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
-  t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
-  return t;
+uint64_t Comm::StreamChunkBytes(const StreamOptions& options) {
+  const uint64_t align = std::max<uint64_t>(1, options.align_bytes);
+  const uint64_t chunk = options.chunk_bytes != 0 ? options.chunk_bytes
+                                                  : kDefaultStreamChunkBytes;
+  return std::max(align, chunk / align * align);
 }
 
 // The streaming exchange engine. P-1 symmetric pairwise rounds: in round r
@@ -302,8 +277,8 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
 // Per-direction wire protocol (tags shared across rounds — each ordered PE
 // pair meets in exactly one round, so per-(src, tag) FIFO keeps streams
 // separate): StreamSizeHeader, then chunk messages (StreamChunkHeader +
-// payload), each chunk <= the resolved max chunk so the receiver can bound
-// its posted lookahead without knowing the adaptive controller's choices.
+// payload), every chunk exactly the resolved chunk size except the last,
+// so the receiver knows how many chunk messages are still to arrive.
 // Credits: the size header grants the first W = kStreamSendCreditChunks,
 // then one per consumed chunk, piggybacked on a reverse data frame or sent
 // as a standalone StreamCreditMsg; the receiver's LAST credit-tag message
@@ -313,8 +288,10 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
 // The consumer runs as soon as a chunk lands, so the credit the partner
 // still holds is W - pending - (chunks and credits in flight), where
 // pending is what this PE owes it: the partner can be blocked only once
-// pending == W. Two rules follow, and they make the number of standalone
-// messages a function of the chunk count rather than of scheduling:
+// pending == W. Two rules follow; with them a stream costs one close plus
+// at most one standalone message per W credits that no reverse data frame
+// could carry (only how many credits fall into that tail depends on
+// scheduling):
 //  - outside the close, a standalone credit message is sent only when
 //    pending == W, so each one returns a whole window;
 //  - a sender never spends its last credit on a frame with nothing to
@@ -346,10 +323,9 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
                            const ChunkConsumer& consumer,
                            const StreamSizeCallback& on_size,
                            const StreamOptions& options) {
-  const ResolvedStreamTuning tune = ResolveStreamTuning(options);
-  DEMSORT_CHECK_GT(tune.base_chunk_bytes, 0u);
-  TRACE_SPAN2("net", "a2a.stream", "pes", size_, "base_chunk",
-              tune.base_chunk_bytes);
+  const uint64_t chunk = StreamChunkBytes(options);
+  DEMSORT_CHECK_GT(chunk, 0u);
+  TRACE_SPAN2("net", "a2a.stream", "pes", size_, "chunk", chunk);
 
   // Self delivery is zero-copy: the provider's span goes straight to the
   // consumer in chunk-size pieces (local memory traffic, like self-sends).
@@ -360,7 +336,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
       consumer(rank_, {}, true);
       return;
     }
-    const uint64_t chunk = tune.base_chunk_bytes;
     for (uint64_t off = 0; off < mine.size(); off += chunk) {
       uint64_t n = std::min<uint64_t>(chunk, mine.size() - off);
       consumer(rank_, mine.subspan(off, n), off + n == mine.size());
@@ -374,9 +349,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
   const int data_tag = AllocateCollectiveTag();
   const int credit_tag = AllocateCollectiveTag();
   NetStats& my_stats = transport_->stats(rank_);
-  if (stream_tuning_.size() != static_cast<size_t>(size_)) {
-    stream_tuning_.assign(size_, StreamPeerTuning{});
-  }
 
   // Nonblocking send window shared across rounds: completed volume is
   // reclaimed oldest-first; a full window defers the next chunk instead of
@@ -445,16 +417,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
       continue;
     }
 
-    StreamPeerTuning& tuning = stream_tuning_[q];
-    uint64_t chunk =
-        tune.adaptive()
-            ? std::clamp(tuning.chunk_bytes != 0 ? tuning.chunk_bytes
-                                                 : tune.base_chunk_bytes,
-                         tune.min_chunk_bytes, tune.max_chunk_bytes)
-            : tune.base_chunk_bytes;
-    chunk = std::max(tune.align_bytes,
-                     chunk / tune.align_bytes * tune.align_bytes);
-
     // ---- outgoing stream.
     const std::span<const uint8_t> out = send_for(q);
     const uint64_t total_out = out.size();
@@ -497,17 +459,15 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
       if (closing) close_sent = true;
     };
 
-    // Posted chunk receives: bounded by the number of messages PROVABLY
-    // still to arrive — ceil(remaining / max_chunk) — so the adaptive
-    // sender can choose any chunk sizes <= max without a posted receive
-    // ever going unmatched.
+    // Posted chunk receives: every chunk but the last is `chunk` bytes, so
+    // exactly ceil(remaining / chunk) messages are still to arrive, and no
+    // posted receive ever goes unmatched.
     auto post_recvs = [&] {
       if (!size_known || total_in == 0) return;
       uint64_t remaining = total_in - taken_bytes;
-      uint64_t guaranteed =
-          (remaining + tune.max_chunk_bytes - 1) / tune.max_chunk_bytes;
+      uint64_t to_arrive = (remaining + chunk - 1) / chunk;
       while (inflight.size() <
-             std::min<uint64_t>(kStreamRecvLookahead, guaranteed)) {
+             std::min<uint64_t>(kStreamRecvLookahead, to_arrive)) {
         inflight.push_back(Irecv(q, data_tag));
         inflight.back().OnDone(signal.Hook());
       }
@@ -558,8 +518,7 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
         credits_in += ch.credits;
         data.Consume(sizeof(StreamChunkHeader));
         size_t n = data.size();
-        DEMSORT_CHECK_LE(n, tune.max_chunk_bytes);
-        DEMSORT_CHECK_LE(taken_bytes + n, total_in);
+        DEMSORT_CHECK_EQ(n, std::min(chunk, total_in - taken_bytes));
         taken_bytes += n;
         bool last = taken_bytes == total_in;
         consumer(q, data.span(), last);
@@ -607,27 +566,7 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
           // pacing, the exact signal the trace exists to make visible.
           TRACE_COMPLETE1("net", "stream.credit_stall", stall_started_ns,
                           NowNanos() - stall_started_ns, "partner", q);
-          if (!tune.adaptive()) stall_started_ns = -1;
-        }
-        if (tune.adaptive()) {
-          if (stall_started_ns >= 0) {
-            // The gate just reopened after a stall: a long one means the
-            // consumer is the bottleneck — halve for finer pacing.
-            if (NowNanos() - stall_started_ns > kStreamShrinkStallNs) {
-              chunk = std::max(tune.min_chunk_bytes,
-                               chunk / 2 / tune.align_bytes *
-                                   tune.align_bytes);
-              tuning.fast_streak = 0;
-            }
-            stall_started_ns = -1;
-          } else if (chunks_sent >= kStreamSendCredit) {
-            // Credit was already waiting once the window applied at all:
-            // the consumer keeps up — amortize per-chunk overhead.
-            if (++tuning.fast_streak >= kStreamGrowStreak) {
-              chunk = std::min(tune.max_chunk_bytes, chunk * 2);
-              tuning.fast_streak = 0;
-            }
-          }
+          stall_started_ns = -1;
         }
         reclaim_sends();
         size_t n = static_cast<size_t>(
@@ -678,8 +617,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
     if (!close_seen) {
       closes.push_back(PendingClose{q, std::move(credit_rr)});
     }
-    if (tune.adaptive()) tuning.chunk_bytes = chunk;
-    my_stats.SetStreamChunkBytes(chunk);
   }
 
   // Absorb the remaining closes. Safe to block: a pending close only needs

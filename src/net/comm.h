@@ -257,7 +257,7 @@ class Comm {
   /// and a sender keeps at most kStreamSendCreditChunks un-credited chunks
   /// in flight per destination — none before the destination has entered
   /// the round and granted the first window — so receive-side buffering is
-  /// O(credit x max chunk) per active source ON EVERY TRANSPORT — chunking
+  /// O(credit x chunk) per active source ON EVERY TRANSPORT — chunking
   /// alone would not bound it on an uncapped fabric — instead of
   /// O(payload) per source.
   ///
@@ -269,14 +269,13 @@ class Comm {
   /// chunk. A standalone credit message returns a whole window, in the
   /// tail and liveness cases, plus one close per stream; a sender keeps
   /// its window's last credit for a frame that can carry credit back. So
-  /// the number of standalone messages follows from the chunk count, not
-  /// from scheduling (see message.h and the README's collective-tuning
-  /// section).
-  /// When the resolved bounds leave room (min < max) a per-destination
-  /// controller resizes chunks within [min, max] from the measured credit
-  /// turnaround; min == max is fixed chunking. Chunks from one source
-  /// arrive in order; sources complete in round order. SPMD discipline as
-  /// for every collective: all PEs must pass equal options.
+  /// the chunk count bounds the number of standalone messages; only how
+  /// many credits fall into a stream's tail depends on scheduling (see
+  /// message.h and the README's collective-tuning section).
+  /// Every chunk is StreamChunkBytes(options) bytes except each stream's
+  /// last. Chunks from one source arrive in order; sources complete in
+  /// round order. SPMD discipline as for every collective: all PEs must
+  /// pass equal options.
   void AlltoallvStream(const StreamSendProvider& send_for,
                        const ChunkConsumer& consumer,
                        const StreamSizeCallback& on_size,
@@ -352,40 +351,12 @@ class Comm {
   size_t send_window_bytes() const { return send_window_bytes_; }
   void set_send_window_bytes(size_t bytes) { send_window_bytes_ = bytes; }
 
-  /// Consecutive no-stall credit checks before the adaptive controller
-  /// doubles the chunk, and the credit-stall duration above which it
-  /// halves it (a stall that long means the consumer, not the wire, is
-  /// the bottleneck — finer pacing, smaller bursts).
-  static constexpr int kStreamGrowStreak = 4;
-  static constexpr int64_t kStreamShrinkStallNs = 500'000;  // 0.5 ms
-
-  /// The tuning a streaming collective actually runs with, resolved from
-  /// per-call options + Comm defaults. Exposed so tests and benches can
-  /// derive the receiver-side buffering bound (credits x max_chunk_bytes
-  /// per source) and the exact chunk-size envelope.
-  struct ResolvedStreamTuning {
-    uint64_t align_bytes = 1;
-    uint64_t base_chunk_bytes = 0;
-    uint64_t min_chunk_bytes = 0;
-    uint64_t max_chunk_bytes = 0;
-    /// The controller resizes chunks only when the bounds leave it room.
-    bool adaptive() const { return min_chunk_bytes < max_chunk_bytes; }
-  };
-  ResolvedStreamTuning ResolveStreamTuning(const StreamOptions& options) const;
-
-  /// Largest chunk the streaming engine may put on the wire under
-  /// `options` (every receiver's per-message upper bound).
-  uint64_t StreamMaxChunkBytes(const StreamOptions& options = {}) const {
-    return ResolveStreamTuning(options).max_chunk_bytes;
-  }
-
-  /// The adaptive controller's current chunk size for `peer` (0 before the
-  /// first streaming exchange with it).
-  uint64_t StreamPeerChunkBytes(int peer) const {
-    return peer < static_cast<int>(stream_tuning_.size())
-               ? stream_tuning_[peer].chunk_bytes
-               : 0;
-  }
+  /// The size of every chunk a streaming collective puts on the wire under
+  /// `options`, except each stream's last (which may be smaller): the
+  /// per-call chunk or kDefaultStreamChunkBytes, aligned down to
+  /// align_bytes and at least one alignment unit. Tests and benches derive
+  /// the receiver-side buffering bound (credits x chunk per source) from it.
+  static uint64_t StreamChunkBytes(const StreamOptions& options = {});
 
   /// Restarts this PE's receive-buffer peak gauge (per-phase measurements).
   void ResetRecvBufferPeak() {
@@ -434,19 +405,11 @@ class Comm {
   std::vector<std::vector<uint8_t>> TreeAllgatherBytes(
       const std::vector<uint8_t>& local);
 
-  /// Adaptive-chunk controller state, persistent across collectives so a
-  /// converged size carries over to the next exchange with the same peer.
-  struct StreamPeerTuning {
-    uint64_t chunk_bytes = 0;  // 0 = start from the call's base chunk
-    int fast_streak = 0;
-  };
-
   int rank_;
   int size_;
   Transport* transport_;
   uint32_t collective_seq_ = 0;
   size_t send_window_bytes_ = kDefaultSendWindowBytes;
-  std::vector<StreamPeerTuning> stream_tuning_;
 };
 
 template <typename T>

@@ -32,7 +32,8 @@ struct Message {
 //
 // Every (sender → receiver) stream of one collective travels as one
 // StreamSizeHeader message followed by zero or more chunk messages, each a
-// StreamChunkHeader immediately followed by the chunk's payload bytes.
+// StreamChunkHeader immediately followed by the chunk's payload bytes. All
+// chunks but the stream's last carry exactly Comm::StreamChunkBytes bytes.
 // Both headers carry credits for the REVERSE stream. The size header's
 // grant opens the partner's first credit window, so no data chunk is sent
 // before its receiver has entered the round. After that, in the symmetric
@@ -90,28 +91,16 @@ static_assert(std::is_trivially_copyable_v<StreamCreditMsg>);
 
 /// Per-call tuning of a streaming collective. SPMD discipline: every PE of
 /// the cluster must pass identical options to the same collective call —
-/// the receiver derives its buffering bound (max chunk) from them.
+/// the receiver derives its posted receives from the chunk size.
 struct StreamOptions {
-  /// Initial chunk size; 0 = the Comm default. Chunks stay within
-  /// [min_chunk_bytes, max_chunk_bytes]: a per-destination controller
-  /// resizes them from the measured consumer drain rate (credit stalls
-  /// shrink, sustained credit-ahead streaks grow; see comm.cc), and
-  /// min == max pins every chunk (except the tail) to that one size.
+  /// Chunk size; 0 = the Comm default. Every chunk of a stream is exactly
+  /// this size (aligned down to align_bytes) except the stream's last.
   size_t chunk_bytes = 0;
   /// Every chunk is a multiple of this (the record size of typed streams),
-  /// so chunk boundaries never split a record even while the controller
-  /// resizes. The tail chunk may be smaller.
+  /// so chunk boundaries never split a record. The tail chunk may be
+  /// smaller.
   size_t align_bytes = 1;
-  /// Lower chunk bound; 0 = auto (chunk / kStreamAutoRangeFactor).
-  size_t min_chunk_bytes = 0;
-  /// Upper chunk bound, a memory cap (an explicit max below the chunk
-  /// clamps the chunk); 0 = auto (chunk * kStreamAutoRangeFactor).
-  size_t max_chunk_bytes = 0;
 };
-
-/// Auto [min, max] chunk bounds span this factor below and above the
-/// configured chunk size, so the default exchange sizes chunks adaptively.
-inline constexpr size_t kStreamAutoRangeFactor = 8;
 
 }  // namespace demsort::net
 

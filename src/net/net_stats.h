@@ -32,9 +32,6 @@ struct NetStatsSnapshot {
   /// Credits this PE returned by riding them on outgoing data frames
   /// instead of dedicated messages — what credit piggybacking saves.
   uint64_t piggybacked_credits = 0;
-  /// Effective chunk size of this PE's most recent streaming send (the
-  /// adaptive controller's converged value). A gauge like the peak.
-  uint64_t stream_chunk_bytes = 0;
   /// Send-side classification by the node topology (hierarchical transport
   /// only; flat transports have no node map and leave both at zero):
   /// traffic to a same-node PE travels over shared memory, traffic to a
@@ -88,8 +85,6 @@ inline const bool kNetStatsSchemaRegistered = [] {
   s.Register("net.credit_msgs", MetricKind::kCounter, &N::credit_msgs);
   s.Register("net.piggybacked_credits", MetricKind::kCounter,
              &N::piggybacked_credits);
-  s.Register("net.stream_chunk_bytes", MetricKind::kGaugeMax,
-             &N::stream_chunk_bytes);
   s.Register("net.intra_node_msgs", MetricKind::kCounter, &N::intra_node_msgs);
   s.Register("net.intra_node_bytes", MetricKind::kCounter,
              &N::intra_node_bytes);
@@ -147,20 +142,6 @@ class NetStats {
   void RecordPiggybackedCredits(uint64_t credits) {
     piggybacked_credits_.fetch_add(credits, std::memory_order_relaxed);
   }
-  /// The effective chunk of this PE's latest streaming send (gauge).
-  void SetStreamChunkBytes(uint64_t bytes) {
-    stream_chunk_bytes_.store(bytes, std::memory_order_relaxed);
-  }
-
-  /// Phase boundary: every per-phase high-water gauge restarts here, on the
-  /// same edge (PhaseCollector::Begin). A phase that never streams reports
-  /// chunk 0 instead of inheriting the previous phase's converged value.
-  /// The epoch-level recovery gauges (restarts, phases replayed, recovery
-  /// wall) deliberately survive — they describe the job, not a phase.
-  void ResetPhaseGauges() {
-    ResetRecvBufferPeak();
-    stream_chunk_bytes_.store(0, std::memory_order_relaxed);
-  }
 
   /// One message left this PE for a same-node peer (shared-memory path).
   void RecordIntraNode(uint64_t bytes) {
@@ -209,7 +190,6 @@ class NetStats {
         recv_buffer_peak_.load(std::memory_order_relaxed),
         credit_msgs_.load(std::memory_order_relaxed),
         piggybacked_credits_.load(std::memory_order_relaxed),
-        stream_chunk_bytes_.load(std::memory_order_relaxed),
         intra_node_msgs_.load(std::memory_order_relaxed),
         intra_node_bytes_.load(std::memory_order_relaxed),
         inter_node_msgs_.load(std::memory_order_relaxed),
@@ -232,7 +212,6 @@ class NetStats {
   std::atomic<uint64_t> recv_buffer_peak_{0};
   std::atomic<uint64_t> credit_msgs_{0};
   std::atomic<uint64_t> piggybacked_credits_{0};
-  std::atomic<uint64_t> stream_chunk_bytes_{0};
   std::atomic<uint64_t> intra_node_msgs_{0};
   std::atomic<uint64_t> intra_node_bytes_{0};
   std::atomic<uint64_t> inter_node_msgs_{0};

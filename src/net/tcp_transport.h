@@ -75,14 +75,13 @@ class TcpTransport : public Transport {
     /// Interaction with the streaming credit protocol: credit frames share
     /// the per-peer socket with data frames, so a paused reader can leave a
     /// credit queued behind undrained data. Keep the watermark at or above
-    /// one credit window — Comm::kStreamSendCreditChunks x the LARGEST
-    /// streaming chunk in use (the adaptive controller may grow the
-    /// configured chunk by net::kStreamAutoRangeFactor; 8 MiB at the
-    /// defaults) — so the window's worth of data never trips the pause
-    /// with a credit still in the socket. The streaming poll loops
-    /// tolerate smaller values (they keep consuming, which drains the
-    /// mailbox and resumes the reader), but every trapped credit then
-    /// costs a pause/resume round trip of throughput.
+    /// one credit window — Comm::kStreamSendCreditChunks x the streaming
+    /// chunk in use (4 x 256 KiB = 1 MiB at the defaults) — so the
+    /// window's worth of data never trips the pause with a credit still in
+    /// the socket. The streaming poll loops tolerate smaller values (they
+    /// keep consuming, which drains the mailbox and resumes the reader),
+    /// but every trapped credit then costs a pause/resume round trip of
+    /// throughput.
     size_t recv_watermark_bytes = 0;
 
     /// Wall-clock budget for Connect() to establish the whole mesh. A peer

@@ -1,15 +1,15 @@
 // The hierarchical transport under the flat collective schedules, swept
 // over degenerate and uneven node shapes: a single PE, one big node, even
 // nodes, a singleton-plus-big-node split, and uneven three-node machines.
-// Covers the collective contract, the streaming exchange (fixed chunks,
-// adaptive chunks, and fixed chunks under a demux watermark below one
-// credit window), failure containment through the proxy (kill a
-// non-leader, kill a leader = node death, sever cross-node and intra-node
-// links), the N*(N-1) inter-node connection arithmetic, the intra/inter
-// traffic classification, the demux watermark's buffering bound, the frame
-// pool's recycling bound (allocations stay O(pool), not O(messages)), and
-// the single uplink reactor's failover (one dead peer node must not stop
-// service to the survivors).
+// Covers the collective contract, the streaming exchange (on its own, and
+// under a demux watermark below one credit window), failure containment
+// through the proxy (kill a non-leader, kill a leader = node death, sever
+// cross-node and intra-node links), the N*(N-1) inter-node connection
+// arithmetic, the intra/inter traffic classification, the demux
+// watermark's buffering bound, the frame pool's recycling bound
+// (allocations stay O(pool), not O(messages)), and the single uplink
+// reactor's failover (one dead peer node must not stop service to the
+// survivors).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -110,11 +110,10 @@ uint8_t PairByte(int src, int dst, size_t i) {
 
 constexpr size_t kStreamBodyChunk = 64;
 
-void StreamBody(Comm& comm, StreamOptions options) {
+void StreamBody(Comm& comm) {
   const int P = comm.size();
   const int me = comm.rank();
-  options.chunk_bytes = kStreamBodyChunk;
-  const uint64_t max_chunk = comm.StreamMaxChunkBytes(options);
+  const StreamOptions options{.chunk_bytes = kStreamBodyChunk};
   std::vector<std::vector<uint8_t>> payloads(P);
   std::vector<std::span<const uint8_t>> spans(P);
   for (int d = 0; d < P; ++d) {
@@ -130,7 +129,11 @@ void StreamBody(Comm& comm, StreamOptions options) {
   comm.AlltoallvStream(
       spans,
       [&](int src, std::span<const uint8_t> data, bool last) {
-        EXPECT_LE(data.size(), max_chunk);
+        if (last) {
+          EXPECT_LE(data.size(), kStreamBodyChunk);
+        } else {
+          EXPECT_EQ(data.size(), kStreamBodyChunk);
+        }
         EXPECT_EQ(lasts[src], 0) << "chunk after last from " << src;
         got[src].insert(got[src].end(), data.begin(), data.end());
         if (last) ++lasts[src];
@@ -149,18 +152,16 @@ void StreamBody(Comm& comm, StreamOptions options) {
 
 TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
   struct Mode {
-    bool fixed_chunks;  // min == max == StreamBody's chunk
     const char* name;
     size_t recv_watermark_bytes = 0;
   };
   const Mode modes[] = {
-      {true, "fixed"},
-      {false, "adaptive"},
+      {"fixed"},
       // A demux watermark below one credit window (4 chunks plus their
       // headers): the reactor pauses a whole peer node's uplink whenever
       // one mailbox fills, so a chunk sent to a partner that has not yet
       // entered its round would park behind the pause and deadlock.
-      {true, "watermark", 4 * kStreamBodyChunk},
+      {"watermark", 4 * kStreamBodyChunk},
   };
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
@@ -169,14 +170,7 @@ TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
       HierCluster::Options cluster_options;
       cluster_options.topology = topo;
       cluster_options.recv_watermark_bytes = mode.recv_watermark_bytes;
-      HierCluster::Run(cluster_options, [&](Comm& comm) {
-        StreamOptions options;
-        if (mode.fixed_chunks) {
-          options.min_chunk_bytes = kStreamBodyChunk;
-          options.max_chunk_bytes = kStreamBodyChunk;
-        }
-        StreamBody(comm, options);
-      });
+      HierCluster::Run(cluster_options, [](Comm& comm) { StreamBody(comm); });
     }
   }
 }
@@ -263,10 +257,7 @@ TEST(HierarchicalTransportTest, PooledFramesRecycleAcrossRepeats) {
                                  static_cast<uint8_t>(comm.rank()));
     std::vector<std::span<const uint8_t>> spans(
         P, std::span<const uint8_t>(payload));
-    StreamOptions so;
-    so.chunk_bytes = 4096;
-    so.min_chunk_bytes = 4096;
-    so.max_chunk_bytes = 4096;
+    const StreamOptions so{.chunk_bytes = 4096};
     for (int rep = 0; rep < kReps; ++rep) {
       std::vector<uint64_t> got(P, 0);
       comm.AlltoallvStream(

@@ -188,7 +188,6 @@ TEST(PhaseCollectorTest, ConsecutivePhasesDoNotLeakGaugePeaks) {
 
     // Phase 1: drive every per-phase gauge to a nonzero peak.
     collector.Begin(core::Phase::kRunFormation);
-    ctx.comm->stats().SetStreamChunkBytes(4096);
     ctx.comm->stats().AddRecvBuffered(1 << 20);
     ctx.comm->stats().SubRecvBuffered(1 << 20);
     io::BlockId block = ctx.bm->Allocate();
@@ -198,7 +197,6 @@ TEST(PhaseCollectorTest, ConsecutivePhasesDoNotLeakGaugePeaks) {
     collector.End(core::Phase::kRunFormation);
 
     const core::PhaseStats& p1 = collector.stats(core::Phase::kRunFormation);
-    EXPECT_EQ(p1.net.stream_chunk_bytes, 4096u);
     EXPECT_EQ(p1.net.recv_buffer_peak_bytes, uint64_t{1} << 20);
     EXPECT_GE(p1.io.queue_depth_peak, 1u);
 
@@ -209,7 +207,6 @@ TEST(PhaseCollectorTest, ConsecutivePhasesDoNotLeakGaugePeaks) {
 
     const core::PhaseStats& p2 =
         collector.stats(core::Phase::kMultiwaySelection);
-    EXPECT_EQ(p2.net.stream_chunk_bytes, 0u);
     EXPECT_EQ(p2.net.recv_buffer_peak_bytes, 0u);
     EXPECT_EQ(p2.io.queue_depth_peak, 0u);
 

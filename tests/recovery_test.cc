@@ -44,10 +44,9 @@ constexpr uint64_t kElements = 4096;
 // The phase-boundary calibration needs the op sequence at the transport
 // seam to reproduce exactly, whatever the timing. The production streaming
 // config guarantees that at this size: a PE's whole input fits one default
-// chunk, so every stream is a single chunk, no per-chunk credit is ever
-// returned, and the adaptive chunk controller never resizes (it shrinks
-// only after a credit stall, which needs more than kStreamSendCreditChunks
-// chunks in flight).
+// chunk, so every stream is a single chunk and no per-chunk credit is ever
+// returned. (Past kStreamSendCreditChunks chunks per stream, how many
+// credits a stream's tail returns standalone depends on timing.)
 static_assert(kElements * sizeof(core::KV16) <=
               net::Comm::kDefaultStreamChunkBytes);
 

@@ -206,15 +206,14 @@ uint8_t StreamPayloadByte(int src, int dst, size_t i) {
 
 /// The SPMD streaming-exchange body shared by several tests: every pair
 /// exchanges its StreamPayloadBytes payload in `chunk`-size pieces and
-/// verifies content, chunk bounds, size announcements, and exactly one
-/// last-chunk marker per source. `options` defaults to the Comm defaults
-/// (adaptive chunks, piggybacked credits); tests pass explicit modes to
-/// pin one protocol variant.
-void StreamExchangeBody(Comm& comm, size_t chunk, StreamOptions options = {}) {
+/// verifies content, chunk sizes (every chunk but a source's last is
+/// exactly the resolved chunk), size announcements, and exactly one
+/// last-chunk marker per source.
+void StreamExchangeBody(Comm& comm, size_t chunk) {
   const int P = comm.size();
   const int me = comm.rank();
-  options.chunk_bytes = chunk;
-  const uint64_t max_chunk = comm.StreamMaxChunkBytes(options);
+  const StreamOptions options{.chunk_bytes = chunk};
+  const uint64_t resolved = comm.StreamChunkBytes(options);
   std::vector<std::vector<uint8_t>> payloads(P);
   std::vector<std::span<const uint8_t>> spans(P);
   for (int d = 0; d < P; ++d) {
@@ -230,7 +229,11 @@ void StreamExchangeBody(Comm& comm, size_t chunk, StreamOptions options = {}) {
   comm.AlltoallvStream(
       spans,
       [&](int src, std::span<const uint8_t> data, bool last) {
-        EXPECT_LE(data.size(), max_chunk);
+        if (last) {
+          EXPECT_LE(data.size(), resolved) << "source " << src;
+        } else {
+          EXPECT_EQ(data.size(), resolved) << "source " << src;
+        }
         EXPECT_EQ(lasts[src], 0) << "chunk after last from " << src;
         got[src].insert(got[src].end(), data.begin(), data.end());
         if (last) ++lasts[src];
@@ -248,24 +251,18 @@ void StreamExchangeBody(Comm& comm, size_t chunk, StreamOptions options = {}) {
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamDeliversChunkedPayloads) {
-  RunWith(kind(), pes(), [](Comm& comm) { StreamExchangeBody(comm, 64); });
+  // Twice on one Comm: the second exchange must chunk exactly like the
+  // first, so no chunk state carries over between collectives.
+  RunWith(kind(), pes(), [](Comm& comm) {
+    StreamExchangeBody(comm, 64);
+    StreamExchangeBody(comm, 64);
+  });
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamChunkLargerThanPayload) {
   // Every payload fits one chunk (chunk == or > payload), including the
   // zero-payload pairs: still exactly one consumer call per source.
   RunWith(kind(), pes(), [](Comm& comm) { StreamExchangeBody(comm, 4096); });
-}
-
-TEST_P(TransportParamTest, AlltoallvStreamFixedChunks) {
-  // min == max pins every chunk (except the tail) to one size, so the
-  // adaptive controller never resizes; delivery must be identical.
-  RunWith(kind(), pes(), [](Comm& comm) {
-    StreamOptions options;
-    options.min_chunk_bytes = 64;
-    options.max_chunk_bytes = 64;
-    StreamExchangeBody(comm, 64, options);
-  });
 }
 
 TEST_P(TransportParamTest, AllgatherVStreamDeliversAllContributions) {
@@ -334,16 +331,12 @@ TEST_P(TransportParamTest, PiggybackedCreditsRideDataFrames) {
         P, std::span<const uint8_t>(payload));
     NetStatsSnapshot before = comm.StatsSnapshot();
     std::vector<uint64_t> got(P, 0);
-    StreamOptions options;
-    options.chunk_bytes = kChunk;
-    options.min_chunk_bytes = kChunk;
-    options.max_chunk_bytes = kChunk;
     comm.AlltoallvStream(
         spans,
         [&](int src, std::span<const uint8_t> data, bool) {
           got[src] += data.size();
         },
-        nullptr, options);
+        nullptr, StreamOptions{.chunk_bytes = kChunk});
     for (int s = 0; s < P; ++s) EXPECT_EQ(got[s], per_pair);
     NetStatsSnapshot delta = comm.StatsSnapshot() - before;
     // Cluster-level accounting: how one PE's credits split between data
@@ -526,17 +519,13 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
         std::vector<std::span<const uint8_t>> spans(
             comm.size(), std::span<const uint8_t>(payload));
         std::vector<uint64_t> got(comm.size(), 0);
-        StreamOptions options;
-        options.chunk_bytes = kChunk;
-        options.min_chunk_bytes = kChunk;  // min == max pins the bound
-        options.max_chunk_bytes = kChunk;
         comm.AlltoallvStream(
             spans,
             [&](int src, std::span<const uint8_t> data, bool last) {
               (void)last;
               got[src] += data.size();
             },
-            nullptr, options);
+            nullptr, StreamOptions{.chunk_bytes = kChunk});
         for (int s = 0; s < comm.size(); ++s) EXPECT_EQ(got[s], kPerPair);
       });
   // Credit window + posted lookahead, each chunk message carrying its
@@ -553,26 +542,23 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
   }
 }
 
-TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
+TEST_P(TransportParamTest, UnevenConsumersKeepUncappedReceiveBufferBound) {
   if (pes() < 4) GTEST_SKIP();
-  // The adaptive-chunk memory regression (uncapped transport, so the
-  // streaming credit protocol is the ONLY thing bounding buffering): even
-  // while the controller resizes chunks under uneven consumer delays, the
-  // receive-side peak stays within credits x MAX chunk x sources — the
-  // documented bound — rather than drifting toward O(payload).
+  // Uncapped transport, so the streaming credit protocol is the ONLY thing
+  // bounding buffering: while one source's consumer sleeps 1 ms per chunk,
+  // the receive-side peak stays within credits x chunk x sources (plus
+  // frame headers), rather than drifting toward O(payload). And slow
+  // consumers change no framing: every source still arrives as exactly
+  // ceil(bytes / chunk) chunks.
   constexpr size_t kChunk = 1024;
-  constexpr size_t kMaxChunk = 4 * kChunk;
   const int P = pes();
-  const size_t per_pair = 48 * kChunk;
+  const size_t per_pair = 48 * kChunk + 100;
   auto body = [&](Comm& comm) {
-    StreamOptions options;
-    options.chunk_bytes = kChunk;
-    options.min_chunk_bytes = kChunk / 4;
-    options.max_chunk_bytes = kMaxChunk;
     std::vector<uint8_t> payload(per_pair, 5);
     std::vector<std::span<const uint8_t>> spans(
         P, std::span<const uint8_t>(payload));
     std::vector<uint64_t> got(P, 0);
+    std::vector<uint64_t> chunks(P, 0);
     const int slow_src = (comm.rank() + 1) % P;
     comm.AlltoallvStream(
         spans,
@@ -581,9 +567,13 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           }
           got[src] += data.size();
+          ++chunks[src];
         },
-        nullptr, options);
-    for (int s = 0; s < P; ++s) EXPECT_EQ(got[s], per_pair);
+        nullptr, StreamOptions{.chunk_bytes = kChunk});
+    for (int s = 0; s < P; ++s) {
+      EXPECT_EQ(got[s], per_pair) << "source " << s;
+      EXPECT_EQ(chunks[s], (per_pair + kChunk - 1) / kChunk) << "source " << s;
+    }
   };
   std::vector<NetStatsSnapshot> stats;
   if (kind() == TransportKind::kTcp) {
@@ -597,9 +587,10 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
     cluster_options.num_pes = P;
     stats = Cluster::Run(cluster_options, body).stats;
   }
+  // A source has at most a credit window of chunks un-consumed here; its
+  // size header and a few credit messages ride along.
   const uint64_t per_source =
-      (Comm::kStreamSendCreditChunks + 2) *
-          (kMaxChunk + sizeof(StreamChunkHeader)) +
+      Comm::kStreamSendCreditChunks * (kChunk + sizeof(StreamChunkHeader)) +
       sizeof(StreamSizeHeader) + 8 * sizeof(StreamCreditMsg);
   for (int pe = 0; pe < P; ++pe) {
     EXPECT_LE(stats[pe].recv_buffer_peak_bytes,
@@ -608,78 +599,15 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
   }
 }
 
-TEST(ResolveStreamTuningTest, ChunkBoundsDecideAdaptivity) {
-  Cluster::Run(1, [](Comm& comm) {
-    // min == max is fixed chunking, whatever the base: the base lands on
-    // the one permitted size.
-    for (size_t base : {size_t{0}, size_t{4096}, size_t{1 << 20}}) {
-      auto fixed = comm.ResolveStreamTuning(StreamOptions{
-          .chunk_bytes = base, .min_chunk_bytes = 4096,
-          .max_chunk_bytes = 4096});
-      EXPECT_FALSE(fixed.adaptive()) << "base " << base;
-      EXPECT_EQ(fixed.base_chunk_bytes, 4096u) << "base " << base;
-      EXPECT_EQ(fixed.min_chunk_bytes, 4096u) << "base " << base;
-      EXPECT_EQ(fixed.max_chunk_bytes, 4096u) << "base " << base;
-    }
-    // Auto bounds span kStreamAutoRangeFactor either side of the base, so
-    // the default exchange is adaptive.
-    auto automatic = comm.ResolveStreamTuning(StreamOptions{});
-    EXPECT_TRUE(automatic.adaptive());
-    EXPECT_EQ(automatic.base_chunk_bytes, Comm::kDefaultStreamChunkBytes);
-    EXPECT_EQ(automatic.min_chunk_bytes,
-              Comm::kDefaultStreamChunkBytes / kStreamAutoRangeFactor);
-    EXPECT_EQ(automatic.max_chunk_bytes,
-              Comm::kDefaultStreamChunkBytes * kStreamAutoRangeFactor);
-    // An explicit max below the base is a cap: it clamps the base (aligned
-    // down), and the auto min follows the clamped base.
-    auto capped = comm.ResolveStreamTuning(StreamOptions{
-        .chunk_bytes = 4096, .align_bytes = 8, .max_chunk_bytes = 1000});
-    EXPECT_TRUE(capped.adaptive());
-    EXPECT_EQ(capped.base_chunk_bytes, 1000u);
-    EXPECT_EQ(capped.max_chunk_bytes, 1000u);
-    EXPECT_EQ(capped.min_chunk_bytes, 1000u / kStreamAutoRangeFactor / 8 * 8);
-  });
-}
-
-TEST(AdaptiveChunkControllerTest, ShrinksForSlowConsumerGrowsForFast) {
-  // P = 2 over the in-process fabric: rank 1's consumer sleeps far beyond
-  // the shrink threshold per chunk, so rank 0's per-destination chunk must
-  // converge to the minimum; rank 0 consumes instantly, so rank 1's chunk
-  // must grow beyond the initial size on its much larger payload.
-  static constexpr size_t kBase = 4096;
-  static constexpr size_t kMin = 512;
-  static constexpr size_t kMax = 32 * 1024;
-  Cluster::Run(2, [](Comm& comm) {
-    StreamOptions options;
-    options.chunk_bytes = kBase;
-    options.min_chunk_bytes = kMin;
-    options.max_chunk_bytes = kMax;
-    const int me = comm.rank();
-    const int peer = 1 - me;
-    // Rank 0 ships enough chunks to hit the floor; rank 1 ships enough to
-    // climb several doublings.
-    std::vector<uint8_t> payload(me == 0 ? 64 * 1024 : 1024 * 1024, 9);
-    std::vector<std::span<const uint8_t>> spans(
-        2, std::span<const uint8_t>(payload));
-    std::vector<uint64_t> got(2, 0);
-    comm.AlltoallvStream(
-        spans,
-        [&](int src, std::span<const uint8_t> data, bool) {
-          if (me == 1 && src == 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(3));
-          }
-          got[src] += data.size();
-        },
-        nullptr, options);
-    EXPECT_EQ(got[peer], peer == 0 ? 64u * 1024 : 1024u * 1024);
-    if (me == 0) {
-      // Every credit from the sleeping consumer arrived > 3 ms late.
-      EXPECT_LE(comm.StreamPeerChunkBytes(1), kMin * 2);
-    } else {
-      // The fast side must have grown at least once over 1 MiB of chunks.
-      EXPECT_GT(comm.StreamPeerChunkBytes(0), kBase);
-    }
-  });
+TEST(StreamChunkBytesTest, AlignsDownAndDefaults) {
+  EXPECT_EQ(Comm::StreamChunkBytes(), Comm::kDefaultStreamChunkBytes);
+  EXPECT_EQ(Comm::StreamChunkBytes(
+                StreamOptions{.chunk_bytes = 1000, .align_bytes = 12}),
+            996u);
+  // Never below one alignment unit.
+  EXPECT_EQ(Comm::StreamChunkBytes(
+                StreamOptions{.chunk_bytes = 8, .align_bytes = 100}),
+            100u);
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamUnevenConsumersNoDeadlock) {
