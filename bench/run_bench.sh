@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Reproducible perf snapshot: runs the fig5 all-to-all I/O-volume sweep at
-# fixed seeds/sizes, and — since the async storage engine — the overlap and
-# prefetch ablations swept across storage backends and queue depths. Emits
+# fixed seeds/sizes, and — since the async storage engine — the overlap
+# ablation swept across storage backends and queue depths. Emits
 # one machine-readable BENCH_PR9.json — the file future PRs diff to see
 # the perf trajectory.
 #
@@ -30,7 +30,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_PR9.json}"
 
-for bin in fig5_alltoall_io_volume ablation_overlap ablation_prefetch ablation_merge sortbench_cli trace_lint; do
+for bin in fig5_alltoall_io_volume ablation_overlap ablation_merge sortbench_cli trace_lint; do
   if [[ ! -x "$BUILD_DIR/$bin" ]]; then
     echo "error: $BUILD_DIR/$bin not built" >&2
     exit 2
@@ -59,12 +59,11 @@ awk '
 # 2. Storage-engine ablations. Each (backend, queue-depth) cell runs the
 #    run-formation overlap ablation (sync vs async crossed with overlap
 #    on/off; ioq_peak proves the async rows actually ran at depth) and the
-#    final-merge prefetch ablation. Unavailable backends print a
+#    final-merge ablation. Unavailable backends print a
 #    '# storage=... unavailable' marker and exit 0; we record them skipped.
 STORAGE_DIR="$tmpdir/storage"
 mkdir -p "$STORAGE_DIR"
 : > "$tmpdir/overlap_rows.json"
-: > "$tmpdir/prefetch_rows.json"
 : > "$tmpdir/merge_rows.json"
 : > "$tmpdir/storage_skips.json"
 
@@ -75,17 +74,6 @@ overlap_to_rows() {  # $1=txt $2=storage $3=qd
     NF >= 5 {
       printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"io\": \"%s\", \"overlap\": \"%s\", \"run_form_wall_ms\": %s, \"total_wall_ms\": %s, \"ioq_peak\": %s},\n",
              storage, qd, $1, $2, $3, $4, $5
-    }
-  ' "$1"
-}
-
-prefetch_to_rows() {  # $1=txt $2=storage $3=qd
-  awk -v storage="$2" -v qd="$3" '
-    /^#/ { next }
-    $1 == "pool_blocks" { next }
-    NF >= 3 {
-      printf "      {\"storage\": \"%s\", \"queue_depth\": %s, \"pool_blocks\": %s, \"demand_fetches\": %s, \"merge_blocks\": %s},\n",
-             storage, qd, $1, $2, $3
     }
   ' "$1"
 }
@@ -117,11 +105,6 @@ for cell in memory:1 memory:8 file:8 direct:8 uring:1 uring:8 uring:32 mmap:8; d
   fi
   overlap_to_rows "$txt" "$storage" "$qd" >> "$tmpdir/overlap_rows.json"
 
-  ptxt="$tmpdir/prefetch_${storage}_${qd}.txt"
-  "$BUILD_DIR/ablation_prefetch" --pes=2 \
-    --storage="$storage" --queue-depth="$qd" --file-dir="$dir" > "$ptxt"
-  prefetch_to_rows "$ptxt" "$storage" "$qd" >> "$tmpdir/prefetch_rows.json"
-
   mtxt="$tmpdir/merge_${storage}_${qd}.txt"
   "$BUILD_DIR/ablation_merge" --elements=262144 --runs=8 --reps=2 \
     --storage="$storage" --queue-depth="$qd" --file-dir="$dir" > "$mtxt"
@@ -144,11 +127,6 @@ finish_rows() {  # strips the trailing comma of the last row (if any)
   echo '  "storage_overlap_ablation": {'
   echo '    "rows": ['
   finish_rows "$tmpdir/overlap_rows.json"
-  echo '    ]'
-  echo '  },'
-  echo '  "storage_prefetch_ablation": {'
-  echo '    "rows": ['
-  finish_rows "$tmpdir/prefetch_rows.json"
   echo '    ]'
   echo '  },'
   echo '  "merge_engine_ablation": {'

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/pipelined.h"
@@ -90,9 +91,10 @@ int main(int argc, char** argv) {
       produced += chunk.size();
       return chunk;
     };
-    auto consumer = [&](const core::KV16& edge) {
+    auto consumer = [&](std::span<const core::KV16> edges) {
       std::lock_guard<std::mutex> lock(mu);
-      streams[comm.rank()].push_back(edge);
+      streams[comm.rank()].insert(streams[comm.rank()].end(), edges.begin(),
+                                  edges.end());
     };
     core::PipelinedSort<core::KV16>(ctx, config, producer, consumer);
   });

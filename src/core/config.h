@@ -39,10 +39,6 @@ struct SortConfig {
   /// 0 = net::Comm::kDefaultStreamChunkBytes. Every chunk but a stream's
   /// last has this size, aligned down to the stream's record size.
   size_t stream_chunk_bytes = 0;
-  /// Prefetch buffer pool size in blocks; 0 = auto. With W merge workers the
-  /// pool is split across partitions (floor: 2 blocks per live run per
-  /// worker).
-  size_t prefetch_buffers = 0;
   /// Overlap I/O with sorting during run formation (§IV-E Overlapping).
   bool overlap_run_formation = true;
   /// Cache capacity (blocks) of the selection block cache (§IV-A "we cache

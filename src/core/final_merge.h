@@ -9,38 +9,45 @@
 // performance, never correctness. Consumed blocks are freed immediately,
 // keeping the merge (nearly) in place.
 //
-// Parallel engine (threads_per_pe > 1): the merge is range-partitioned
-// across the PE's thread pool. Pivot keys are picked from the prediction
-// sequence (the per-block first_record index, weighted by block fill) at
-// output ranks t*N/W, then refined to EXACT per-run cuts: within each run,
-// the single block possibly straddling the pivot is read once and
-// lower-bound'ed by pure key order, so partition t receives exactly the
-// records with key < pivot_{t+1} (ties all land right of the cut). Cuts are
-// therefore globally consistent and concatenating the partitions reproduces
-// the sequential merge record for record. Each worker drives its own
-// loser tree + prefetcher over its private slice of the segment
-// lists; boundary blocks shared by adjacent workers are handed out as
-// preloaded copies of the planner's read (never re-fetched, freed exactly
-// once by the worker consuming the block's tail). Workers write the
-// grid-aligned body of their output partition directly; the main thread
-// stitches head/tail boundary spans through the striped writer and adopts
-// the body blocks in between, so the output manifest (ordered block list +
-// first records) is indistinguishable from the single-threaded engine's.
+// One driver (internal::MergePartitions) runs every final merge. It
+// range-partitions the merge across W = min(threads_per_pe, N/(2·blocks))
+// workers. Pivot keys are picked from the prediction sequence (the per-block
+// first_record index, weighted by block fill) at output ranks t*N/W, then
+// refined to EXACT per-run cuts: within each run, the single block possibly
+// straddling the pivot is read once and lower-bound'ed by pure key order, so
+// partition t receives exactly the records with key < pivot_{t+1} (ties all
+// land right of the cut). Cuts are therefore globally consistent and
+// concatenating the partitions reproduces the sequential merge record for
+// record. W = 1 is the same loop over the trivial plan: one partition, no
+// cuts. Each worker drives its own loser tree + prefetcher over its private
+// slice of the segment lists; boundary blocks shared by adjacent workers are
+// handed out as preloaded copies of the planner's read (never re-fetched,
+// freed exactly once by the worker consuming the block's tail).
 //
 // The inner loop is par::MergeKernel, the same kernel as the in-memory
 // merge of run formation: each run is a chain of segment spans fed through
 // the prefetcher (SegmentSource), and the kernel copies winners straight
-// into the current output block — the striped writer's block, a partition's
-// head, body block or tail, or a block-sized staging window in front of a
-// record sink. Galloping with hysteresis makes clustered runs cost one
-// replay per span, not per record.
+// into the window of an output policy. Galloping with hysteresis makes
+// clustered runs cost one replay per span, not per record. The final merge
+// has three output policies:
+//  * PartitionBlockWriter (FinalMerge): a worker writes the grid-aligned
+//    body of its partition as full blocks and keeps the head and tail spans
+//    in memory; the main thread stitches head, adopted body blocks and tail
+//    in partition order, so the output manifest (ordered block list + first
+//    records) does not depend on W;
+//  * io::StripedWriter: the body writer inside it, and the stitch;
+//  * SequencedSink (MergeExtentsToSink): windows go to an ordered record
+//    sink in turn, through a par::SequenceGate; a worker waiting for its turn
+//    stages at most kSinkStagingBlocks blocks, so the W - 1 waiting workers
+//    hold at most (W - 1)·k·B bytes of output, independent of memory_per_pe.
 #ifndef DEMSORT_CORE_FINAL_MERGE_H_
 #define DEMSORT_CORE_FINAL_MERGE_H_
 
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <memory>
+#include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,13 +96,37 @@ struct MergeSegment {
   io::Request request;
 };
 
+/// The prediction sequence over a segment set: every (run, segment) in
+/// ascending first_record order, ties by (run, segment). The prefetcher
+/// fetches in this order, and the planner places its pivots along it.
+template <typename R>
+std::vector<std::pair<size_t, size_t>> PredictionOrder(
+    const std::vector<std::vector<MergeSegment<R>>>& segments) {
+  using Less = typename RecordTraits<R>::Less;
+  Less less;
+  std::vector<std::pair<size_t, size_t>> order;
+  for (size_t j = 0; j < segments.size(); ++j) {
+    for (size_t s = 0; s < segments[j].size(); ++s) order.emplace_back(j, s);
+  }
+  // Stable on (run, segment)-ordered input: ties keep that order.
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const auto& a, const auto& b) {
+                     return less(segments[a.first][a.second].first_record,
+                                 segments[b.first][b.second].first_record);
+                   });
+  return order;
+}
+
 template <typename R>
 class MergePrefetcher {
  public:
   MergePrefetcher(io::BlockManager* bm,
                   std::vector<std::vector<MergeSegment<R>>>* segments,
                   size_t pool_size)
-      : bm_(bm), segments_(segments), pool_size_(pool_size) {
+      : bm_(bm),
+        segments_(segments),
+        pool_size_(pool_size),
+        prediction_(PredictionOrder(*segments)) {
     // Preloaded segments arrive complete; count them so pool accounting
     // stays balanced when Release decrements.
     for (auto& run : *segments_) {
@@ -106,23 +137,6 @@ class MergePrefetcher {
         }
       }
     }
-    using Less = typename RecordTraits<R>::Less;
-    Less less;
-    for (size_t j = 0; j < segments_->size(); ++j) {
-      for (size_t s = 0; s < (*segments_)[j].size(); ++s) {
-        prediction_.emplace_back(j, s);
-      }
-    }
-    std::stable_sort(prediction_.begin(), prediction_.end(),
-                     [&](const auto& a, const auto& b) {
-                       const R& ra =
-                           (*segments_)[a.first][a.second].first_record;
-                       const R& rb =
-                           (*segments_)[b.first][b.second].first_record;
-                       if (less(ra, rb)) return true;
-                       if (less(rb, ra)) return false;
-                       return a < b;
-                     });
     FillFromPrediction();
   }
 
@@ -241,7 +255,6 @@ std::vector<std::vector<uint64_t>> SegmentPrefixSums(
 /// while planning, to be handed to workers as preloaded buffers.
 template <typename R>
 struct MergePlan {
-  size_t workers = 1;
   /// cuts[t][j]: records of run j belonging to partitions < t. cuts[0] = 0,
   /// cuts[workers][j] = run j's total; elementwise non-decreasing in t.
   std::vector<std::vector<uint64_t>> cuts;
@@ -271,29 +284,14 @@ MergePlan<R> PlanMergePartitions(
   for (size_t j = 0; j < num_runs; ++j) total += prefix[j].back();
 
   MergePlan<R> plan;
-  plan.workers = workers;
   plan.cuts.assign(workers + 1, std::vector<uint64_t>(num_runs, 0));
   for (size_t j = 0; j < num_runs; ++j) {
     plan.cuts[workers][j] = prefix[j].back();
   }
 
-  // Prediction order (first_record, run, segment) with cumulative takes —
-  // the same order the prefetcher consumes blocks in.
-  struct Entry {
-    size_t j, s;
-  };
-  std::vector<Entry> order;
-  for (size_t j = 0; j < num_runs; ++j) {
-    for (size_t s = 0; s < segments[j].size(); ++s) order.push_back({j, s});
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const Entry& a, const Entry& b) {
-                     const R& ra = segments[a.j][a.s].first_record;
-                     const R& rb = segments[b.j][b.s].first_record;
-                     if (less(ra, rb)) return true;
-                     if (less(rb, ra)) return false;
-                     return std::tie(a.j, a.s) < std::tie(b.j, b.s);
-                   });
+  // Pivots walk the prediction sequence, accumulating takes.
+  const std::vector<std::pair<size_t, size_t>> order =
+      PredictionOrder(segments);
 
   auto preload = [&](size_t j, size_t s) -> const AlignedBuffer& {
     auto key = std::make_pair(j, s);
@@ -311,12 +309,12 @@ MergePlan<R> PlanMergePartitions(
   for (size_t t = 1; t < workers; ++t) {
     uint64_t target = t * total / workers;
     while (oi < order.size() &&
-           cum + segments[order[oi].j][order[oi].s].take <= target) {
-      cum += segments[order[oi].j][order[oi].s].take;
+           cum + segments[order[oi].first][order[oi].second].take <= target) {
+      cum += segments[order[oi].first][order[oi].second].take;
       ++oi;
     }
     DEMSORT_CHECK_LT(oi, order.size());
-    const R pivot = segments[order[oi].j][order[oi].s].first_record;
+    const R pivot = segments[order[oi].first][order[oi].second].first_record;
 
     for (size_t j = 0; j < num_runs; ++j) {
       const auto& segs = segments[j];
@@ -400,33 +398,21 @@ std::vector<std::vector<MergeSegment<R>>> SliceWorkerSegments(
   return out;
 }
 
-/// Prefetch pool for one worker. Single-threaded merges keep the historic
-/// sizing bit-for-bit; with W > 1 the configured pool is split across
-/// partitions with a floor of two buffers per live run per worker (classic
-/// double buffering), so no worker can be starved below progress.
-inline size_t WorkerPrefetchPool(const SortConfig& config, size_t num_runs,
-                                 size_t live_runs, size_t num_disks,
+/// Prefetch pool for one of W workers: double buffering for every live run
+/// of its slice, or two generations per disk split across the workers,
+/// whichever is larger, plus two blocks of slack. At W = 1 with every run
+/// live that is max(2R, 2D) + 2.
+inline size_t WorkerPrefetchPool(size_t live_runs, size_t num_disks,
                                  size_t workers) {
-  if (workers <= 1) {
-    return config.prefetch_buffers != 0
-               ? config.prefetch_buffers
-               : std::max<size_t>(2 * num_runs, 2 * num_disks) + 2;
-  }
-  size_t pool =
-      config.prefetch_buffers != 0
-          ? std::max<size_t>(config.prefetch_buffers / workers, 2 * live_runs)
-          : std::max<size_t>(2 * live_runs, 2 * num_disks / workers + 2);
-  return std::max<size_t>(pool, 2);
+  return std::max<size_t>(2 * live_runs, 2 * num_disks / workers) + 2;
 }
 
 /// Workers the merge actually uses: the pool size, capped so every worker
 /// owns at least a couple of blocks' worth of output.
-inline size_t EffectiveMergeWorkers(par::ThreadPool* pool,
+inline size_t EffectiveMergeWorkers(const par::ThreadPool& pool,
                                     uint64_t total_elements, size_t epb) {
-  size_t w = pool != nullptr ? pool->num_threads() : 1;
-  w = std::min<uint64_t>(
-      w, std::max<uint64_t>(1, total_elements / (2 * epb)));
-  return std::max<size_t>(w, 1);
+  return std::min<uint64_t>(pool.num_threads(),
+                            std::max<uint64_t>(1, total_elements / (2 * epb)));
 }
 
 /// The kernel's source policy over one (slice of the) segment set: run j's
@@ -496,25 +482,33 @@ inline void AccumulateMergeMetrics(PhaseStats* stats, size_t workers,
   }
 }
 
+/// Worker t's share of a merge over W workers: global output ranks
+/// [offset, offset + count).
+struct MergePartition {
+  size_t worker = 0;
+  size_t workers = 1;
+  uint64_t offset = 0;
+  uint64_t count = 0;
+};
+
 /// Writes one worker's output partition. The partition's global output range
-/// [offset, offset+count) is split on the global block grid: the span up to
-/// the first grid line (head) and the one after the last (tail) stay in
-/// memory for the stitching pass; the grid-aligned body in between is
-/// written as full blocks straight from this worker, through its own striped
-/// writer with a bounded window of in-flight writes. It is the merge
-/// kernel's output policy: its windows cover the head, then each body
-/// block, then the tail.
+/// is split on the global block grid: the span up to the first grid line
+/// (head) and the one after the last (tail) stay in memory for the stitching
+/// pass; the grid-aligned body in between is written as full blocks straight
+/// from this worker, through its own striped writer with a window of
+/// max(2, 2D/W) in-flight writes (at W = 1 the striped writer's default 2D).
+/// It is the merge kernel's output policy: its windows cover the head, then
+/// each body block, then the tail.
 template <typename R>
 class PartitionBlockWriter {
  public:
   PartitionBlockWriter(io::BlockManager* bm, size_t epb,
-                       uint64_t global_offset, uint64_t count,
-                       size_t max_in_flight)
-      : body_(bm, std::max<size_t>(max_in_flight, 1)) {
-    uint64_t to_grid = (epb - global_offset % epb) % epb;
-    head_.resize(std::min<uint64_t>(to_grid, count));
-    body_target_ = (count - head_.size()) / epb * epb;
-    tail_.resize(count - head_.size() - body_target_);
+                       const MergePartition& part)
+      : body_(bm, std::max<size_t>(2, 2 * bm->num_disks() / part.workers)) {
+    uint64_t to_grid = (epb - part.offset % epb) % epb;
+    head_.resize(std::min<uint64_t>(to_grid, part.count));
+    body_target_ = (part.count - head_.size()) / epb * epb;
+    tail_.resize(part.count - head_.size() - body_target_);
   }
 
   R* Window(size_t* room) {
@@ -562,253 +556,207 @@ class PartitionBlockWriter {
   size_t tail_fill_ = 0;
 };
 
-/// The merge kernel's output policy for a record sink: a block-sized staging
-/// window, handed to `deliver(records, n)` on every Commit.
-template <typename R, typename Deliver>
-class StagingWindow {
+/// Blocks a merge worker stages for a record sink while an earlier worker
+/// still holds it.
+inline constexpr size_t kSinkStagingBlocks = 4;
+
+/// The merge kernel's output policy for an ordered record sink shared by W
+/// workers through a sequence gate. Once worker t's turn has come, every
+/// window it hands out is one block long and goes to `sink(span)` on its
+/// Commit. Until then the worker stages its output in a buffer of
+/// kSinkStagingBlocks blocks; when that is full it waits for its turn and
+/// hands the staged records over as one span. A waiting worker thus holds
+/// at most k·B bytes of output (k = kSinkStagingBlocks, B = block size), and
+/// the W − 1 waiting workers together at most (W − 1)·k·B, whatever
+/// memory_per_pe is. Finish hands over what is still staged and passes the
+/// turn on.
+template <typename R, typename Sink>
+class SequencedSink {
  public:
-  StagingWindow(size_t records, Deliver deliver)
-      : buffer_(records), deliver_(std::move(deliver)) {}
+  SequencedSink(par::SequenceGate* gate, size_t worker, size_t epb,
+                Sink* sink)
+      : gate_(gate),
+        worker_(worker),
+        epb_(epb),
+        sink_(sink),
+        buffer_(kSinkStagingBlocks * epb) {}
 
   R* Window(size_t* room) {
-    *room = buffer_.size();
-    return buffer_.data();
+    if (!turn_ && (staged_ == buffer_.size() || gate_->IsTurn(worker_))) {
+      TakeTurn();
+    }
+    if (turn_) {
+      *room = epb_;
+      return buffer_.data();
+    }
+    *room = buffer_.size() - staged_;
+    return buffer_.data() + staged_;
   }
-  void Commit(size_t n) { deliver_(buffer_.data(), n); }
+
+  void Commit(size_t n) {
+    if (turn_) {
+      (*sink_)(std::span<const R>(buffer_.data(), n));
+    } else {
+      staged_ += n;
+    }
+  }
+
+  void Finish() {
+    if (!turn_) TakeTurn();
+    gate_->Advance();
+  }
+
+  /// A sink does no I/O of its own.
+  uint64_t io_wait_ns() const { return 0; }
 
  private:
+  void TakeTurn() {
+    gate_->WaitTurn(worker_);
+    turn_ = true;
+    if (staged_ > 0) (*sink_)(std::span<const R>(buffer_.data(), staged_));
+    staged_ = 0;
+  }
+
+  par::SequenceGate* gate_;
+  size_t worker_;
+  size_t epb_;
+  Sink* sink_;
   std::vector<R> buffer_;
-  Deliver deliver_;
+  size_t staged_ = 0;
+  bool turn_ = false;
 };
+
+/// The one final-merge driver. It plans W = EffectiveMergeWorkers range
+/// partitions (at W = 1 the trivial plan: one partition, no cut reads),
+/// builds partition t's output policy with `make_output(MergePartition)` on
+/// the calling thread, then merges every partition on its own pool worker:
+/// the worker slices the segment lists, runs a prefetcher, a SegmentSource
+/// and par::MergeKernel into its policy, and calls the policy's Finish().
+/// Returns the policies in partition order. An output policy implements
+/// the kernel's Window/Commit plus `void Finish()` and
+/// `uint64_t io_wait_ns() const`.
+template <typename R, typename MakeOutput>
+auto MergePartitions(PeContext& ctx, const SortConfig& config,
+                     std::vector<std::vector<Extent<R>>>& extents_per_run,
+                     PhaseStats* stats, const MakeOutput& make_output) {
+  using Out = std::invoke_result_t<const MakeOutput&, const MergePartition&>;
+  io::BlockManager* bm = ctx.bm;
+  const size_t epb = config.ElementsPerBlock<R>();
+  const size_t num_runs = extents_per_run.size();
+
+  const std::vector<std::vector<MergeSegment<R>>> segments =
+      BuildMergeSegments(extents_per_run, epb);
+  const std::vector<std::vector<uint64_t>> prefix =
+      SegmentPrefixSums(segments);
+  uint64_t total = 0;
+  for (const std::vector<uint64_t>& p : prefix) total += p.back();
+  const size_t workers = EffectiveMergeWorkers(*ctx.pool, total, epb);
+  const MergePlan<R> plan =
+      PlanMergePartitions(bm, segments, prefix, workers);
+
+  std::vector<Out> outs;
+  outs.reserve(workers);
+  for (size_t t = 0; t < workers; ++t) {
+    outs.push_back(make_output(MergePartition{
+        t, workers, plan.offsets[t], plan.offsets[t + 1] - plan.offsets[t]}));
+  }
+  std::vector<MergeWorkerMetrics> metrics(workers);
+  ctx.pool->ParallelFor(workers, [&](size_t t) {
+    const uint64_t count = plan.offsets[t + 1] - plan.offsets[t];
+    TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements", count);
+    std::vector<std::vector<MergeSegment<R>>> segs = SliceWorkerSegments(
+        segments, prefix, plan.cuts[t], plan.cuts[t + 1], plan.preloads,
+        bm->block_size());
+    size_t live = 0;
+    for (const auto& run : segs) {
+      if (!run.empty()) ++live;
+    }
+    MergePrefetcher<R> prefetcher(
+        bm, &segs, WorkerPrefetchPool(live, bm->num_disks(), workers));
+    int64_t t0 = NowNanos();
+    SegmentSource<R> src(prefetcher, segs);
+    uint64_t merged = par::MergeKernel<R>(src, outs[t]);
+    DEMSORT_CHECK_EQ(merged, count);
+    outs[t].Finish();
+    metrics[t] = {merged, NowNanos() - t0,
+                  prefetcher.io_wait_ns() + outs[t].io_wait_ns(),
+                  prefetcher.demand_fetches()};
+  });
+  AccumulateMergeMetrics(stats, workers, num_runs, metrics);
+  return outs;
+}
 
 }  // namespace internal
 
 /// Merges this PE's extent chains, delivering every record in sorted order
-/// to `sink(record)`. Consumes the extents (their blocks are freed as they
-/// are read). Returns the number of records delivered. This is the engine
-/// behind the pipelined variant of §VII (sink = downstream consumer).
+/// to `sink(std::span<const R>)`. Consumes the extents (their blocks are
+/// freed as they are read). Returns the number of records delivered. This
+/// is the engine behind the pipelined variant of §VII (sink = downstream
+/// consumer).
 ///
-/// With threads_per_pe > 1 the partitions merge concurrently but the sink
-/// still sees every record in global key order: workers buffer into a
-/// bounded staging vector until the sequence gate makes it their turn, then
-/// stream directly. The sink may therefore be called from changing worker
-/// threads (never concurrently; gate passes establish happens-before).
+/// With threads_per_pe > 1 the partitions merge concurrently, but the sink
+/// still sees every record in global key order: each worker is a
+/// SequencedSink, staging at most kSinkStagingBlocks blocks until the
+/// sequence gate makes it its turn. The sink may therefore be called from
+/// changing worker threads (never concurrently; gate passes establish
+/// happens-before). Spans hold at most kSinkStagingBlocks blocks of records.
 template <typename R, typename Sink>
 uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
                             std::vector<std::vector<Extent<R>>>
                                 extents_per_run,
                             Sink&& sink, PhaseStats* stats = nullptr) {
-  using Segment = internal::MergeSegment<R>;
-  io::BlockManager* bm = ctx.bm;
+  using Policy = internal::SequencedSink<R, std::remove_reference_t<Sink>>;
   const size_t epb = config.ElementsPerBlock<R>();
-  const size_t num_runs = extents_per_run.size();
-
-  std::vector<std::vector<Segment>> segments =
-      internal::BuildMergeSegments(extents_per_run, epb);
-  std::vector<std::vector<uint64_t>> prefix =
-      internal::SegmentPrefixSums(segments);
-  uint64_t total = 0;
-  size_t live_runs = 0;
-  for (size_t j = 0; j < num_runs; ++j) {
-    total += prefix[j].back();
-    if (prefix[j].back() > 0) ++live_runs;
-  }
-
-  const size_t workers = internal::EffectiveMergeWorkers(ctx.pool, total, epb);
-  if (workers <= 1) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segments,
-        internal::WorkerPrefetchPool(config, num_runs, live_runs,
-                                     bm->num_disks(), 1));
-    int64_t t0 = NowNanos();
-    auto deliver = [&sink](const R* records, size_t n) {
-      for (size_t i = 0; i < n; ++i) sink(records[i]);
-    };
-    internal::StagingWindow<R, decltype(deliver)> staging(epb, deliver);
-    internal::SegmentSource<R> src(prefetcher, segments);
-    uint64_t merged = par::MergeKernel<R>(src, staging);
-    DEMSORT_CHECK_EQ(merged, total);
-    std::vector<internal::MergeWorkerMetrics> ms(1);
-    ms[0] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
-             prefetcher.demand_fetches()};
-    internal::AccumulateMergeMetrics(stats, 1, num_runs, ms);
-    return merged;
-  }
-
-  internal::MergePlan<R> plan =
-      internal::PlanMergePartitions(bm, segments, prefix, workers);
-  std::vector<std::vector<std::vector<Segment>>> slices(workers);
-  for (size_t t = 0; t < workers; ++t) {
-    slices[t] = internal::SliceWorkerSegments(
-        segments, prefix, plan.cuts[t], plan.cuts[t + 1], plan.preloads,
-        bm->block_size());
-  }
-
   par::SequenceGate gate;
-  const size_t pending_cap = std::max<size_t>(
-      config.memory_per_pe / sizeof(R) / workers, epb);
-  std::vector<internal::MergeWorkerMetrics> metrics(workers);
-  ctx.pool->ParallelFor(workers, [&](size_t t) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements",
-                plan.offsets[t + 1] - plan.offsets[t]);
-    auto& segs = slices[t];
-    size_t live = 0;
-    for (const auto& run : segs) {
-      if (!run.empty()) ++live;
-    }
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segs,
-        internal::WorkerPrefetchPool(config, num_runs, live, bm->num_disks(),
-                                     workers));
-    std::vector<R> pending;
-    bool direct = false;
-    auto flush_pending = [&] {
-      for (const R& rec : pending) sink(rec);
-      pending.clear();
-      pending.shrink_to_fit();
-    };
-    auto deliver = [&](const R* records, size_t n) {
-      if (!direct && gate.IsTurn(t)) {
-        flush_pending();
-        direct = true;
-      }
-      if (direct) {
-        for (size_t i = 0; i < n; ++i) sink(records[i]);
-        return;
-      }
-      pending.insert(pending.end(), records, records + n);
-      if (pending.size() >= pending_cap) {
-        // Bounded staging: block for the turn, then stream. Deadlock-free
-        // because ParallelFor hands tasks out in index order — every task
-        // before t is running or done, so the gate holder always advances.
-        gate.WaitTurn(t);
-        flush_pending();
-        direct = true;
-      }
-    };
-    int64_t t0 = NowNanos();
-    internal::StagingWindow<R, decltype(deliver)> staging(epb, deliver);
-    internal::SegmentSource<R> src(prefetcher, segs);
-    uint64_t merged = par::MergeKernel<R>(src, staging);
-    DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
-    gate.WaitTurn(t);
-    if (!direct) flush_pending();
-    gate.Advance();
-    metrics[t] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
-                  prefetcher.demand_fetches()};
-  });
-
-  internal::AccumulateMergeMetrics(stats, workers, num_runs, metrics);
+  uint64_t total = 0;
+  internal::MergePartitions<R>(
+      ctx, config, extents_per_run, stats,
+      [&](const internal::MergePartition& part) {
+        total += part.count;
+        return Policy(&gate, part.worker, epb, &sink);
+      });
   return total;
 }
 
 /// Merges this PE's extent chains into a locally striped sorted output.
-/// Consumes the extents (their blocks are freed as they are read). With
-/// threads_per_pe > 1 the partitions are merged and written concurrently,
-/// then stitched: the output manifest (block order, first records, tail
-/// fill) matches the single-threaded engine's exactly.
+/// Consumes the extents (their blocks are freed as they are read). Each
+/// worker writes its partition's full blocks itself; the stitch then writes
+/// the partition heads and tails around them through one striped writer, so
+/// the output manifest (block order, first records, tail fill) is the same
+/// for any worker count. At W = 1 the head is empty and only the last,
+/// partial block goes through the stitch.
 template <typename R>
 MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
                           std::vector<std::vector<Extent<R>>> extents_per_run,
                           PhaseStats* stats = nullptr) {
-  using Segment = internal::MergeSegment<R>;
   io::BlockManager* bm = ctx.bm;
   const size_t epb = config.ElementsPerBlock<R>();
-  const size_t num_runs = extents_per_run.size();
+  std::vector<internal::PartitionBlockWriter<R>> parts =
+      internal::MergePartitions<R>(
+          ctx, config, extents_per_run, stats,
+          [&](const internal::MergePartition& part) {
+            return internal::PartitionBlockWriter<R>(bm, epb, part);
+          });
 
-  std::vector<std::vector<Segment>> segments =
-      internal::BuildMergeSegments(extents_per_run, epb);
-  std::vector<std::vector<uint64_t>> prefix =
-      internal::SegmentPrefixSums(segments);
-  uint64_t total = 0;
-  size_t live_runs = 0;
-  for (size_t j = 0; j < num_runs; ++j) {
-    total += prefix[j].back();
-    if (prefix[j].back() > 0) ++live_runs;
-  }
-
-  const size_t workers = internal::EffectiveMergeWorkers(ctx.pool, total, epb);
+  // Stitch: head span, adopted body blocks, tail span — in partition order
+  // the concatenation is exactly the sequential merge's stream, so the
+  // writer reproduces the same manifest.
   io::StripedWriter<R> writer(bm);
-
-  if (workers <= 1) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segments,
-        internal::WorkerPrefetchPool(config, num_runs, live_runs,
-                                     bm->num_disks(), 1));
-    int64_t t0 = NowNanos();
-    internal::SegmentSource<R> src(prefetcher, segments);
-    uint64_t merged = par::MergeKernel<R>(src, writer);
-    DEMSORT_CHECK_EQ(merged, total);
-    writer.Finish();
-    std::vector<internal::MergeWorkerMetrics> ms(1);
-    ms[0] = {merged, NowNanos() - t0,
-             prefetcher.io_wait_ns() + writer.io_wait_ns(),
-             prefetcher.demand_fetches()};
-    internal::AccumulateMergeMetrics(stats, 1, num_runs, ms);
-  } else {
-    internal::MergePlan<R> plan =
-        internal::PlanMergePartitions(bm, segments, prefix, workers);
-    std::vector<std::vector<std::vector<Segment>>> slices(workers);
-    for (size_t t = 0; t < workers; ++t) {
-      slices[t] = internal::SliceWorkerSegments(
-          segments, prefix, plan.cuts[t], plan.cuts[t + 1], plan.preloads,
-          bm->block_size());
+  for (const internal::PartitionBlockWriter<R>& pw : parts) {
+    if (!pw.head().empty()) {
+      writer.AppendSpan(pw.head().data(), pw.head().size());
     }
-
-    std::vector<std::unique_ptr<internal::PartitionBlockWriter<R>>> parts(
-        workers);
-    std::vector<internal::MergeWorkerMetrics> metrics(workers);
-    const size_t write_window =
-        std::max<size_t>(2, 2 * bm->num_disks() / workers);
-    ctx.pool->ParallelFor(workers, [&](size_t t) {
-      TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements",
-                  plan.offsets[t + 1] - plan.offsets[t]);
-      auto& segs = slices[t];
-      size_t live = 0;
-      for (const auto& run : segs) {
-        if (!run.empty()) ++live;
-      }
-      internal::MergePrefetcher<R> prefetcher(
-          bm, &segs,
-          internal::WorkerPrefetchPool(config, num_runs, live,
-                                       bm->num_disks(), workers));
-      parts[t] = std::make_unique<internal::PartitionBlockWriter<R>>(
-          bm, epb, plan.offsets[t], plan.offsets[t + 1] - plan.offsets[t],
-          write_window);
-      int64_t t0 = NowNanos();
-      internal::SegmentSource<R> src(prefetcher, segs);
-      uint64_t merged = par::MergeKernel<R>(src, *parts[t]);
-      DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
-      parts[t]->Finish();
-      metrics[t] = {merged, NowNanos() - t0,
-                    prefetcher.io_wait_ns() + parts[t]->io_wait_ns(),
-                    prefetcher.demand_fetches()};
-    });
-
-    // Stitch: head span, adopted body blocks, tail span — in partition
-    // order the concatenation is exactly the sequential merge's stream, so
-    // the writer reproduces the same manifest.
-    for (size_t t = 0; t < workers; ++t) {
-      internal::PartitionBlockWriter<R>& pw = *parts[t];
-      if (!pw.head().empty()) {
-        writer.AppendSpan(pw.head().data(), pw.head().size());
-      }
-      if (!pw.blocks().empty()) {
-        writer.AdoptFullBlocks(pw.blocks().data(),
-                               pw.block_first_records().data(),
-                               pw.blocks().size());
-      }
-      if (!pw.tail().empty()) {
-        writer.AppendSpan(pw.tail().data(), pw.tail().size());
-      }
+    if (!pw.blocks().empty()) {
+      writer.AdoptFullBlocks(pw.blocks().data(),
+                             pw.block_first_records().data(),
+                             pw.blocks().size());
     }
-    writer.Finish();
-    internal::AccumulateMergeMetrics(stats, workers, num_runs, metrics);
+    if (!pw.tail().empty()) {
+      writer.AppendSpan(pw.tail().data(), pw.tail().size());
+    }
   }
+  writer.Finish();
 
-  DEMSORT_CHECK_EQ(writer.total_appended(), total);
   MergeOutput<R> out;
   out.blocks = writer.blocks();
   out.block_first_records = writer.block_first_records();

@@ -8,13 +8,17 @@
 //    input blocks — so no block randomization is possible (the paper notes
 //    exactly this); runs are still written to disk (they must be, that is
 //    the external-memory part);
-//  * phase 3 streams each PE's sorted share into a consumer callback
-//    instead of the striped writer, so the postprocessor can run
-//    incrementally while blocks are still being fetched.
+//  * phase 3 is the same merge driver as FinalMerge with a sequenced-sink
+//    output policy in place of the striped writer: it streams each PE's
+//    sorted share into a consumer callback as spans of records, so the
+//    postprocessor can run incrementally while blocks are still being
+//    fetched. With W merge workers, the W - 1 waiting for their turn stage
+//    at most kSinkStagingBlocks blocks each, independent of memory_per_pe.
 #ifndef DEMSORT_CORE_PIPELINED_H_
 #define DEMSORT_CORE_PIPELINED_H_
 
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,13 +45,15 @@ struct PipelinedResult {
 
 /// Collective. `producer()` returns the next input chunk of at most
 /// memory-per-PE elements (empty = exhausted; PEs may dry out at different
-/// times). `consumer(rec)` receives this PE's share — globally, the
-/// concatenation over PEs in rank order is the sorted input.
+/// times). `consumer(span)` receives this PE's share as consecutive sorted
+/// spans of at most kSinkStagingBlocks blocks each — globally, the
+/// concatenation over PEs in rank order is the sorted input. A span is valid
+/// only during the call.
 template <typename R>
 PipelinedResult<R> PipelinedSort(
     PeContext& ctx, const SortConfig& config,
     const std::function<std::vector<R>()>& producer,
-    const std::function<void(const R&)>& consumer) {
+    const std::function<void(std::span<const R>)>& consumer) {
   DEMSORT_CHECK_OK(config.Validate());
   net::Comm& comm = *ctx.comm;
   io::BlockManager* bm = ctx.bm;
@@ -119,12 +125,12 @@ PipelinedResult<R> PipelinedSort(
   // ---- phase 3: merge straight into the consumer. With threads_per_pe > 1
   // the merge range-partitions across the PE's pool; the consumer still
   // sees every record in global key order (workers hand partitions over
-  // through a sequence gate), but the calls may come from changing worker
-  // threads — serialized, with happens-before between partitions, so
-  // single-threaded consumer state is safe without its own locking.
+  // through a sequence gate, each staging at most kSinkStagingBlocks blocks
+  // while it waits), but the calls may come from changing worker threads —
+  // serialized, with happens-before between partitions, so single-threaded
+  // consumer state is safe without its own locking.
   uint64_t consumed = MergeExtentsToSink<R>(
-      ctx, config, std::move(redistributed.extents_per_run),
-      [&consumer](const R& record) { consumer(record); });
+      ctx, config, std::move(redistributed.extents_per_run), consumer);
 
   PipelinedResult<R> result;
   result.consumed_elements = consumed;

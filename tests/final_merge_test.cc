@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -352,7 +353,10 @@ TEST(ParallelMergeTest, OrderedSinkSeesGlobalOrder) {
     PhaseStats stats;
     uint64_t n = MergeExtentsToSink<KV16>(
         ctx, cfg, std::move(extents),
-        [&seen](const KV16& r) { seen.push_back(r); }, &stats);
+        [&seen](std::span<const KV16> records) {
+          seen.insert(seen.end(), records.begin(), records.end());
+        },
+        &stats);
     EXPECT_EQ(n, mc.expect.size());
     ASSERT_EQ(AsPairs(seen), AsPairs(mc.expect));
     EXPECT_GT(stats.merge_workers, 1u);
@@ -475,9 +479,8 @@ TEST(FinalMergeOracleTest, Gray100MatchesStableSort) {
 TEST(FinalMergeTest, IoWaitCoversWriteStalls) {
   // Throttled disks: every block op sleeps about a millisecond of modeled
   // seek, so the merge spends nearly all its wall waiting for reads or for
-  // the write window. Both waits must land in merge_io_wait_ms, on the
-  // single-worker path as on the parallel one, leaving merge_cpu_ms a small
-  // share.
+  // the write window. Both waits must land in merge_io_wait_ms, on one
+  // worker as on four, leaving merge_cpu_ms a small share.
   for (uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SortConfig config = test::SmallConfig();

@@ -214,9 +214,10 @@ TEST(HierarchicalTransportTest, InterNodeConnectionCountIsNodeMesh) {
 TEST(HierarchicalTransportTest, IntraInterCountersClassifyTraffic) {
   // {2, 2}: 0→1 is shared memory, 0→2 crosses the uplink; the counters
   // (and the receive-buffering gauge exemption) must follow that split.
-  Topology topo = ShapeTopo({2, 2});
+  HierCluster::Options options;
+  options.topology = ShapeTopo({2, 2});
   HierCluster::Result result = HierCluster::Run(
-      HierCluster::Options{.topology = topo},
+      options,
       [](Comm& comm) {
         std::vector<uint8_t> data(1000, 7);
         if (comm.rank() == 0) {

@@ -98,7 +98,9 @@ TEST(TracerTest, SerializeDecodeRoundTripFiltersByRank) {
     const std::string& name = wire.strings.at(e.name);
     saw_tick = saw_tick || name == "tick";
     saw_work = saw_work || name == "work";
-    if (name == "tick") EXPECT_EQ(e.arg1, 42u);
+    if (name == "tick") {
+      EXPECT_EQ(e.arg1, 42u);
+    }
   }
   EXPECT_TRUE(saw_tick);
   EXPECT_TRUE(saw_work);
