@@ -83,13 +83,10 @@ struct RunOptions {
   int64_t tcp_connect_timeout_ms = 30'000;
   /// Hier only: PEs per emulated node (0 = the default of 2).
   int pes_per_node = 0;
-  /// Outstanding-lease cap of each endpoint's frame-buffer pool
-  /// (net::BufferPool); 0 = unbounded.
-  size_t pool_budget_bytes = 0;
 };
 
 /// Parses --transport / --channel-cap / --recv-watermark /
-/// --connect-timeout-ms / --pes-per-node / --pool-budget; a bad value
+/// --connect-timeout-ms / --pes-per-node; a bad value
 /// aborts the bench (a silent inproc fallback would mislabel every
 /// measured number).
 inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
@@ -141,12 +138,6 @@ inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
     std::exit(2);
   }
   options.tcp_connect_timeout_ms = connect_timeout;
-  int64_t pool_budget = ParseSize(flags.GetString("pool-budget", "0"));
-  if (pool_budget < 0) {
-    std::fprintf(stderr, "--pool-budget must be >= 0\n");
-    std::exit(2);
-  }
-  options.pool_budget_bytes = static_cast<size_t>(pool_budget);
   return options;
 }
 
@@ -204,8 +195,9 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
   // SHARING the node's uplink endpoint, whose flows all land behind the
   // same demux pause: a per-PE-sized watermark would silently
   // under-provision the node endpoint.
-  if (run_options.tcp_recv_watermark_bytes != 0 ||
-      run_options.pool_budget_bytes != 0) {
+  if ((run_options.transport == net::TransportKind::kTcp ||
+       run_options.transport == net::TransportKind::kHier) &&
+      run_options.tcp_recv_watermark_bytes != 0) {
     size_t chunk = config.stream_chunk_bytes != 0
                        ? config.stream_chunk_bytes
                        : net::Comm::kDefaultStreamChunkBytes;
@@ -217,10 +209,7 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
     size_t credit_window = net::Comm::kStreamSendCreditChunks *
                            (chunk + sizeof(net::StreamChunkHeader)) *
                            pes_per_uplink;
-    if ((run_options.transport == net::TransportKind::kTcp ||
-         run_options.transport == net::TransportKind::kHier) &&
-        run_options.tcp_recv_watermark_bytes != 0 &&
-        run_options.tcp_recv_watermark_bytes < credit_window) {
+    if (run_options.tcp_recv_watermark_bytes < credit_window) {
       std::fprintf(stderr,
                    "warning: --recv-watermark=%zu is below the streaming "
                    "credit window (%zu bytes = %llu chunks x %zu B x %zu "
@@ -230,22 +219,6 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
                    static_cast<unsigned long long>(
                        net::Comm::kStreamSendCreditChunks),
                    chunk, pes_per_uplink);
-    }
-    // The pool budget gates frame LEASES like the watermark gates frame
-    // delivery: with a watermark pause holding up to a watermark's worth
-    // of leased frames undrained, the sender still needs a credit window
-    // of fresh leases to keep the exchange moving. A budget below the sum
-    // can park every leased byte behind the pause while the sender blocks
-    // in Lease — a stall no credit message can break.
-    if (run_options.pool_budget_bytes != 0 &&
-        run_options.pool_budget_bytes <
-            run_options.tcp_recv_watermark_bytes + credit_window) {
-      std::fprintf(stderr,
-                   "warning: --pool-budget=%zu is below the recv watermark "
-                   "(%zu) plus one streaming credit window (%zu bytes); "
-                   "frame leases may stall behind paused deliveries\n",
-                   run_options.pool_budget_bytes,
-                   run_options.tcp_recv_watermark_bytes, credit_window);
     }
   }
   result.reports.resize(num_pes);
@@ -273,7 +246,6 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
   cluster_options.tcp_connect_timeout_ms =
       run_options.tcp_connect_timeout_ms;
   cluster_options.pes_per_node = run_options.pes_per_node;
-  cluster_options.pool_budget_bytes = run_options.pool_budget_bytes;
   net::RunOverTransport(run_options.transport, cluster_options, body);
   result.wall_ms = (NowNanos() - start) * 1e-6;
   result.valid = all_valid;

@@ -10,8 +10,9 @@
 // keeping the merge (nearly) in place.
 //
 // One driver (internal::MergePartitions) runs every final merge. It
-// range-partitions the merge across W = min(threads_per_pe, N/(2·blocks))
-// workers. Pivot keys are picked from the prediction sequence (the per-block
+// range-partitions the merge across the W workers its caller asks for:
+// FinalMerge uses W = min(threads_per_pe, N/(2·blocks)), the record sink
+// W = 1. Pivot keys are picked from the prediction sequence (the per-block
 // first_record index, weighted by block fill) at output ranks t*N/W, then
 // refined to EXACT per-run cuts: within each run, the single block possibly
 // straddling the pivot is read once and lower-bound'ed by pure key order, so
@@ -36,10 +37,9 @@
 //    in partition order, so the output manifest (ordered block list + first
 //    records) does not depend on W;
 //  * io::StripedWriter: the body writer inside it, and the stitch;
-//  * SequencedSink (MergeExtentsToSink): windows go to an ordered record
-//    sink in turn, through a par::SequenceGate; a worker waiting for its turn
-//    stages at most kSinkStagingBlocks blocks, so the W - 1 waiting workers
-//    hold at most (W - 1)·k·B bytes of output, independent of memory_per_pe.
+//  * BlockSink (MergeExtentsToSink): one worker, the calling thread, merges
+//    into a one-block window and hands each committed window to an ordered
+//    record sink, so the sink stages nothing beyond that block.
 #ifndef DEMSORT_CORE_FINAL_MERGE_H_
 #define DEMSORT_CORE_FINAL_MERGE_H_
 
@@ -556,89 +556,47 @@ class PartitionBlockWriter {
   size_t tail_fill_ = 0;
 };
 
-/// Blocks a merge worker stages for a record sink while an earlier worker
-/// still holds it.
-inline constexpr size_t kSinkStagingBlocks = 4;
-
-/// The merge kernel's output policy for an ordered record sink shared by W
-/// workers through a sequence gate. Once worker t's turn has come, every
-/// window it hands out is one block long and goes to `sink(span)` on its
-/// Commit. Until then the worker stages its output in a buffer of
-/// kSinkStagingBlocks blocks; when that is full it waits for its turn and
-/// hands the staged records over as one span. A waiting worker thus holds
-/// at most k·B bytes of output (k = kSinkStagingBlocks, B = block size), and
-/// the W − 1 waiting workers together at most (W − 1)·k·B, whatever
-/// memory_per_pe is. Finish hands over what is still staged and passes the
-/// turn on.
+/// The merge kernel's output policy for an ordered record sink: every
+/// window is one block long, and each Commit hands it to `sink(span)` on the
+/// merging thread. Run by a single worker, so the sink sees the records in
+/// key order and nothing beyond the one block is staged.
 template <typename R, typename Sink>
-class SequencedSink {
+class BlockSink {
  public:
-  SequencedSink(par::SequenceGate* gate, size_t worker, size_t epb,
-                Sink* sink)
-      : gate_(gate),
-        worker_(worker),
-        epb_(epb),
-        sink_(sink),
-        buffer_(kSinkStagingBlocks * epb) {}
+  BlockSink(size_t epb, Sink* sink) : sink_(sink), buffer_(epb) {}
 
   R* Window(size_t* room) {
-    if (!turn_ && (staged_ == buffer_.size() || gate_->IsTurn(worker_))) {
-      TakeTurn();
-    }
-    if (turn_) {
-      *room = epb_;
-      return buffer_.data();
-    }
-    *room = buffer_.size() - staged_;
-    return buffer_.data() + staged_;
+    *room = buffer_.size();
+    return buffer_.data();
   }
 
-  void Commit(size_t n) {
-    if (turn_) {
-      (*sink_)(std::span<const R>(buffer_.data(), n));
-    } else {
-      staged_ += n;
-    }
-  }
+  void Commit(size_t n) { (*sink_)(std::span<const R>(buffer_.data(), n)); }
 
-  void Finish() {
-    if (!turn_) TakeTurn();
-    gate_->Advance();
-  }
+  void Finish() {}
 
   /// A sink does no I/O of its own.
   uint64_t io_wait_ns() const { return 0; }
 
  private:
-  void TakeTurn() {
-    gate_->WaitTurn(worker_);
-    turn_ = true;
-    if (staged_ > 0) (*sink_)(std::span<const R>(buffer_.data(), staged_));
-    staged_ = 0;
-  }
-
-  par::SequenceGate* gate_;
-  size_t worker_;
-  size_t epb_;
   Sink* sink_;
   std::vector<R> buffer_;
-  size_t staged_ = 0;
-  bool turn_ = false;
 };
 
-/// The one final-merge driver. It plans W = EffectiveMergeWorkers range
-/// partitions (at W = 1 the trivial plan: one partition, no cut reads),
-/// builds partition t's output policy with `make_output(MergePartition)` on
-/// the calling thread, then merges every partition on its own pool worker:
-/// the worker slices the segment lists, runs a prefetcher, a SegmentSource
-/// and par::MergeKernel into its policy, and calls the policy's Finish().
+/// The one final-merge driver. It plans `workers` range partitions (at
+/// W = 1 the trivial plan: one partition, no cut reads, merged on the
+/// calling thread), builds partition t's output policy with
+/// `make_output(MergePartition)` on the calling thread, then merges every
+/// partition on its own pool worker: the worker slices the segment lists,
+/// runs a prefetcher, a SegmentSource and par::MergeKernel into its policy,
+/// and calls the policy's Finish().
 /// Returns the policies in partition order. An output policy implements
 /// the kernel's Window/Commit plus `void Finish()` and
 /// `uint64_t io_wait_ns() const`.
 template <typename R, typename MakeOutput>
 auto MergePartitions(PeContext& ctx, const SortConfig& config,
                      std::vector<std::vector<Extent<R>>>& extents_per_run,
-                     PhaseStats* stats, const MakeOutput& make_output) {
+                     size_t workers, PhaseStats* stats,
+                     const MakeOutput& make_output) {
   using Out = std::invoke_result_t<const MakeOutput&, const MergePartition&>;
   io::BlockManager* bm = ctx.bm;
   const size_t epb = config.ElementsPerBlock<R>();
@@ -648,9 +606,6 @@ auto MergePartitions(PeContext& ctx, const SortConfig& config,
       BuildMergeSegments(extents_per_run, epb);
   const std::vector<std::vector<uint64_t>> prefix =
       SegmentPrefixSums(segments);
-  uint64_t total = 0;
-  for (const std::vector<uint64_t>& p : prefix) total += p.back();
-  const size_t workers = EffectiveMergeWorkers(*ctx.pool, total, epb);
   const MergePlan<R> plan =
       PlanMergePartitions(bm, segments, prefix, workers);
 
@@ -694,26 +649,22 @@ auto MergePartitions(PeContext& ctx, const SortConfig& config,
 /// is the engine behind the pipelined variant of §VII (sink = downstream
 /// consumer).
 ///
-/// With threads_per_pe > 1 the partitions merge concurrently, but the sink
-/// still sees every record in global key order: each worker is a
-/// SequencedSink, staging at most kSinkStagingBlocks blocks until the
-/// sequence gate makes it its turn. The sink may therefore be called from
-/// changing worker threads (never concurrently; gate passes establish
-/// happens-before). Spans hold at most kSinkStagingBlocks blocks of records.
+/// One worker merges, on the calling thread, whatever threads_per_pe is:
+/// the sink is called from that thread only, in global key order, with
+/// spans of at most one block of records.
 template <typename R, typename Sink>
 uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
                             std::vector<std::vector<Extent<R>>>
                                 extents_per_run,
                             Sink&& sink, PhaseStats* stats = nullptr) {
-  using Policy = internal::SequencedSink<R, std::remove_reference_t<Sink>>;
+  using Policy = internal::BlockSink<R, std::remove_reference_t<Sink>>;
   const size_t epb = config.ElementsPerBlock<R>();
-  par::SequenceGate gate;
   uint64_t total = 0;
   internal::MergePartitions<R>(
-      ctx, config, extents_per_run, stats,
+      ctx, config, extents_per_run, /*workers=*/1, stats,
       [&](const internal::MergePartition& part) {
-        total += part.count;
-        return Policy(&gate, part.worker, epb, &sink);
+        total = part.count;
+        return Policy(epb, &sink);
       });
   return total;
 }
@@ -731,9 +682,14 @@ MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
                           PhaseStats* stats = nullptr) {
   io::BlockManager* bm = ctx.bm;
   const size_t epb = config.ElementsPerBlock<R>();
+  uint64_t total = 0;
+  for (const std::vector<Extent<R>>& run : extents_per_run) {
+    for (const Extent<R>& e : run) total += e.count;
+  }
   std::vector<internal::PartitionBlockWriter<R>> parts =
       internal::MergePartitions<R>(
-          ctx, config, extents_per_run, stats,
+          ctx, config, extents_per_run,
+          internal::EffectiveMergeWorkers(*ctx.pool, total, epb), stats,
           [&](const internal::MergePartition& part) {
             return internal::PartitionBlockWriter<R>(bm, epb, part);
           });

@@ -8,12 +8,13 @@
 //    input blocks — so no block randomization is possible (the paper notes
 //    exactly this); runs are still written to disk (they must be, that is
 //    the external-memory part);
-//  * phase 3 is the same merge driver as FinalMerge with a sequenced-sink
+//  * phase 3 is the same merge driver as FinalMerge with a one-block sink
 //    output policy in place of the striped writer: it streams each PE's
 //    sorted share into a consumer callback as spans of records, so the
 //    postprocessor can run incrementally while blocks are still being
-//    fetched. With W merge workers, the W - 1 waiting for their turn stage
-//    at most kSinkStagingBlocks blocks each, independent of memory_per_pe.
+//    fetched. The merge runs one worker, on the calling thread, so the
+//    consumer is called from the PE's own thread and nothing beyond one
+//    block is staged for it.
 #ifndef DEMSORT_CORE_PIPELINED_H_
 #define DEMSORT_CORE_PIPELINED_H_
 
@@ -46,7 +47,7 @@ struct PipelinedResult {
 /// Collective. `producer()` returns the next input chunk of at most
 /// memory-per-PE elements (empty = exhausted; PEs may dry out at different
 /// times). `consumer(span)` receives this PE's share as consecutive sorted
-/// spans of at most kSinkStagingBlocks blocks each — globally, the
+/// spans of at most one block each, on the calling thread — globally, the
 /// concatenation over PEs in rank order is the sorted input. A span is valid
 /// only during the call.
 template <typename R>
@@ -122,13 +123,8 @@ PipelinedResult<R> PipelinedSort(
   AllToAllResult<R> redistributed =
       ExternalAllToAll<R>(ctx, config, rf, split);
 
-  // ---- phase 3: merge straight into the consumer. With threads_per_pe > 1
-  // the merge range-partitions across the PE's pool; the consumer still
-  // sees every record in global key order (workers hand partitions over
-  // through a sequence gate, each staging at most kSinkStagingBlocks blocks
-  // while it waits), but the calls may come from changing worker threads —
-  // serialized, with happens-before between partitions, so single-threaded
-  // consumer state is safe without its own locking.
+  // ---- phase 3: merge straight into the consumer, one block at a time,
+  // on this thread.
   uint64_t consumed = MergeExtentsToSink<R>(
       ctx, config, std::move(redistributed.extents_per_run), consumer);
 

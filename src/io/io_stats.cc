@@ -35,10 +35,6 @@ IoStatsSnapshot& IoStatsSnapshot::operator+=(const IoStatsSnapshot& rhs) {
   return *this;
 }
 
-IoStats::IoStats()
-    : registry_hist_(&obs::MetricRegistry::Global().GetHistogram(
-          "io.submit_complete_us")) {}
-
 void IoStats::RecordRead(uint64_t bytes, bool seek, uint64_t model_ns,
                          uint64_t submit_complete_ns, uint64_t depth) {
   reads_.fetch_add(1, std::memory_order_relaxed);
@@ -49,7 +45,6 @@ void IoStats::RecordRead(uint64_t bytes, bool seek, uint64_t model_ns,
                                 std::memory_order_relaxed);
   lat_hist_us_[IoLatencyBucket(submit_complete_ns)].fetch_add(
       1, std::memory_order_relaxed);
-  registry_hist_->Record(submit_complete_ns / 1000);
   RecordDepth(depth);
 }
 
@@ -63,7 +58,6 @@ void IoStats::RecordWrite(uint64_t bytes, bool seek, uint64_t model_ns,
                                 std::memory_order_relaxed);
   lat_hist_us_[IoLatencyBucket(submit_complete_ns)].fetch_add(
       1, std::memory_order_relaxed);
-  registry_hist_->Record(submit_complete_ns / 1000);
   RecordDepth(depth);
 }
 

@@ -116,8 +116,6 @@ inline const bool kIoStatsSchemaRegistered = [] {
 
 class IoStats {
  public:
-  IoStats();
-
   /// `depth` is the number of ops in flight when this op was issued
   /// (including itself); `submit_complete_ns` its issue→completion latency.
   void RecordRead(uint64_t bytes, bool seek, uint64_t model_ns,
@@ -149,10 +147,6 @@ class IoStats {
   std::atomic<uint64_t> queue_depth_peak_{0};
   std::atomic<uint64_t> queue_depth_sum_{0};
   std::atomic<uint64_t> lat_hist_us_[kIoLatencyBuckets] = {};
-  /// Process-wide latency distribution in the dynamic registry (all disks
-  /// of all PEs in this process) — the service-mode /metrics view. Looked
-  /// up once; Record() is a relaxed fetch_add.
-  obs::Histogram* registry_hist_;
 };
 
 }  // namespace demsort::io

@@ -67,9 +67,7 @@ Fabric::Fabric(const Options& options)
     : num_pes_(options.num_pes),
       channel_cap_bytes_(options.channel_cap_bytes) {
   DEMSORT_CHECK_GT(num_pes_, 0);
-  BufferPool::Options pool_options;
-  pool_options.budget_bytes = options.pool_budget_bytes;
-  pool_ = std::make_shared<BufferPool>(pool_options);
+  pool_ = std::make_shared<BufferPool>();
   stats_.resize(num_pes_);
   for (auto& s : stats_) s = std::make_unique<NetStats>();
   channels_.resize(static_cast<size_t>(num_pes_) * num_pes_);
@@ -94,7 +92,7 @@ SendRequest Fabric::Isend(int src, int dst, int tag, const void* data,
   NetStats* lease_stats = src == dst ? nullptr : stats_[src].get();
   std::vector<uint8_t> buf = pool_->Lease(bytes, lease_stats);
   if (bytes != 0) std::memcpy(buf.data(), data, bytes);
-  Frame payload(std::move(buf), pool_, bytes);
+  Frame payload(std::move(buf), pool_);
   if (src != dst) {
     // Counters record logical traffic at hand-off; the physical flow is
     // observable via SendRequest completion and max_channel_queued_bytes.
@@ -116,7 +114,7 @@ SendRequest Fabric::IsendGather(int src, int dst, int tag, const void* header,
   std::vector<uint8_t> buf = pool_->Lease(header_bytes + bytes, lease_stats);
   std::memcpy(buf.data(), header, header_bytes);
   if (bytes != 0) std::memcpy(buf.data() + header_bytes, data, bytes);
-  Frame payload(std::move(buf), pool_, header_bytes + bytes);
+  Frame payload(std::move(buf), pool_);
   if (src != dst) {
     stats_[src]->RecordSend(payload.size());
     stats_[dst]->RecordRecv(payload.size());
@@ -149,9 +147,6 @@ void Fabric::KillPe(int pe, const Status& status) {
     channel(pe, other).Poison(status);
     if (other != pe) channel(other, pe).Poison(status);
   }
-  // A dead PE may hold leased frames forever; senders blocked on the pool
-  // budget must fail through their poisoned channels, not stall in Lease.
-  pool_->CancelWaits();
 }
 
 void Fabric::KillLink(int a, int b, const Status& status) {
@@ -161,7 +156,6 @@ void Fabric::KillLink(int a, int b, const Status& status) {
   DEMSORT_CHECK_LT(b, num_pes_);
   channel(a, b).Poison(status);
   if (a != b) channel(b, a).Poison(status);
-  pool_->CancelWaits();
 }
 
 void Fabric::Send(int src, int dst, int tag, const void* data, size_t bytes) {
@@ -203,7 +197,6 @@ Cluster::Result Cluster::Run(const Options& options, const PeBody& body) {
   Fabric::Options fabric_options;
   fabric_options.num_pes = options.num_pes;
   fabric_options.channel_cap_bytes = options.channel_cap_bytes;
-  fabric_options.pool_budget_bytes = options.pool_budget_bytes;
   Fabric fabric(fabric_options);
   Transport* transport = &fabric;
   if (options.wrap_transport) {

@@ -38,12 +38,9 @@ class Fabric : public Transport {
     int num_pes = 1;
     /// 0 = unbounded (compatible default).
     size_t channel_cap_bytes = 0;
-    /// Outstanding-lease cap of the shared frame-buffer pool; 0 =
-    /// unbounded. See BufferPool::Options::budget_bytes.
-    size_t pool_budget_bytes = 0;
   };
 
-  explicit Fabric(int num_pes) : Fabric(Options{num_pes, 0, 0}) {}
+  explicit Fabric(int num_pes) : Fabric(Options{num_pes, 0}) {}
   explicit Fabric(const Options& options);
 
   int num_pes() const override { return num_pes_; }
@@ -147,11 +144,6 @@ class Cluster {
     /// Hier only: explicit (possibly uneven) node sizes; must sum to
     /// num_pes when non-empty.
     std::vector<int> node_sizes;
-    /// Frame-buffer pool budget (outstanding leased bytes; 0 = unbounded),
-    /// forwarded to the transport's BufferPool. See buffer_pool.h and the
-    /// bench_util.h stall warning before capping this below the watermark
-    /// plus one credit window.
-    size_t pool_budget_bytes = 0;
     /// Test seam: wraps the epoch's transport (e.g. in net::FaultTransport)
     /// before any Comm is built over it. Called once per fabric with the
     /// supervised epoch number; the returned transport must outlive the

@@ -27,9 +27,7 @@ HierarchicalTransport::HierarchicalTransport(const Topology& topo, int node,
   DEMSORT_CHECK(uplink_ != nullptr);
   DEMSORT_CHECK_EQ(uplink_->num_pes(), topo_.num_nodes());
   const int P = topo_.num_pes();
-  BufferPool::Options pool_options;
-  pool_options.budget_bytes = options_.pool_budget_bytes;
-  pool_ = std::make_shared<BufferPool>(pool_options);
+  pool_ = std::make_shared<BufferPool>();
   stats_.resize(k_);
   for (auto& s : stats_) s = std::make_unique<NetStats>();
   mailbox_.resize(static_cast<size_t>(k_) * P);
@@ -75,8 +73,6 @@ void HierarchicalTransport::Shutdown() {
   // A reactor paused at a mailbox watermark would never see the peer's
   // close; an undrained mailbox at teardown is a protocol bug, not a hang.
   for (auto& ch : mailbox_) ch->CancelWaits();
-  // Senders blocked on the pool budget must not outlive the transport.
-  pool_->CancelWaits();
   event_.Signal();
 }
 
@@ -289,7 +285,7 @@ SendRequest HierarchicalTransport::Isend(int src, int dst, int tag,
         src == dst ? nullptr : stats_[topo_.local_rank(src)].get();
     std::vector<uint8_t> buf = pool_->Lease(bytes, lease_stats);
     if (bytes != 0) std::memcpy(buf.data(), data, bytes);
-    Frame payload(std::move(buf), pool_, bytes);
+    Frame payload(std::move(buf), pool_);
     if (src != dst) {
       NetStats& s = *stats_[topo_.local_rank(src)];
       s.RecordSend(bytes);
@@ -320,7 +316,7 @@ SendRequest HierarchicalTransport::IsendGather(int src, int dst, int tag,
     std::vector<uint8_t> buf = pool_->Lease(total, lease_stats);
     std::memcpy(buf.data(), header, header_bytes);
     if (bytes != 0) std::memcpy(buf.data() + header_bytes, data, bytes);
-    Frame payload(std::move(buf), pool_, total);
+    Frame payload(std::move(buf), pool_);
     if (src != dst) {
       NetStats& s = *stats_[topo_.local_rank(src)];
       s.RecordSend(total);
@@ -358,7 +354,7 @@ SendRequest HierarchicalTransport::UplinkSend(int src, int dst, int tag,
   if (bytes != 0) {
     std::memcpy(buf.data() + sizeof(hdr) + header_bytes, data, bytes);
   }
-  Frame frame(std::move(buf), pool_, total);
+  Frame frame(std::move(buf), pool_);
   return uplink_->IsendFrame(node_, dst_node, kHierUplinkTag,
                              std::move(frame));
 }
@@ -396,9 +392,6 @@ void HierarchicalTransport::KillPe(int pe, const Status& status) {
     }
     uplink_->KillPe(node_, status);
     for (auto& ch : mailbox_) ch->Poison(status);
-    // Senders blocked on the pool budget fail through their poisoned
-    // channels; release them.
-    pool_->CancelWaits();
     return;
   }
   // Non-leader: exactly this rank dies. Poison its receives and every
@@ -416,9 +409,6 @@ void HierarchicalTransport::KillPe(int pe, const Status& status) {
   for (int n = 0; n < topo_.num_nodes(); ++n) {
     if (n != node_) SendControl(n, kHierKillPe, pe, 0);
   }
-  // The dead PE may hold leased frames forever; budget-blocked senders
-  // must fail through their poisoned channels instead of stalling.
-  pool_->CancelWaits();
 }
 
 void HierarchicalTransport::KillLink(int a, int b, const Status& status) {
@@ -461,7 +451,6 @@ HierCluster::Result HierCluster::Run(const Options& options,
   Fabric uplink(fabric_options);
   HierarchicalTransport::Options t_options;
   t_options.recv_watermark_bytes = options.recv_watermark_bytes;
-  t_options.pool_budget_bytes = options.pool_budget_bytes;
   std::vector<std::unique_ptr<HierarchicalTransport>> nodes(N);
   std::vector<Transport*> node_endpoints(N);
   for (int n = 0; n < N; ++n) {

@@ -98,10 +98,6 @@ class HierarchicalTransport : public Transport {
     /// the uplink then backs up into the sender's credit exactly like the
     /// TCP reader watermark. 0 = drain eagerly.
     size_t recv_watermark_bytes = 0;
-    /// Outstanding-lease cap of this node's frame-buffer pool; 0 =
-    /// unbounded. A budget below the watermark plus one credit window can
-    /// stall the exchange — see the bench_util.h warning.
-    size_t pool_budget_bytes = 0;
   };
 
   /// Serves the PEs of node `node` of `topo`. `uplink` is a Transport over
@@ -237,8 +233,6 @@ class HierCluster {
     size_t uplink_channel_cap_bytes = 0;
     /// Demux pause watermark (see HierarchicalTransport::Options).
     size_t recv_watermark_bytes = 0;
-    /// Per-node frame-pool budget (see HierarchicalTransport::Options).
-    size_t pool_budget_bytes = 0;
     /// Test seam: wraps each NODE transport (e.g. in net::FaultTransport)
     /// before any Comm is built over it. Called once per node per epoch;
     /// the returned transport must outlive the epoch (nullptr = unwrapped).

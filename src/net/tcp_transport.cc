@@ -212,9 +212,7 @@ StatusOr<int> ConnectWithDeadline(const TcpTransport::Peer& peer,
 
 TcpTransport::TcpTransport(int rank, int num_pes, const Options& options)
     : rank_(rank), num_pes_(num_pes), options_(options) {
-  BufferPool::Options pool_options;
-  pool_options.budget_bytes = options_.pool_budget_bytes;
-  pool_ = std::make_shared<BufferPool>(pool_options);
+  pool_ = std::make_shared<BufferPool>();
   links_.resize(num_pes);
   for (auto& link : links_) link = std::make_unique<PeerLink>();
   mailbox_.resize(num_pes);
@@ -416,12 +414,9 @@ void TcpTransport::KillPe(int pe, const Status& status) {
   if (pe == rank_) {
     // Abort this endpoint: sever every link (peers observe EOF/reset and
     // poison their own side) and poison every mailbox, self included, so
-    // the destructor cannot block on a peer that outlives us. Senders
-    // blocked on the pool budget are released to fail through their
-    // severed links.
+    // the destructor cannot block on a peer that outlives us.
     for (int peer = 0; peer < num_pes_; ++peer) SeverLink(peer, status);
     for (auto& ch : mailbox_) ch->Poison(status);
-    pool_->CancelWaits();
     return;
   }
   SeverLink(pe, status);
@@ -495,18 +490,13 @@ void TcpTransport::ReaderLoop(int peer) {
     if (s.ok()) {
       int32_t tag;
       DecodeFrameHeader(header, &tag, &bytes);
-      // Budget-exempt (charge 0): receive payloads are bounded by socket
-      // backpressure + the mailbox watermark below, and must never contend
-      // with an application sender for the pool budget — the reader parked
-      // in Lease while the sender waits for the reader to drain would be a
-      // stall with no runtime escape.
-      std::vector<uint8_t> buf = pool_->LeaseExempt(bytes, &stats_);
+      std::vector<uint8_t> buf = pool_->Lease(bytes, &stats_);
       if (bytes > 0) {
         s = ReadFull(link.fd, buf.data(), buf.size());
         if (s.code() == StatusCode::kNotFound) s = Status::IoError("eof");
       }
       if (s.ok()) {
-        Frame payload(std::move(buf), pool_, /*charge=*/0);
+        Frame payload(std::move(buf), pool_);
         stats_.RecordRecv(bytes);
         // Exempt from the (unused) cap: admission is decided here, by
         // pausing the read loop itself at the watermark instead of parking
@@ -539,7 +529,7 @@ SendRequest TcpTransport::Isend(int src, int dst, int tag, const void* data,
   std::vector<uint8_t> buf =
       pool_->Lease(bytes, dst == rank_ ? nullptr : &stats_);
   if (bytes != 0) std::memcpy(buf.data(), data, bytes);
-  return IsendPayload(src, dst, tag, Frame(std::move(buf), pool_, bytes));
+  return IsendPayload(src, dst, tag, Frame(std::move(buf), pool_));
 }
 
 SendRequest TcpTransport::IsendGather(int src, int dst, int tag,
@@ -551,7 +541,7 @@ SendRequest TcpTransport::IsendGather(int src, int dst, int tag,
       pool_->Lease(total, dst == rank_ ? nullptr : &stats_);
   std::memcpy(buf.data(), header, header_bytes);
   if (bytes != 0) std::memcpy(buf.data() + header_bytes, data, bytes);
-  return IsendPayload(src, dst, tag, Frame(std::move(buf), pool_, total));
+  return IsendPayload(src, dst, tag, Frame(std::move(buf), pool_));
 }
 
 SendRequest TcpTransport::IsendFrame(int src, int dst, int tag, Frame frame) {
@@ -813,7 +803,6 @@ void RunOverTransport(TransportKind kind, const Cluster::Options& options,
     TcpTransport::Options tcp_options;
     tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
     tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
-    tcp_options.pool_budget_bytes = options.pool_budget_bytes;
     TcpCluster::RunWithStats(options.num_pes, body, tcp_options);
   } else if (kind == TransportKind::kHier) {
     HierCluster::Options hier_options;
@@ -833,7 +822,6 @@ void RunOverTransport(TransportKind kind, const Cluster::Options& options,
     // knobs translate to their hierarchical equivalents.
     hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
     hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    hier_options.pool_budget_bytes = options.pool_budget_bytes;
     HierCluster::Run(hier_options, body);
   } else {
     DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)
@@ -852,7 +840,6 @@ int RunSupervisedOverTransport(TransportKind kind,
     TcpTransport::Options tcp_options;
     tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
     tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
-    tcp_options.pool_budget_bytes = options.pool_budget_bytes;
     return TcpCluster::RunSupervised(options.num_pes, body, recovery,
                                      tcp_options)
         .restarts;
@@ -872,7 +859,6 @@ int RunSupervisedOverTransport(TransportKind kind,
     }
     hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
     hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    hier_options.pool_budget_bytes = options.pool_budget_bytes;
     return HierCluster::RunSupervised(hier_options, recovery, body).restarts;
   }
   DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)

@@ -95,10 +95,6 @@ class TcpTransport : public Transport {
     /// not up yet; doubles per retry up to 500 ms. Rank start order is
     /// therefore arbitrary — whoever starts first simply retries.
     int64_t connect_retry_initial_ms = 20;
-
-    /// Outstanding-lease cap of this endpoint's frame-buffer pool (send
-    /// assembly and reader payloads); 0 = unbounded. See buffer_pool.h.
-    size_t pool_budget_bytes = 0;
   };
 
   /// Establishes the full mesh for `rank` of `num_pes`. `listen_fd` must

@@ -1,35 +1,22 @@
-// Unified metric registry, in two halves.
+// Static metric schemas for the stats snapshot structs.
 //
-// 1. SnapshotSchema<S>: a static, per-snapshot-struct registry of named
-//    fields with semantics (counter vs gauge). The stats structs that ride
-//    SortReport over the wire (net::NetStatsSnapshot, io::IoStatsSnapshot)
-//    must stay trivially copyable plain structs, so they cannot *become*
-//    registry objects — instead each struct registers every field ONCE,
-//    next to its declaration, and every consumer (phase delta at
-//    PhaseCollector::End, epoch accumulation, report export, straggler
-//    JSON) walks the schema generically. Adding a stat is now: add the
-//    field, register it — delta/accumulate/export follow for free, ending
-//    the add-a-field-in-five-places pattern.
-//
-// 2. MetricRegistry: a dynamic, named registry of live Counter / Gauge /
-//    Histogram instruments for instrumentation that has no snapshot struct
-//    (latency distributions, ad-hoc probes, the future service-mode
-//    /metrics endpoint). Instruments are created on first use and safe for
-//    concurrent update.
+// SnapshotSchema<S>: a static, per-snapshot-struct registry of named fields
+// with semantics (counter vs gauge). The stats structs that ride SortReport
+// over the wire (net::NetStatsSnapshot, io::IoStatsSnapshot) must stay
+// trivially copyable plain structs, so each struct registers every field
+// ONCE, next to its declaration, and every consumer (phase delta at
+// PhaseCollector::End, epoch accumulation, report export, straggler JSON)
+// walks the schema generically. Adding a stat is: add the field, register
+// it — delta/accumulate/export follow for free.
 //
 // Naming convention: "<layer>.<noun>[_<unit>]" — e.g. "net.bytes_sent",
-// "io.queue_depth_peak", "io.submit_complete_us". Dots group, units last.
+// "io.queue_depth_peak". Dots group, units last.
 #ifndef DEMSORT_OBS_METRICS_H_
 #define DEMSORT_OBS_METRICS_H_
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 namespace demsort::obs {
@@ -112,119 +99,6 @@ class SnapshotSchema {
  private:
   SnapshotSchema() = default;
   std::vector<Field> fields_;
-};
-
-// ---- live instruments ----
-
-class Counter {
- public:
-  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-class Gauge {
- public:
-  void Set(uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Max(uint64_t v) {
-    uint64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  void Reset() { Set(0); }
-  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-/// Lock-free log2-bucketed histogram of uint64 samples: bucket b holds
-/// samples whose value needs b significant bits (bucket 0: value 0 or 1).
-/// Concurrent Record() from any number of threads is safe and stays exact
-/// for count/sum; percentiles resolve to a bucket upper bound.
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 40;  // values up to ~5e11 exact-bucketed
-
-  void Record(uint64_t v) {
-    size_t b = v <= 1 ? 0 : static_cast<size_t>(std::bit_width(v) - 1);
-    if (b >= kBuckets) b = kBuckets - 1;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t Bucket(size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-
-  /// Upper bound of the bucket holding the p-quantile (p in [0, 1]).
-  uint64_t PercentileUpperBound(double p) const {
-    uint64_t total = Count();
-    if (total == 0) return 0;
-    uint64_t target = static_cast<uint64_t>(p * static_cast<double>(total));
-    if (target >= total) target = total - 1;
-    uint64_t seen = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      seen += Bucket(b);
-      if (seen > target) return uint64_t{1} << (b + 1);
-    }
-    return uint64_t{1} << kBuckets;
-  }
-
- private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-};
-
-/// Dynamic named registry. Lookup interns the instrument on first use;
-/// returned references stay valid for the registry's lifetime, so hot
-/// paths look up once and keep the reference.
-class MetricRegistry {
- public:
-  static MetricRegistry& Global();
-
-  Counter& GetCounter(const std::string& name) {
-    return Intern(counters_, name);
-  }
-  Gauge& GetGauge(const std::string& name) { return Intern(gauges_, name); }
-  Histogram& GetHistogram(const std::string& name) {
-    return Intern(histograms_, name);
-  }
-
-  /// Walks every instrument with (name, kind, value); histograms report
-  /// (name, "histogram_count", count) and (name, "histogram_sum", sum).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, c] : counters_) fn(name, "counter", c->Value());
-    for (const auto& [name, g] : gauges_) fn(name, "gauge", g->Value());
-    for (const auto& [name, h] : histograms_) {
-      fn(name + "_count", "histogram_count", h->Count());
-      fn(name + "_sum", "histogram_sum", h->Sum());
-    }
-  }
-
- private:
-  template <typename T>
-  T& Intern(std::map<std::string, std::unique_ptr<T>>& pool,
-            const std::string& name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, fresh] = pool.try_emplace(name);
-    if (fresh) it->second = std::make_unique<T>();
-    return *it->second;
-  }
-
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace demsort::obs

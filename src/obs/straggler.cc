@@ -250,24 +250,7 @@ bool WriteStatsJson(const std::string& path,
                    const core::SortReport& r) -> const core::PhaseStats& {
     return totals[static_cast<size_t>(&r - reports.data())];
   });
-  out += "\n  },\n";
-
-  // Rank 0's process-local dynamic registry (the future /metrics payload).
-  out += "  \"registry\": [\n";
-  bool first_reg = true;
-  MetricRegistry::Global().ForEach(
-      [&](const std::string& name, const char* kind, uint64_t value) {
-        if (!first_reg) out += ",\n";
-        first_reg = false;
-        out += "    {\"name\": \"";
-        out += name;
-        out += "\", \"kind\": \"";
-        out += kind;
-        std::snprintf(buf, sizeof(buf), "\", \"value\": %llu}",
-                      static_cast<unsigned long long>(value));
-        out += buf;
-      });
-  out += "\n  ]\n}\n";
+  out += "\n  }\n}\n";
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;

@@ -35,8 +35,8 @@ std::string FormatStragglerTable(
 
 /// Writes the full JSON report (schema "demsort-stats-v1"): per phase the
 /// wall / io-busy / io-bytes / net-bytes distributions, the generic metric
-/// walk per rank, IO latency percentiles, totals, and rank 0's process
-/// MetricRegistry dump. `emulation_wall_s` < 0 omits the field.
+/// walk per rank, IO latency percentiles and totals. `emulation_wall_s` < 0
+/// omits the field.
 bool WriteStatsJson(const std::string& path,
                     const std::vector<core::SortReport>& reports,
                     double emulation_wall_s);

@@ -6,7 +6,6 @@
 #ifndef DEMSORT_PAR_THREAD_POOL_H_
 #define DEMSORT_PAR_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -37,10 +36,7 @@ class ThreadPool {
   /// them. The calling thread participates, so the pool can be size 0.
   ///
   /// Contract: task indexes are handed to executors in strictly increasing
-  /// order. Combined with SequenceGate turns below, this makes "task t may
-  /// block until every task < t advanced the gate" deadlock-free: when task
-  /// t is running, every task < t has already been handed out, so the gate
-  /// holder is always running (or done) on some executor.
+  /// order.
   void ParallelFor(size_t num_tasks, const std::function<void(size_t)>& fn);
 
   /// Splits [begin, end) into roughly equal chunks, one per available thread,
@@ -69,39 +65,6 @@ class ThreadPool {
   /// batch by its generation, not by current_.
   uint64_t generation_ = 0;
   bool shutdown_ = false;  // guarded by mu_
-};
-
-/// Turn-taking primitive for ordered hand-off between ParallelFor tasks:
-/// task t calls WaitTurn(t) before a serialized section (e.g. delivering its
-/// output partition to a downstream sink in key order) and Advance() when
-/// done. Passing the gate synchronizes-with the previous holder's Advance(),
-/// so non-thread-safe sinks may be called from changing worker threads.
-class SequenceGate {
- public:
-  /// Cheap non-blocking probe (racy in the "not yet my turn" direction only:
-  /// once it returns true for t, it stays true until t advances the gate).
-  bool IsTurn(size_t t) const {
-    return turn_.load(std::memory_order_acquire) == t;
-  }
-
-  void WaitTurn(size_t t) {
-    if (IsTurn(t)) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return turn_.load(std::memory_order_relaxed) == t; });
-  }
-
-  void Advance() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      turn_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::atomic<size_t> turn_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
 };
 
 }  // namespace demsort::par

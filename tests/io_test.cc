@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "io/backend.h"
 #include "io/block_manager.h"
 #include "io/disk.h"
+#include "io/io_stats.h"
 #include "io/striped_writer.h"
 #include "util/aligned_buffer.h"
 
@@ -19,6 +21,61 @@ AlignedBuffer PatternBlock(uint8_t tag) {
   AlignedBuffer buf(kBlock);
   std::memset(buf.data(), tag, kBlock);
   return buf;
+}
+
+// ------------------------------------------------------------ IoStats ----
+
+TEST(IoStatsTest, LatencyBucketsSplitAtPowersOfTwoMicroseconds) {
+  EXPECT_EQ(IoLatencyBucket(0), 0u);
+  EXPECT_EQ(IoLatencyBucket(500), 0u);        // sub-µs
+  EXPECT_EQ(IoLatencyBucket(1'000), 0u);      // 1 µs
+  EXPECT_EQ(IoLatencyBucket(1'999), 0u);
+  EXPECT_EQ(IoLatencyBucket(2'000), 1u);      // 2 µs
+  EXPECT_EQ(IoLatencyBucket(3'000), 1u);      // 3 µs
+  EXPECT_EQ(IoLatencyBucket(4'000), 2u);
+  EXPECT_EQ(IoLatencyBucket(32'767'000), kIoLatencyBuckets - 2);
+  EXPECT_EQ(IoLatencyBucket(32'768'000), kIoLatencyBuckets - 1);  // ~32 ms
+  EXPECT_EQ(IoLatencyBucket(40'000'000), kIoLatencyBuckets - 1);
+  EXPECT_EQ(IoLatencyBucket(uint64_t{10'000'000'000}), kIoLatencyBuckets - 1);
+}
+
+TEST(IoStatsTest, PercentilesAndIntervalArithmeticWorkPerBucket) {
+  IoStats stats;
+  EXPECT_EQ(stats.Snapshot().LatencyPercentileUpperUs(0.5), 0u);
+  // First interval: two ops in bucket 0, three in bucket 1, one past 32 ms.
+  for (uint64_t ns : {500, 1'000, 2'000, 3'000, 3'000, 40'000'000}) {
+    stats.RecordRead(kBlock, false, 0, ns, 1);
+  }
+  const IoStatsSnapshot first = stats.Snapshot();
+  EXPECT_EQ(first.lat_hist_us[0], 2u);
+  EXPECT_EQ(first.lat_hist_us[1], 3u);
+  EXPECT_EQ(first.lat_hist_us[kIoLatencyBuckets - 1], 1u);
+  // The median (rank 3 of 6) lies in [2, 4) µs; the p99 in the last bucket.
+  EXPECT_EQ(first.LatencyPercentileUpperUs(0.5), 4u);
+  EXPECT_EQ(first.LatencyPercentileUpperUs(0.99),
+            uint64_t{1} << kIoLatencyBuckets);
+
+  // Second interval: writes in buckets 1 and 2.
+  for (uint64_t ns : {2'000, 4'000, 7'000}) {
+    stats.RecordWrite(kBlock, true, 0, ns, 2);
+  }
+  const IoStatsSnapshot second = stats.Snapshot();
+  const IoStatsSnapshot delta = second - first;
+  EXPECT_EQ(delta.reads, 0u);
+  EXPECT_EQ(delta.writes, 3u);
+  for (size_t b = 0; b < kIoLatencyBuckets; ++b) {
+    const uint64_t want = b == 1 ? 1 : b == 2 ? 2 : 0;
+    EXPECT_EQ(delta.lat_hist_us[b], want) << "bucket " << b;
+  }
+  EXPECT_EQ(delta.LatencyPercentileUpperUs(0.5), 8u);
+
+  IoStatsSnapshot sum = first;
+  sum += delta;
+  EXPECT_EQ(sum.reads, second.reads);
+  EXPECT_EQ(sum.writes, second.writes);
+  for (size_t b = 0; b < kIoLatencyBuckets; ++b) {
+    EXPECT_EQ(sum.lat_hist_us[b], second.lat_hist_us[b]) << "bucket " << b;
+  }
 }
 
 // ------------------------------------------------------------ Backend ----

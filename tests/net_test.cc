@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "net/buffer_pool.h"
@@ -17,60 +16,6 @@ namespace {
 
 // ----------------------------------------------------- buffer pool -------
 
-TEST(BufferPoolTest, CancelWaitsIsScopedToParkedWaiters) {
-  // A fault releases the waiters parked on the budget at that moment, but
-  // the budget must RE-ARM for later leases — one dead link must not turn
-  // the pool unbounded for every survivor for the rest of the run.
-  BufferPool::Options o;
-  o.budget_bytes = 1024;
-  BufferPool pool(o);
-  std::vector<uint8_t> a = pool.Lease(1024, nullptr);  // budget now full
-  std::atomic<bool> first_released{false};
-  std::thread parked([&] {
-    std::vector<uint8_t> b = pool.Lease(512, nullptr);
-    first_released = true;
-    pool.Recycle(std::move(b), 512);
-  });
-  while (pool.outstanding_bytes() < 1024 + 512) {
-    // The waiter charges only once it is released; give it time to park.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (first_released) break;
-    pool.CancelWaits();
-  }
-  parked.join();
-  EXPECT_TRUE(first_released);
-  EXPECT_EQ(pool.outstanding_bytes(), 1024u);
-  // A lease arriving AFTER the cancel blocks on the budget again.
-  std::atomic<bool> second_released{false};
-  std::thread rearmed([&] {
-    std::vector<uint8_t> c = pool.Lease(512, nullptr);
-    second_released = true;
-    pool.Recycle(std::move(c), 512);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_released) << "budget did not re-arm after CancelWaits";
-  pool.Recycle(std::move(a), 1024);  // frees the budget; the lease proceeds
-  rearmed.join();
-  EXPECT_TRUE(second_released);
-  EXPECT_EQ(pool.outstanding_bytes(), 0u);
-}
-
-TEST(BufferPoolTest, ExemptLeaseBypassesBudget) {
-  // Receiver-side payload leases (the TCP reader) must never park on the
-  // send budget: the application sender may be blocked in Lease waiting
-  // for exactly this reader to drain its mailbox.
-  BufferPool::Options o;
-  o.budget_bytes = 1024;
-  BufferPool pool(o);
-  std::vector<uint8_t> a = pool.Lease(1024, nullptr);  // budget full
-  std::vector<uint8_t> r = pool.LeaseExempt(4096, nullptr);  // no wait
-  EXPECT_EQ(r.size(), 4096u);
-  EXPECT_EQ(pool.outstanding_bytes(), 1024u) << "exempt leases are uncharged";
-  pool.Recycle(std::move(r), /*charge=*/0);
-  EXPECT_EQ(pool.outstanding_bytes(), 1024u);
-  pool.Recycle(std::move(a), 1024);
-}
-
 TEST(BufferPoolTest, TinyRecyclesDoNotCrowdOutChunkBuffers) {
   // Thousands of recycled credit-sized buffers land in the small class:
   // they neither evict nor hide a chunk-sized buffer, and the retained
@@ -79,11 +24,11 @@ TEST(BufferPoolTest, TinyRecyclesDoNotCrowdOutChunkBuffers) {
   for (int i = 0; i < 1000; ++i) {
     std::vector<uint8_t> tiny(8);
     tiny.shrink_to_fit();
-    pool.Recycle(std::move(tiny), 0);
+    pool.Recycle(std::move(tiny));
   }
   {
     std::vector<uint8_t> chunk(64 << 10);
-    pool.Recycle(std::move(chunk), 0);
+    pool.Recycle(std::move(chunk));
   }
   NetStats stats;
   std::vector<uint8_t> lease = pool.Lease(64 << 10, &stats);
@@ -93,6 +38,20 @@ TEST(BufferPoolTest, TinyRecyclesDoNotCrowdOutChunkBuffers) {
   std::vector<uint8_t> small = pool.Lease(8, &stats);
   EXPECT_EQ(stats.Snapshot().pool_hits, 2u)
       << "tiny leases recycle from the small class";
+}
+
+TEST(BufferPoolTest, FrameRecyclesOnDestructionButNotAfterIntoVector) {
+  auto pool = std::make_shared<BufferPool>();
+  NetStats stats;
+  { Frame f(pool->Lease(64 << 10, &stats), pool); }
+  std::vector<uint8_t> detached =
+      Frame(pool->Lease(64 << 10, &stats), pool).IntoVector();
+  EXPECT_EQ(stats.Snapshot().pool_hits, 1u)
+      << "a destroyed frame returns its buffer to the pool";
+  EXPECT_EQ(detached.size(), size_t{64} << 10);
+  std::vector<uint8_t> fresh = pool->Lease(64 << 10, &stats);
+  EXPECT_EQ(stats.Snapshot().pool_hits, 1u)
+      << "a detached buffer leaves the pool for good";
 }
 
 // ----------------------------------------------------------- pt2pt -------

@@ -575,34 +575,5 @@ TEST(RadixSortTest, KeyDigitsOrderLikeLess) {
   ExpectDigitsOrderLikeLess(MakeGray100(GrayKeys::kBinaryBytes, 2000, 5));
 }
 
-// -------------------------------------------------------- SequenceGate ----
-
-TEST(SequenceGateTest, SingleThreadTurnsAdvanceInOrder) {
-  SequenceGate gate;
-  for (size_t t = 0; t < 5; ++t) {
-    EXPECT_TRUE(gate.IsTurn(t));
-    EXPECT_FALSE(gate.IsTurn(t + 1));
-    gate.WaitTurn(t);  // must not block on the current turn
-    gate.Advance();
-  }
-}
-
-TEST(SequenceGateTest, OrdersParallelForDelivery) {
-  // The ordered-sink idiom of the parallel merge: workers pick up tasks in
-  // any interleaving but hand over their output strictly in task order.
-  ThreadPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    SequenceGate gate;
-    std::vector<size_t> delivered;
-    pool.ParallelFor(64, [&](size_t t) {
-      gate.WaitTurn(t);
-      delivered.push_back(t);  // gate serializes: no mutex needed
-      gate.Advance();
-    });
-    ASSERT_EQ(delivered.size(), 64u);
-    for (size_t t = 0; t < 64; ++t) EXPECT_EQ(delivered[t], t);
-  }
-}
-
 }  // namespace
 }  // namespace demsort::par

@@ -2,8 +2,6 @@
 // output, still exact.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <mutex>
 #include <span>
 #include <string>
@@ -13,7 +11,6 @@
 #include "core/final_merge.h"
 #include "core/pipelined.h"
 #include "io/striped_writer.h"
-#include "par/thread_pool.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/generators.h"
@@ -115,18 +112,14 @@ TEST(PipelinedSortTest, EmptyProducers) {
 }
 
 /// MergeExtentsToSink, the merge behind PipelinedSort, at a 7-record block
-/// on one and four workers, and on two workers in front of a slow consumer
-/// (it sleeps on every span, so worker 1 fills its staging buffer and waits
-/// for its turn): the sink must see the stable-sort oracle record for record
-/// while staging windows, segment ends and gallop spans cross block
-/// boundaries all the time.
+/// on a one- and a four-thread pool: the sink must see the stable-sort
+/// oracle record for record while segment ends and gallop spans cross block
+/// boundaries all the time, in spans of at most one block, always on the
+/// calling thread.
 template <typename R>
 void ExpectSinkMatchesOracle(const test::SortedRuns<R>& in) {
-  const std::pair<uint32_t, bool> kEngines[] = {
-      {1, false}, {4, false}, {2, true}};
-  for (const auto& [threads, slow] : kEngines) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 (slow ? " slow consumer" : ""));
+  for (uint32_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     SortConfig config = test::SmallConfig();
     config.threads_per_pe = threads;
     config.block_size = 7 * sizeof(R);
@@ -145,13 +138,13 @@ void ExpectSinkMatchesOracle(const test::SortedRuns<R>& in) {
         extents[j].push_back(std::move(ext));
       }
       std::vector<R> seen;
+      const std::thread::id caller = std::this_thread::get_id();
+      const size_t epb = cfg.ElementsPerBlock<R>();
       EXPECT_EQ(MergeExtentsToSink<R>(
                     ctx, cfg, std::move(extents),
-                    [&seen, slow](std::span<const R> records) {
-                      if (slow) {
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(20));
-                      }
+                    [&](std::span<const R> records) {
+                      EXPECT_EQ(std::this_thread::get_id(), caller);
+                      EXPECT_LE(records.size(), epb);
                       seen.insert(seen.end(), records.begin(), records.end());
                     }),
                 in.expect.size());
@@ -174,67 +167,6 @@ TEST(MergeExtentsToSinkTest, TinyBlocksMatchStableSortOracle) {
     ExpectSinkMatchesOracle(test::DealSortedRuns(
         test::MakeGray100(test::GrayKeys::kLastByte, 2000, k), k, k));
   }
-}
-
-/// Writes `n` consecutive keys from `first` through the sink policy's
-/// windows, counting committed records in `committed`.
-template <typename Policy>
-void WriteKeys(Policy& out, uint64_t first, size_t n,
-               std::atomic<size_t>* committed) {
-  while (n > 0) {
-    size_t room = 0;
-    KV16* window = out.Window(&room);
-    const size_t take = std::min(room, n);
-    for (size_t i = 0; i < take; ++i) window[i] = {first + i, 0};
-    out.Commit(take);
-    committed->fetch_add(take);
-    first += take;
-    n -= take;
-  }
-}
-
-/// A sink worker waiting for its turn holds at most kSinkStagingBlocks
-/// blocks. Two workers on a two-thread pool share a slow consumer (it
-/// sleeps on every span); worker 0 holds the sink until worker 1 has
-/// committed a full staging buffer, and checks that worker 1 then stays
-/// blocked, with nothing more committed and nothing delivered, until worker
-/// 0 has delivered its own records and passed the turn on.
-TEST(SequencedSinkTest, WaitingWorkerStagesAtMostItsBlockBound) {
-  const size_t epb = 7;
-  const size_t bound = internal::kSinkStagingBlocks * epb;
-  const size_t per_worker = 10 * bound;
-  std::vector<uint64_t> seen;
-  auto slow_consumer = [&seen](std::span<const KV16> records) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    for (const KV16& r : records) seen.push_back(r.key);
-  };
-  using Policy = internal::SequencedSink<KV16, decltype(slow_consumer)>;
-  par::SequenceGate gate;
-  std::vector<Policy> workers;
-  workers.emplace_back(&gate, 0, epb, &slow_consumer);
-  workers.emplace_back(&gate, 1, epb, &slow_consumer);
-  std::atomic<size_t> committed[2] = {0, 0};
-
-  par::ThreadPool pool(2);
-  pool.ParallelFor(2, [&](size_t t) {
-    if (t == 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (committed[1].load() < bound &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      EXPECT_EQ(committed[1].load(), bound);
-      // Worker 0 holds the turn, so nothing has reached the consumer yet.
-      EXPECT_TRUE(seen.empty());
-    }
-    WriteKeys(workers[t], t * per_worker, per_worker, &committed[t]);
-    workers[t].Finish();
-  });
-
-  ASSERT_EQ(seen.size(), 2 * per_worker);
-  for (size_t i = 0; i < seen.size(); ++i) ASSERT_EQ(seen[i], i);
 }
 
 }  // namespace
