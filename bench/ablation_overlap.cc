@@ -3,15 +3,16 @@
 //
 // Two axes:
 //   io      = sync (every block waits at the seam, queue depth pinned to 1)
-//             vs async (the VirtualDisk pump keeps the backend's queue fed)
+//             vs async (the VirtualDisk pump keeps the backend's queue fed;
+//             file and mmap disks complete in memory and stay inline)
 //   overlap = pipelined run formation (reads of run r+1 and writes of run
 //             r-1 proceed while run r is cooperatively sorted) vs serialized
 //
 // On the default memory backend the disks are throttled to their modeled
 // service time (real sleeps) so the overlap shows up in wall clock. With
-// --storage={file,direct,uring,mmap} the blocks hit real files and the
-// throttle is dropped: async-vs-sync then measures actual latency hiding at
-// queue depth > 1, reported by the ioq_peak gauge.
+// --storage={direct,uring} the blocks hit real files and the throttle is
+// dropped: async-vs-sync then measures actual latency hiding at queue depth
+// > 1, reported by the ioq_peak gauge.
 #include <cstdio>
 
 #include "bench_util.h"

@@ -742,7 +742,7 @@ int main(int argc, char** argv) {
   // ---- storage engine: --storage={memory,file,direct,uring,mmap},
   // --file-dir=DIR (required for the file-backed kinds), --files-per-disk=K
   // (stripes per disk), --queue-depth=N (0 = backend capacity),
-  // --sync-io (inline completion, no pump threads).
+  // --sync-io (inline completion on every backend, no pump threads).
   std::string storage = flags.GetString("storage", "");
   if (!storage.empty()) {
     auto parsed = io::ParseBackendKind(storage);

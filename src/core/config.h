@@ -48,6 +48,9 @@ struct SortConfig {
   // ---------------------------------------------------------- substrate --
   /// Worker threads per PE for intra-PE parallelism (the paper's 8 cores).
   uint32_t threads_per_pe = 1;
+  /// false forces inline I/O on the disks that keep a pump thread (O_DIRECT,
+  /// io_uring, throttled models). Memory, buffered-file and mmap disks run
+  /// inline either way (see io::VirtualDisk).
   bool async_io = true;
   io::BlockManager::BackendKind backend =
       io::BlockManager::BackendKind::kMemory;

@@ -43,8 +43,8 @@ class PeResources {
     options.durable_files = !config.checkpoint_dir.empty();
     options.reuse_files = reuse_files;
     // Span-trace attribution: PeResources is built on the PE's own thread,
-    // so this stamps the PE main thread; the pool and the disk pumps stamp
-    // their workers with the same rank.
+    // so this stamps the PE main thread; the pool stamps its workers, and
+    // each disk its trace track, with the same rank.
     TRACE_THREAD_RANK(comm->rank());
     TRACE_THREAD_NAME("pe");
     bm_ = std::make_unique<io::BlockManager>(options);

@@ -433,6 +433,12 @@ size_t StripedBackend::queue_capacity() const {
   return total;
 }
 
+bool StripedBackend::completes_in_memory() const {
+  return std::all_of(children_.begin(), children_.end(), [](const auto& c) {
+    return c->completes_in_memory();
+  });
+}
+
 Status StripedBackend::Flush() {
   Status first = Status::OK();
   for (auto& child : children_) {

@@ -19,7 +19,9 @@
 //
 // Memory/file/direct/mmap complete inside Submit() (queue capacity 1) — they
 // are inline adapters, so every pre-existing test and the seek-model benches
-// run unchanged. UringBackend reports its SQ depth and completes out of
+// run unchanged. Of those, memory, file and mmap complete in memory (RAM or
+// the page cache) and never wait on a device; VirtualDisk serves them on the
+// caller's thread. UringBackend reports its SQ depth and completes out of
 // line. StripedBackend multiplexes one disk's blocks across K child
 // backends so a "disk" can drive K independent files/NVMe queues.
 #ifndef DEMSORT_IO_BACKEND_H_
@@ -89,6 +91,11 @@ class StorageBackend {
   /// How many operations the backend keeps in flight at once. Inline
   /// adapters (operation completes inside Submit) report 1.
   virtual size_t queue_capacity() const { return 1; }
+
+  /// True when Submit completes every operation as a copy to or from RAM or
+  /// the page cache, never waiting on a device. An I/O thread hides no
+  /// latency for such a backend, so VirtualDisk serves it inline.
+  virtual bool completes_in_memory() const { return false; }
 
   /// Durability barrier: everything reaped so far is on stable storage when
   /// this returns OK. Caller must reap all in-flight operations first.
@@ -171,6 +178,7 @@ class InlineBackend : public StorageBackend {
 class MemoryBackend : public InlineBackend {
  public:
   explicit MemoryBackend(size_t block_size);
+  bool completes_in_memory() const override { return true; }
 
  protected:
   Status DoRead(uint64_t block, void* buf) override;
@@ -195,6 +203,7 @@ class FileBackend : public InlineBackend {
                                                      size_t block_size);
   ~FileBackend() override;
 
+  bool completes_in_memory() const override { return true; }
   Status Flush() override;
   void TrustOnly(const std::vector<uint64_t>& blocks) override {
     written_.TrustOnly(blocks);
@@ -267,6 +276,7 @@ class MmapBackend : public InlineBackend {
                                                      size_t block_size);
   ~MmapBackend() override;
 
+  bool completes_in_memory() const override { return true; }
   Status Flush() override;
   void TrustOnly(const std::vector<uint64_t>& blocks) override {
     written_.TrustOnly(blocks);
@@ -307,6 +317,8 @@ class StripedBackend : public StorageBackend {
   bool Submit(const IoOp& op) override;
   size_t Reap(std::vector<IoCompletion>* out, bool wait) override;
   size_t queue_capacity() const override;
+  /// True when every child completes in memory.
+  bool completes_in_memory() const override;
   Status Flush() override;
   void TrustOnly(const std::vector<uint64_t>& blocks) override;
 

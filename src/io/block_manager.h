@@ -46,6 +46,7 @@ class BlockManager {
     std::string file_dir;
     /// Distinguishes this PE's files from other PEs' in file_dir.
     int pe_id = 0;
+    /// See VirtualDisk::Options::async.
     bool async = true;
     /// Files (stripes) per disk: K > 1 fans one disk's blocks over K
     /// independent files — K NVMe queues instead of one. Ignored by the

@@ -13,22 +13,19 @@ VirtualDisk::VirtualDisk(std::unique_ptr<StorageBackend> backend,
                          Options options)
     : backend_(std::move(backend)),
       options_(options),
-      signal_(std::make_shared<internal::CompletionSignal>()) {
+      inline_(!options_.async || (backend_->completes_in_memory() &&
+                                  !options_.model.throttle)),
+      signal_(std::make_shared<internal::CompletionSignal>()),
+      trace_track_("disk", options_.trace_rank) {
   const size_t capacity = backend_->queue_capacity();
   depth_ = options_.queue_depth == 0 ? capacity
                                      : std::min(options_.queue_depth, capacity);
   if (depth_ == 0) depth_ = 1;
-  if (options_.async) {
-    pump_ = std::thread([this] {
-      TRACE_THREAD_RANK(options_.trace_rank);
-      TRACE_THREAD_NAME("disk-pump");
-      PumpLoop();
-    });
-  }
+  if (!inline_) pump_ = std::thread([this] { PumpLoop(); });
 }
 
 VirtualDisk::~VirtualDisk() {
-  if (options_.async) {
+  if (!inline_) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_ = true;
@@ -57,9 +54,9 @@ Request VirtualDisk::WriteAsync(uint64_t block, const void* buf) {
 Request VirtualDisk::Enqueue(Op op) {
   op.state = std::make_shared<internal::RequestState>(signal_);
   Request request(op.state);
-  if (!options_.async) {
-    // Inline mode: serve the operation on the caller's thread, serialized
-    // against other submitters (the backend seam is single-driver).
+  if (inline_) {
+    // Serve the operation on the caller's thread, serialized against other
+    // submitters (the backend seam and the trace track are single-driver).
     std::lock_guard<std::mutex> lock(mu_);
     ++outstanding_;
     Issue(std::move(op));
@@ -138,10 +135,10 @@ size_t VirtualDisk::ReapSome(bool wait) {
     }
     // The op's submit→reap life as a complete-span at its issue timestamp:
     // queueing at the device included, so Perfetto shows the real depth.
-    TRACE_COMPLETE2(
-        "io", inf.op.is_write ? "io.write" : "io.read", inf.issue_ns,
-        static_cast<int64_t>(latency_ns), "block", inf.op.block, "depth",
-        inf.depth_at_issue);
+    TRACE_TRACK_COMPLETE2(
+        trace_track_, "io", inf.op.is_write ? "io.write" : "io.read",
+        inf.issue_ns, static_cast<int64_t>(latency_ns), "block",
+        inf.op.block, "depth", inf.depth_at_issue);
     Request::Complete(inf.op.state, std::move(c.status));
   }
   size_t n = completions_.size();
@@ -175,7 +172,7 @@ void VirtualDisk::PumpLoop() {
 }
 
 void VirtualDisk::Drain() {
-  if (!options_.async) return;
+  if (inline_) return;
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] {
     return outstanding_.load(std::memory_order_acquire) == 0;

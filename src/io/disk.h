@@ -1,12 +1,19 @@
-// VirtualDisk: one emulated disk driven as a submission/completion pump over
-// the async StorageBackend seam. The pump thread keeps up to the effective
-// queue depth (min of the configured depth and the backend's own capacity)
-// in flight, reaps completions, and settles Request handles — for inline
-// backends (capacity 1) this degenerates to the classic STXXL-style per-disk
-// I/O thread, so FIFO semantics and the seek model are unchanged; for a real
-// ring (io_uring) it keeps the device queue full. Tracks exact operation
-// counts, a modeled busy clock (seek-aware: an access to block i+1 right
-// after block i is sequential), and queue-depth / submit→complete gauges.
+// VirtualDisk: one emulated disk over the async StorageBackend seam. It
+// serves requests in one of two ways, with identical FIFO semantics and seek
+// model:
+//   - Inline, on the submitting thread under the disk's lock, when the
+//     backend completes in memory (memory, buffered file, mmap) and the
+//     DiskModel does not throttle. A per-disk I/O thread would hide no
+//     device latency there; it would only add a thread hand-off per block.
+//   - On a pump thread otherwise (O_DIRECT, io_uring, throttled disks). The
+//     pump keeps up to the effective queue depth (min of the configured
+//     depth and the backend's own capacity) in flight, reaps completions and
+//     settles Request handles: the STXXL-style per-disk I/O thread at depth
+//     1, a full device queue on a real ring.
+// Tracks exact operation counts, a modeled busy clock (seek-aware: an access
+// to block i+1 right after block i is sequential), and queue-depth /
+// submit→complete gauges. Each op's submit→reap life is an io.read /
+// io.write span on the disk's own trace track, whichever thread reaps it.
 #ifndef DEMSORT_IO_DISK_H_
 #define DEMSORT_IO_DISK_H_
 
@@ -23,15 +30,17 @@
 #include "io/backend.h"
 #include "io/io_stats.h"
 #include "io/request.h"
+#include "obs/trace.h"
 
 namespace demsort::io {
 
 class VirtualDisk {
  public:
   struct Options {
-    /// Serve requests on a pump thread (true) or inline in the submitting
-    /// call (false). Semantics are identical; async enables the overlap the
-    /// paper relies on, inline keeps thread counts low at extreme PE counts.
+    /// Let a pump thread serve the backends that wait on a device (true),
+    /// or serve every backend inline in the submitting call (false).
+    /// Semantics are identical. Backends that complete in memory on an
+    /// unthrottled model run inline either way.
     bool async = true;
     /// Max operations kept in flight at the backend. 0 = the backend's own
     /// queue_capacity(); any other value is clamped to that capacity, so an
@@ -39,9 +48,8 @@ class VirtualDisk {
     /// its SQ depth.
     size_t queue_depth = 0;
     DiskModel model;
-    /// Owning PE's rank for span-trace attribution: the pump thread stamps
-    /// itself with it so per-op submit→reap events land on that rank's
-    /// tracks (-1: unattributed).
+    /// Owning PE's rank, stamped on the disk's trace track so its io.*
+    /// spans land under that rank (-1: unattributed).
     int trace_rank = -1;
   };
 
@@ -77,6 +85,9 @@ class VirtualDisk {
   size_t queue_depth() const;
   /// The depth the pump actually drives the backend at.
   size_t effective_queue_depth() const { return depth_; }
+  /// True when requests complete on the submitting thread, before
+  /// ReadAsync / WriteAsync return; false when a pump thread serves them.
+  bool serves_inline() const { return inline_; }
 
  private:
   struct Op {
@@ -97,20 +108,23 @@ class VirtualDisk {
 
   Request Enqueue(Op op);
   /// Seek accounting + backend submit; reaps when the device queue is full.
-  /// Pump thread (or sync caller) only.
+  /// Pump thread (or inline caller) only.
   void Issue(Op op);
   /// Reaps completions (blocking when `wait`), settles their Requests,
-  /// applies throttle sleeps, and records stats. Returns #completed.
+  /// applies throttle sleeps, records stats and trace spans. Returns
+  /// #completed.
   size_t ReapSome(bool wait);
   void PumpLoop();
 
   std::unique_ptr<StorageBackend> backend_;
   Options options_;
   size_t depth_ = 1;
+  bool inline_ = false;
   IoStats stats_;
   std::shared_ptr<internal::CompletionSignal> signal_;
 
-  // Pump-thread-only state (sync mode: caller thread under mu_).
+  // Pump-thread-only state (inline mode: caller thread under mu_).
+  obs::TraceTrack trace_track_;
   uint64_t next_token_ = 0;
   std::unordered_map<uint64_t, InFlight> in_flight_;
   uint64_t last_block_ = UINT64_MAX;

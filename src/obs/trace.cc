@@ -36,17 +36,17 @@ void Tracer::MarkSessionStart() {
 
 TraceRing& Tracer::Ring() {
   if (internal::t_ring == nullptr) {
-    internal::t_ring = RegisterThread();
+    internal::t_ring = RegisterTrack(internal::t_name);
   }
   return *internal::t_ring;
 }
 
-TraceRing* Tracer::RegisterThread() {
+TraceRing* Tracer::RegisterTrack(const char* static_name) {
   std::lock_guard<std::mutex> lock(mu_);
   rings_.push_back(std::make_unique<TraceRing>());
   TraceRing* ring = rings_.back().get();
   ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
-  ring->thread_name = internal::t_name;
+  ring->thread_name = static_name;
   return ring;
 }
 

@@ -1,13 +1,16 @@
-// Low-overhead span tracer: per-thread lock-free ring buffers of fixed-size
-// SpanEvents, drained after the timed region into one Chrome trace-event
-// JSON (load in Perfetto / chrome://tracing, one track per rank x thread).
+// Low-overhead span tracer: lock-free ring buffers of fixed-size SpanEvents,
+// one per thread plus one per virtual disk, drained after the timed region
+// into one Chrome trace-event JSON (load in Perfetto / chrome://tracing, one
+// track per rank x ring).
 //
 // Design constraints, in order:
 //   1. A recorded event is one steady-clock read plus one ring-slot store on
 //     the recording thread — no locks, no allocation, no syscalls. Rings are
-//     single-writer (thread-local); the collector only reads them after the
-//     tracer is disabled, synchronizing through the ring's release/acquire
-//     write cursor.
+//     single-writer: a thread ring is thread-local, and a disk track
+//     (TraceTrack) is written only by whoever reaps that disk's completions
+//     — its pump thread, or an inline caller holding the disk's lock. The
+//     collector only reads rings after the tracer is disabled,
+//     synchronizing through the ring's release/acquire write cursor.
 //   2. When tracing is compiled out (DEMSORT_TRACING=0) the TRACE_* macros
 //     expand to nothing at all; when compiled in but not enabled, a span is
 //     one relaxed atomic load.
@@ -67,10 +70,11 @@ struct SpanEvent {
   EventType type = EventType::kInstant;
 };
 
-/// Single-writer ring of the most recent kCapacity events of one thread.
-/// The owning thread Push()es; the collector reads [head - size, head) after
-/// tracing is disabled. head_ is released after the slot write, so every
-/// event below an acquired head is fully written.
+/// Single-writer ring of the most recent kCapacity events of one track (a
+/// thread, or a disk's TraceTrack). The one writer Push()es; the collector
+/// reads [head - size, head) after tracing is disabled. head_ is released
+/// after the slot write, so every event below an acquired head is fully
+/// written.
 class TraceRing {
  public:
   static constexpr size_t kCapacityLog2 = 13;
@@ -90,9 +94,9 @@ class TraceRing {
   const SpanEvent& at(uint64_t i) const { return events_[i & (kCapacity - 1)]; }
   void Clear() { head_.store(0, std::memory_order_release); }
 
-  /// Stable per-process thread index, assigned at registration.
+  /// Stable per-process track index, assigned at registration.
   uint32_t tid = 0;
-  /// Optional static name for the track ("pe", "pool-w3", ...).
+  /// Optional static name for the track ("pe", "pool-w3", "disk", ...).
   const char* thread_name = nullptr;
 
  private:
@@ -102,7 +106,7 @@ class TraceRing {
 
 namespace internal {
 // Thread-local recording state. The rank is stamped by whoever owns the
-// thread (PE threads, pool workers, disk pumps, the uplink reactor); events
+// thread (PE threads, pool workers, the uplink reactor); events
 // from unstamped threads carry rank -1 and are kept only by the local
 // (partial-trace) writer, never by the cross-rank gather. The ring pointer
 // stays null until the thread records its first event, so threads of an
@@ -139,6 +143,10 @@ class Tracer {
 
   /// The calling thread's ring, registering it on first use.
   TraceRing& Ring();
+  /// Registers a new ring named `static_name`: a thread's own (Ring()) or
+  /// a TraceTrack's. The tracer keeps every ring for the life of the
+  /// process.
+  TraceRing* RegisterTrack(const char* static_name);
 
   /// Drops all recorded events and the session mark (tests).
   void Clear();
@@ -184,7 +192,6 @@ class Tracer {
 
  private:
   Tracer() = default;
-  TraceRing* RegisterThread();
 
   std::atomic<bool> enabled_{false};
   std::atomic<int64_t> session_start_ns_{-1};
@@ -195,12 +202,12 @@ class Tracer {
 };
 
 /// Stamps the calling thread's rank for every event it records from now on.
-/// Dedicated threads (PE mains, pool workers, disk pumps, reactors) set it
+/// Dedicated threads (PE mains, pool workers, reactors) set it
 /// once at thread start and never restore. Pure TLS writes — no allocation.
 inline void SetThreadRank(int rank) { internal::t_rank = rank; }
 inline int ThreadRank() { return internal::t_rank; }
 /// Names the calling thread's track in the exported trace ("pe", "reactor",
-/// "disk-pump", ...). Must be a string literal.
+/// "pool-w3", ...). Must be a string literal.
 inline void SetThreadName(const char* static_name) {
   internal::t_name = static_name;
   if (internal::t_ring != nullptr) {
@@ -215,11 +222,10 @@ bool WriteLocalTrace(const std::string& path);
 
 // ---- recording primitives (used by the macros; callable directly) ----
 
-inline void Emit(EventType type, const char* cat, const char* name,
-                 int64_t ts_ns, int64_t dur_ns, const char* a1n, uint64_t a1,
-                 const char* a2n, uint64_t a2) {
-  Tracer& t = Tracer::Get();
-  if (!t.enabled()) return;
+inline SpanEvent MakeSpanEvent(EventType type, const char* cat,
+                               const char* name, int64_t ts_ns, int64_t dur_ns,
+                               const char* a1n, uint64_t a1, const char* a2n,
+                               uint64_t a2, int rank) {
   SpanEvent e;
   e.ts_ns = ts_ns;
   e.dur_ns = dur_ns;
@@ -229,9 +235,18 @@ inline void Emit(EventType type, const char* cat, const char* name,
   e.arg2_name = a2n;
   e.arg1 = a1;
   e.arg2 = a2;
-  e.rank = internal::t_rank;
+  e.rank = rank;
   e.type = type;
-  t.Ring().Push(e);
+  return e;
+}
+
+inline void Emit(EventType type, const char* cat, const char* name,
+                 int64_t ts_ns, int64_t dur_ns, const char* a1n, uint64_t a1,
+                 const char* a2n, uint64_t a2) {
+  Tracer& t = Tracer::Get();
+  if (!t.enabled()) return;
+  t.Ring().Push(MakeSpanEvent(type, cat, name, ts_ns, dur_ns, a1n, a1, a2n, a2,
+                              internal::t_rank));
 }
 
 inline void EmitInstant(const char* cat, const char* name,
@@ -241,13 +256,42 @@ inline void EmitInstant(const char* cat, const char* name,
 }
 
 /// A completed interval recorded after the fact with an explicit start —
-/// how the disk pump traces submit→reap without touching the submit path.
+/// how a stall is traced once its length is known.
 inline void EmitComplete(const char* cat, const char* name, int64_t start_ns,
                          int64_t dur_ns, const char* a1n = nullptr,
                          uint64_t a1 = 0, const char* a2n = nullptr,
                          uint64_t a2 = 0) {
   Emit(EventType::kComplete, cat, name, start_ns, dur_ns, a1n, a1, a2n, a2);
 }
+
+/// A trace track owned by an object instead of a thread: a virtual disk
+/// records its io.read / io.write spans here, whichever thread reaps them,
+/// so inline I/O never fills the submitting thread's ring. The ring
+/// registers with the Tracer on the first event recorded while tracing is
+/// enabled, so an untraced run allocates nothing. The owner serializes its
+/// recorders: one writer at a time, each handing over to the next through a
+/// lock or a thread of its own.
+class TraceTrack {
+ public:
+  /// `static_name` must be a string literal; `rank` stamps every event.
+  TraceTrack(const char* static_name, int rank)
+      : name_(static_name), rank_(rank) {}
+
+  void Complete(const char* cat, const char* name, int64_t start_ns,
+                int64_t dur_ns, const char* a1n, uint64_t a1,
+                const char* a2n, uint64_t a2) {
+    Tracer& t = Tracer::Get();
+    if (!t.enabled()) return;
+    if (ring_ == nullptr) ring_ = t.RegisterTrack(name_);
+    ring_->Push(MakeSpanEvent(EventType::kComplete, cat, name, start_ns,
+                              dur_ns, a1n, a1, a2n, a2, rank_));
+  }
+
+ private:
+  const char* name_;
+  int rank_;
+  TraceRing* ring_ = nullptr;
+};
 
 /// RAII span: Begin at construction, End at destruction. One enabled-check
 /// per edge; inert when tracing is off.
@@ -304,10 +348,10 @@ class ScopedSpan {
 #define TRACE_COMPLETE1(cat, name, start_ns, dur_ns, a1n, a1)        \
   ::demsort::obs::EmitComplete(cat, name, start_ns, dur_ns, a1n,     \
                                static_cast<uint64_t>(a1))
-#define TRACE_COMPLETE2(cat, name, start_ns, dur_ns, a1n, a1, a2n, a2) \
-  ::demsort::obs::EmitComplete(cat, name, start_ns, dur_ns, a1n,       \
-                               static_cast<uint64_t>(a1), a2n,         \
-                               static_cast<uint64_t>(a2))
+#define TRACE_TRACK_COMPLETE2(track, cat, name, start_ns, dur_ns, a1n, a1, \
+                              a2n, a2)                                      \
+  (track).Complete(cat, name, start_ns, dur_ns, a1n,                        \
+                   static_cast<uint64_t>(a1), a2n, static_cast<uint64_t>(a2))
 #define TRACE_THREAD_RANK(rank) ::demsort::obs::SetThreadRank(rank)
 #define TRACE_THREAD_NAME(name) ::demsort::obs::SetThreadName(name)
 #else
@@ -335,8 +379,9 @@ class ScopedSpan {
 #define TRACE_COMPLETE1(cat, name, start_ns, dur_ns, a1n, a1) \
   do {                                                        \
   } while (0)
-#define TRACE_COMPLETE2(cat, name, start_ns, dur_ns, a1n, a1, a2n, a2) \
-  do {                                                                 \
+#define TRACE_TRACK_COMPLETE2(track, cat, name, start_ns, dur_ns, a1n, a1, \
+                              a2n, a2)                                      \
+  do {                                                                      \
   } while (0)
 #define TRACE_THREAD_RANK(rank) \
   do {                          \

@@ -222,9 +222,9 @@ TEST(CanonicalSortTest, FileBackendEndToEnd) {
 }
 
 TEST(CanonicalSortTest, SyncIoModeWorks) {
+  // Memory disks serve every block op inline on the submitting thread.
   const int P = 2;
   SortConfig config = test::SmallConfig();
-  config.async_io = false;
   test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
     auto gen = workload::GenerateKV16(ctx.bm, Distribution::kUniform, 2048,
                                       ctx.rank(), P, cfg.seed);

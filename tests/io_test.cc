@@ -600,6 +600,50 @@ TEST_P(BackendConformanceTest, FlushThenReopenPreservesContents) {
   std::filesystem::remove(path);
 }
 
+TEST_P(BackendConformanceTest, VirtualDiskServesInlineWhenBackendCompletesInMemory) {
+  // Memory, file and mmap complete in memory, so a VirtualDisk over them
+  // settles each request before ReadAsync / WriteAsync returns. The other
+  // kinds keep the pump, which on uring drives the device queue past 1.
+  BackendFileOptions opts;
+  opts.path = NewPath("vdisk");
+  opts.queue_depth = 8;
+  MAKE_BACKEND_OR_SKIP(backend, opts);
+  const BackendKind kind = GetParam();
+  const bool in_memory = kind == BackendKind::kMemory ||
+                         kind == BackendKind::kFile ||
+                         kind == BackendKind::kMmap;
+  EXPECT_EQ(backend->completes_in_memory(), in_memory);
+  VirtualDisk disk(std::move(backend), {});
+  EXPECT_EQ(disk.serves_inline(), in_memory);
+
+  constexpr int kOps = 32;
+  std::vector<AlignedBuffer> writes, reads;
+  std::vector<Request> requests;
+  for (int i = 0; i < kOps; ++i) {
+    writes.push_back(PatternBlock(static_cast<uint8_t>(i + 1)));
+    requests.push_back(disk.WriteAsync(i, writes.back().data()));
+    if (in_memory) {
+      EXPECT_TRUE(requests.back().done()) << "write " << i;
+    }
+  }
+  WaitAllOk(requests);
+  requests.clear();
+  for (int i = 0; i < kOps; ++i) {
+    reads.emplace_back(kBlock);
+    requests.push_back(disk.ReadAsync(i, reads.back().data()));
+    if (in_memory) {
+      EXPECT_TRUE(requests.back().done()) << "read " << i;
+    }
+  }
+  WaitAllOk(requests);
+  for (int i = 0; i < kOps; ++i) {
+    EXPECT_EQ(reads[i].data()[40], static_cast<uint8_t>(i + 1));
+  }
+  if (kind == BackendKind::kUring) {
+    EXPECT_GT(disk.Stats().queue_depth_peak, 1u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformanceTest,
                          ::testing::Values(BackendKind::kMemory,
                                            BackendKind::kFile,

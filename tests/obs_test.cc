@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -19,6 +20,8 @@
 #include "core/canonical_mergesort.h"
 #include "core/pe_context.h"
 #include "core/phase_stats.h"
+#include "io/backend.h"
+#include "io/disk.h"
 #include "net/cluster.h"
 #include "net/comm.h"
 #include "net/fault_transport.h"
@@ -151,6 +154,77 @@ TEST(TraceGatherTest, MergedJsonIsValidMonotonicAndCoversAllRanks) {
   ResetTracer();
 }
 
+// ---------------------------------------------------- disk trace tracks ----
+
+TEST(DiskTraceTrackTest, InlineBlockOpsLandOnPerDiskTracksWithoutDrops) {
+  // One traced thread issues more block ops than a ring holds, over two
+  // memory disks that serve them inline. Each disk records its io.* spans
+  // on its own "disk" track, so the thread's ring holds none and no ring
+  // overflows.
+#if !DEMSORT_TRACING
+  GTEST_SKIP() << "disks record their spans through the TRACE_* macros";
+#endif
+  ResetTracer();
+  obs::Tracer& tracer = obs::Tracer::Get();
+  tracer.Enable();
+  tracer.MarkSessionStart();
+  obs::SetThreadRank(3);
+  obs::SetThreadName("obs-test");
+  obs::EmitInstant("test", "submitter.start");
+
+  constexpr size_t kBlock = 4096;
+  constexpr uint64_t kOpsPerDisk = obs::TraceRing::kCapacity * 5 / 8;
+  static_assert(2 * kOpsPerDisk > obs::TraceRing::kCapacity);
+  AlignedBuffer buf(kBlock);
+  std::memset(buf.data(), 0x5a, kBlock);
+  {
+    std::vector<std::unique_ptr<io::VirtualDisk>> disks;
+    for (int d = 0; d < 2; ++d) {
+      io::VirtualDisk::Options options;
+      options.trace_rank = 3 + d;
+      disks.push_back(std::make_unique<io::VirtualDisk>(
+          std::make_unique<io::MemoryBackend>(kBlock), options));
+      ASSERT_TRUE(disks.back()->serves_inline());
+    }
+    for (auto& disk : disks) {
+      disk->WriteAsync(0, buf.data()).WaitOk();
+      for (uint64_t i = 1; i < kOpsPerDisk; ++i) {
+        disk->ReadAsync(0, buf.data()).WaitOk();
+      }
+    }
+  }
+  tracer.Disable();
+  EXPECT_EQ(tracer.DroppedEvents(), 0u);
+
+  obs::Tracer::WireTrace wire;
+  ASSERT_TRUE(obs::Tracer::DecodeWire(tracer.SerializeRank(-1), &wire));
+  std::map<uint32_t, std::string> track_name;
+  for (auto [tid, sid] : wire.thread_names) {
+    track_name[tid] = wire.strings.at(sid);
+  }
+  std::set<uint32_t> submitter_tids;
+  std::map<uint32_t, std::set<int>> ranks_per_disk_track;
+  std::map<int, uint64_t> io_per_rank;
+  for (const obs::Tracer::WireEvent& e : wire.events) {
+    const std::string& name = wire.strings.at(e.name);
+    if (name == "submitter.start") submitter_tids.insert(e.tid);
+    if (name.rfind("io.", 0) != 0) continue;
+    EXPECT_EQ(track_name[e.tid], "disk") << name << " off the disk track";
+    ranks_per_disk_track[e.tid].insert(e.rank);
+    ++io_per_rank[e.rank];
+  }
+  ASSERT_EQ(submitter_tids.size(), 1u);
+  EXPECT_EQ(ranks_per_disk_track.count(*submitter_tids.begin()), 0u)
+      << "io.* spans landed on the submitting thread's track";
+  EXPECT_EQ(ranks_per_disk_track.size(), 2u) << "one track per disk";
+  for (const auto& [tid, ranks] : ranks_per_disk_track) {
+    EXPECT_EQ(ranks.size(), 1u) << "track " << tid << " mixes ranks";
+  }
+  EXPECT_EQ(io_per_rank,
+            (std::map<int, uint64_t>{{3, kOpsPerDisk}, {4, kOpsPerDisk}}));
+  ResetTracer();
+}
+
 // ------------------------------------------------- gauge-reset contract ----
 
 TEST(PhaseCollectorTest, ConsecutivePhasesDoNotLeakGaugePeaks) {
@@ -255,7 +329,6 @@ TEST(TraceFaultTest, KillMidSortYieldsWellFormedPartialTrace) {
   config.memory_per_pe = 64 * 1024;
   config.disks_per_pe = 2;
   config.threads_per_pe = 1;
-  config.async_io = false;  // unwinding must not race in-flight disk I/O
   config.seed = 7;
 
   net::FaultInjector::Spec spec;

@@ -66,7 +66,6 @@ core::SortConfig MakeConfig(const std::string& dir) {
   config.memory_per_pe = 64 * 1024;
   config.disks_per_pe = 2;
   config.threads_per_pe = 1;
-  config.async_io = false;
   config.seed = 1;
   config.backend = io::BlockManager::BackendKind::kFile;
   config.file_dir = dir;
@@ -475,9 +474,9 @@ TEST(RecoverySortTest, KillEachPhaseParallelMergeRecovers) {
 }
 
 TEST(RecoverySortTest, KillEachPhaseStripedAsyncFilesRecovers) {
-  // Striped files under the async pump at queue depth: the recovery path
-  // must reopen all K stripe files per disk and the striping-aware
-  // durable-length check must accept the healthy layout.
+  // Striped files at queue depth (served inline: buffered files complete in
+  // memory): the recovery path must reopen all K stripe files per disk and
+  // the striping-aware durable-length check must accept the healthy layout.
   KillEachPhaseAndRecover(net::TransportKind::kInProc,
                           [](core::SortConfig& config) {
                             config.async_io = true;

@@ -287,7 +287,6 @@ TEST(FaultSortTest, KilledPeMidSortIsContainedAtEveryInjectionPoint) {
   config.memory_per_pe = 64 * 1024;
   config.disks_per_pe = 2;
   config.threads_per_pe = 1;
-  config.async_io = false;  // unwinding must not race in-flight disk I/O
   config.seed = 1;
   for (uint64_t seed = 0; seed < 6; ++seed) {
     FaultInjector::Spec spec =
