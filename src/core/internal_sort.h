@@ -35,15 +35,22 @@
 
 namespace demsort::core {
 
-template <typename R>
-struct InternalSortResult {
-  /// This PE's globally contiguous share of the sorted run.
-  std::vector<R> piece;
-  /// Global rank (within the run) of piece[0].
+/// This PE's share of one cooperative sort; its records are in the
+/// caller's output span.
+struct SortedPiece {
+  /// Global rank (within the run) of the piece's first record.
   uint64_t piece_start = 0;
+  /// Records in the piece.
+  uint64_t piece_size = 0;
   /// Total run length across all PEs.
   uint64_t total = 0;
   uint64_t selection_rounds = 0;
+};
+
+/// SortedPiece with the records in a vector of their own.
+template <typename R>
+struct InternalSortResult : SortedPiece {
+  std::vector<R> piece;
 };
 
 namespace internal {
@@ -156,32 +163,47 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
 
 }  // namespace internal
 
-/// Sorts the union of all PEs' `local` vectors; afterwards PE i holds global
+/// Sorts the union of all PEs' `local` spans; afterwards PE i holds global
 /// ranks [i*total/P, (i+1)*total/P), sorted (ties resolved by the
-/// (key, source PE, position) total order, hence deterministically).
-/// `stream_options` tunes the redistribution's and the selection gathers'
-/// streaming (SortConfig::StreamOptionsFor), passed per call so per-run
-/// overrides never mutate the shared Comm; alignment is set here from R.
+/// (key, source PE, position) total order, hence deterministically), in
+/// `out[0, piece_size)`. All three spans are caller-owned, so a run loop can
+/// reuse them:
+///  * `local` is sorted in place, then sent from;
+///  * `recv` is the local sort's scratch, then the exchange's landing
+///    buffer: each source's slice lands at an offset computed from the
+///    replicated split matrix, so the slices are the merge's P sources;
+///  * `out` receives the P-way merge. It may alias `local`, which is dead
+///    once the exchange returns.
+/// `recv` must hold max(local.size(), piece) records and `out` the piece;
+/// a piece never exceeds the largest local share (it is at most
+/// ceil(total/P) records). `stream_options` tunes the redistribution's and
+/// the selection gathers' streaming (SortConfig::StreamOptionsFor), passed
+/// per call so per-run overrides never mutate the shared Comm; alignment is
+/// set here from R.
 template <typename R>
-InternalSortResult<R> InternalParallelSort(
-    PeContext& ctx, std::vector<R> local, PhaseStats* stats = nullptr,
-    net::StreamOptions stream_options = {}) {
+SortedPiece InternalParallelSort(PeContext& ctx, std::span<R> local,
+                                 std::span<R> recv, std::span<R> out,
+                                 PhaseStats* stats = nullptr,
+                                 net::StreamOptions stream_options = {}) {
   net::Comm& comm = *ctx.comm;
   const int P = comm.size();
   const int me = comm.rank();
 
-  par::ParallelSort<R>(*ctx.pool, std::span<R>(local));
+  par::ParallelSort<R>(*ctx.pool, local, recv.first(local.size()));
   if (stats != nullptr) stats->elements_sorted += local.size();
 
   std::vector<uint64_t> sizes = comm.Allgather<uint64_t>(local.size());
   uint64_t total = 0;
   for (uint64_t s : sizes) total += s;
 
-  InternalSortResult<R> result;
+  SortedPiece result;
   result.total = total;
   if (P == 1) {
-    result.piece = std::move(local);
-    result.piece_start = 0;
+    DEMSORT_CHECK_GE(out.size(), local.size());
+    if (out.data() != local.data()) {
+      std::copy(local.begin(), local.end(), out.begin());
+    }
+    result.piece_size = local.size();
     return result;
   }
 
@@ -196,15 +218,27 @@ InternalSortResult<R> InternalParallelSort(
   result.selection_rounds = rounds;
   if (stats != nullptr) stats->selection_rounds += rounds;
 
-  // split rows for ranks r_1..r_{P-1}; add r_0 = 0 and r_P = sizes.
-  // Streaming redistribution straight out of `local` (no per-destination
-  // staging vectors: the provider hands AlltoallvStream zero-copy slice
-  // spans, which it chunks onto the wire itself). Each source's slice is
-  // appended to its receive vector chunk by chunk AS IT LANDS — the copy
-  // out of the transport overlaps the rest of the transfer, and no full
-  // per-source payload is ever staged in the mailbox. The size callback
-  // pre-sizes each vector so the appends never reallocate.
-  std::vector<std::vector<R>> received(P);
+  // split rows for ranks r_1..r_{P-1}; add r_0 = 0 and r_P = sizes. Source
+  // s sends me its records [split[me-1][s], split[me][s]), which land at
+  // recv[at[s], at[s+1]).
+  std::vector<uint64_t> at(P + 1, 0);
+  for (int s = 0; s < P; ++s) {
+    uint64_t begin = me == 0 ? 0 : split[me - 1][s];
+    uint64_t end = me == P - 1 ? sizes[s] : split[me][s];
+    DEMSORT_CHECK_LE(begin, end);
+    at[s + 1] = at[s] + (end - begin);
+  }
+  const uint64_t piece_size = at[P];
+  DEMSORT_CHECK_LE(piece_size, recv.size());
+  DEMSORT_CHECK_LE(piece_size, out.size());
+
+  // Streaming redistribution straight out of `local` (the provider hands
+  // AlltoallvStream zero-copy slice spans, which it chunks onto the wire
+  // itself). Each source's slice, the self slice included, is copied to
+  // its place in `recv` chunk by chunk AS IT LANDS — the copy out of the
+  // transport overlaps the rest of the transfer, and no full per-source
+  // payload is ever staged in the mailbox.
+  std::vector<uint64_t> landed(at.begin(), at.end() - 1);
   net::StreamOptions redist_options = stream_options;
   redist_options.align_bytes = sizeof(R);
   comm.AlltoallvStream(
@@ -219,27 +253,25 @@ InternalSortResult<R> InternalParallelSort(
       [&](int src, std::span<const uint8_t> chunk, bool last) {
         (void)last;
         DEMSORT_CHECK_EQ(chunk.size() % sizeof(R), 0u);
-        const R* records = reinterpret_cast<const R*>(chunk.data());
-        received[src].insert(received[src].end(), records,
-                             records + chunk.size() / sizeof(R));
+        const size_t n = chunk.size() / sizeof(R);
+        DEMSORT_CHECK_LE(landed[src] + n, at[src + 1]);
+        if (n > 0) {
+          std::memcpy(recv.data() + landed[src], chunk.data(), chunk.size());
+        }
+        landed[src] += n;
       },
       [&](int src, uint64_t bytes) {
-        DEMSORT_CHECK_EQ(bytes % sizeof(R), 0u);
-        received[src].reserve(bytes / sizeof(R));
+        DEMSORT_CHECK_EQ(bytes, (at[src + 1] - at[src]) * sizeof(R));
       },
       redist_options);
-  local.clear();
-  local.shrink_to_fit();
 
-  size_t piece_size = 0;
   std::vector<std::span<const R>> sources;
   sources.reserve(P);
-  for (int p = 0; p < P; ++p) {
-    piece_size += received[p].size();
-    sources.emplace_back(received[p].data(), received[p].size());
+  for (int s = 0; s < P; ++s) {
+    DEMSORT_CHECK_EQ(landed[s], at[s + 1]);
+    sources.emplace_back(recv.data() + at[s], at[s + 1] - at[s]);
   }
-  result.piece.resize(piece_size);
-  par::ParallelMultiwayMerge<R>(*ctx.pool, sources, result.piece.data());
+  par::ParallelMultiwayMerge<R>(*ctx.pool, sources, out.data());
   if (stats != nullptr) {
     stats->elements_merged += piece_size;
     stats->merge_ways = std::max<uint64_t>(stats->merge_ways, P);
@@ -249,6 +281,28 @@ InternalSortResult<R> InternalParallelSort(
   uint64_t r_next = me == P - 1 ? total : targets[me];
   DEMSORT_CHECK_EQ(piece_size, r_next - r_me);
   result.piece_start = r_me;
+  result.piece_size = piece_size;
+  return result;
+}
+
+/// InternalParallelSort for a caller that owns its records in a vector:
+/// sizes the scratch and the piece to the largest local share (one
+/// AllreduceMax) and returns the piece in `local`'s storage.
+template <typename R>
+InternalSortResult<R> InternalParallelSort(
+    PeContext& ctx, std::vector<R> local, PhaseStats* stats = nullptr,
+    net::StreamOptions stream_options = {}) {
+  const size_t n = local.size();
+  const size_t capacity =
+      static_cast<size_t>(ctx.comm->AllreduceMax<uint64_t>(n));
+  std::vector<R> recv(capacity);
+  local.resize(capacity);
+  InternalSortResult<R> result;
+  static_cast<SortedPiece&>(result) = InternalParallelSort<R>(
+      ctx, std::span<R>(local).first(n), std::span<R>(recv),
+      std::span<R>(local), stats, stream_options);
+  local.resize(result.piece_size);
+  result.piece = std::move(local);
   return result;
 }
 

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/block_io.h"
 #include "core/canonical_mergesort.h"
 #include "core/config.h"
 #include "core/external_alltoall.h"
@@ -87,8 +88,8 @@ PipelinedResult<R> PipelinedSort(
 
     std::vector<typename SampleTable<R>::Entry> samples;
     for (size_t idx = 0; idx < sorted.piece.size(); idx += sample_k) {
-      samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece[idx], piece.global_start + idx});
+      SampleTable<R>::Append(samples, sorted.piece[idx],
+                             piece.global_start + idx);
     }
     rf.runs.pieces.push_back(std::move(piece));
     rf.samples.per_run.push_back(std::move(samples));

@@ -5,10 +5,21 @@
 //  * Randomization: each PE shuffles its local input block IDs first, so
 //    every run sees ≈ the global key distribution (the defence that turns
 //    the worst case of Figs. 5/6 into Fig. 4).
-//  * In-place: input blocks are freed as they are read; the sorted pieces
-//    allocate from the free list, so disk usage stays ≈ the input footprint.
-//  * Overlap: reads of run r+1 are issued before the cooperative sort of
-//    run r starts, and writes of run r complete while run r+1 is sorted.
+//  * In-place, on disk: input blocks are freed as they are read; the
+//    sorted pieces allocate from the free list, so disk usage stays ≈ the
+//    input footprint.
+//  * In-place, in memory: each run is read straight into a run buffer of
+//    m/B blocks, sorted there (the receive buffer is the local sort's
+//    scratch), exchanged into the receive buffer at offsets from the
+//    replicated split matrix, merged back into the run buffer at block
+//    stride and written from it. No staging copy, and no allocation per run
+//    or per block: the buffers are allocated once per sort. Per PE that is
+//    3 run buffers plus 1 receive buffer, about 4·m (2·m without overlap).
+//  * Overlap: the run buffers rotate (run r uses buffer r mod 3). Reads of
+//    run r+1 are issued into the next buffer before the cooperative sort of
+//    run r starts, and run r's writes stay in flight across run r+1's
+//    sort. A buffer's writes are drained only right before it is read into
+//    again, and once at the end of FormRuns.
 //  * Sampling: every K-th element of each written piece is recorded with its
 //    exact run position — the selection bootstrap and prediction sequence.
 #ifndef DEMSORT_CORE_RUN_FORMATION_H_
@@ -17,10 +28,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/block_io.h"
 #include "core/checkpoint.h"
 #include "core/config.h"
 #include "core/internal_sort.h"
@@ -30,6 +41,7 @@
 #include "core/run_index.h"
 #include "core/sample_bounds.h"
 #include "obs/trace.h"
+#include "util/aligned_buffer.h"
 #include "util/random.h"
 
 namespace demsort::core {
@@ -85,131 +97,165 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
   result.samples.per_run.resize(num_runs);
   result.samples.sample_every_k = sample_k;
 
-  // Pipeline state for overlapped operation.
-  struct PendingRead {
-    std::vector<AlignedBuffer> buffers;
-    std::vector<io::Request> requests;
-    std::vector<size_t> counts;
+  // Run r lives in run_buffers[r % size] (see "In-place, in memory" and
+  // "Overlap" above); `recv` is the sort's scratch and landing buffer.
+  struct RunBuffer {
+    AlignedBuffer bytes;
+    std::vector<io::Request> reads;
+    std::vector<io::Request> writes;
   };
-  auto issue_reads = [&](uint64_t run) -> PendingRead {
-    PendingRead pending;
-    size_t begin = static_cast<size_t>(run) * blocks_per_run;
-    size_t end = std::min(block_list.size(), begin + blocks_per_run);
+  const size_t bs = bm->block_size();
+  const size_t run_capacity = blocks_per_run * epb;
+  std::vector<RunBuffer> run_buffers(static_cast<size_t>(
+      std::min<uint64_t>(num_runs, config.overlap_run_formation ? 3 : 1)));
+  for (RunBuffer& buf : run_buffers) {
+    buf.bytes = AlignedBuffer(blocks_per_run * bs);
+  }
+  AlignedBuffer recv(run_capacity * sizeof(R));
+  const std::span<R> recv_records(reinterpret_cast<R*>(recv.data()),
+                                  run_capacity);
+
+  auto buffer_of = [&](uint64_t run) -> RunBuffer& {
+    return run_buffers[run % run_buffers.size()];
+  };
+  auto blocks_of = [&](uint64_t run) {
+    size_t begin = std::min(block_list.size(),
+                            static_cast<size_t>(run) * blocks_per_run);
+    return std::pair{begin, std::min(block_list.size(),
+                                     begin + blocks_per_run)};
+  };
+  auto issue_reads = [&](uint64_t run) {
+    RunBuffer& buf = buffer_of(run);
+    if (!buf.writes.empty()) {
+      TRACE_SPAN1("run", "rf.write_drain", "run", run);
+      io::WaitAllOk(buf.writes);
+      buf.writes.clear();
+    }
     // Batch submission: every read of the run is enqueued before anything
-    // waits, so the per-disk pumps run at their full queue depth.
+    // waits, so the per-disk pumps run at their full queue depth. Block i
+    // of the run lands at offset i*B of its buffer.
+    TRACE_SPAN1("run", "rf.read_issue", "run", run);
+    auto [begin, end] = blocks_of(run);
     std::vector<std::pair<io::BlockId, void*>> ops;
     ops.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      pending.buffers.emplace_back(bm->block_size());
-      ops.emplace_back(block_list[i].first, pending.buffers.back().data());
-      pending.counts.push_back(block_list[i].second);
+      ops.emplace_back(block_list[i].first,
+                       buf.bytes.data() + (i - begin) * bs);
     }
-    pending.requests = bm->ReadBatch(ops);
-    return pending;
+    buf.reads = bm->ReadBatch(ops);
   };
-  auto collect_read = [&](PendingRead& pending, uint64_t run) {
-    // The read-wait span exposes the overlap win: with prefetch working,
-    // this is near-zero for every run but the first.
-    TRACE_SPAN1("run", "rf.read_wait", "run", run);
-    size_t total = 0;
-    for (size_t c : pending.counts) total += c;
-    std::vector<R> data(total);
-    size_t offset = 0;
-    for (size_t i = 0; i < pending.requests.size(); ++i) {
-      pending.requests[i].WaitOk();
-      std::memcpy(data.data() + offset, pending.buffers[i].data(),
-                  pending.counts[i] * sizeof(R));
-      offset += pending.counts[i];
+  // Waits for the run's reads and returns its record count.
+  auto collect_reads = [&](uint64_t run) {
+    RunBuffer& buf = buffer_of(run);
+    {
+      // The read-wait span exposes the overlap win: with prefetch working,
+      // this is near-zero for every run but the first.
+      TRACE_SPAN1("run", "rf.read_wait", "run", run);
+      io::WaitAllOk(buf.reads);
     }
+    buf.reads.clear();
     // In-place: return the consumed input blocks to the free list. Safe at
     // any queue depth: a block is freed only after its read COMPLETED, and
     // a write into a reused block is submitted only after the free — so the
     // two ops are never in flight together.
-    size_t begin = static_cast<size_t>(run) * blocks_per_run;
-    size_t end = std::min(block_list.size(), begin + blocks_per_run);
-    for (size_t i = begin; i < end; ++i) bm->Free(block_list[i].first);
-    return data;
+    auto [begin, end] = blocks_of(run);
+    size_t n = 0;
+    for (size_t i = begin; i < end; ++i) {
+      bm->Free(block_list[i].first);
+      n += block_list[i].second;
+    }
+    return n;
   };
 
-  std::vector<io::Request> pending_writes;
-  std::vector<AlignedBuffer> write_buffers;  // kept alive across overlap
-
-  PendingRead reads = issue_reads(0);
+  issue_reads(0);
   for (uint64_t run = 0; run < num_runs; ++run) {
-    std::vector<R> data = collect_read(reads, run);
+    RunBuffer& buf = buffer_of(run);
+    uint8_t* const base = buf.bytes.data();
+    const std::span<R> records(reinterpret_cast<R*>(base), run_capacity);
+    const size_t n = collect_reads(run);
     if (config.overlap_run_formation && run + 1 < num_runs) {
-      reads = issue_reads(run + 1);
+      issue_reads(run + 1);
     }
 
-    InternalSortResult<R> sorted;
+    SortedPiece sorted;
     {
-      TRACE_SPAN2("run", "rf.sort", "run", run, "elements", data.size());
-      sorted = InternalParallelSort<R>(
-          ctx, std::move(data), stats, config.StreamOptionsFor(sizeof(R)));
+      TRACE_SPAN2("run", "rf.sort", "run", run, "elements", n);
+      // Records to the front of the buffer: drops the block slack of
+      // records that do not divide B, and the gap a partial input block
+      // leaves mid-run. Moves nothing for full blocks without slack.
+      auto [begin, end] = blocks_of(run);
+      size_t packed = 0;
+      for (size_t i = begin; i < end; ++i) {
+        const uint8_t* from = base + (i - begin) * bs;
+        R* to = records.data() + packed;
+        if (from != reinterpret_cast<const uint8_t*>(to)) {
+          std::memmove(to, from, block_list[i].second * sizeof(R));
+        }
+        packed += block_list[i].second;
+      }
+      sorted = InternalParallelSort<R>(ctx, records.first(n), recv_records,
+                                       records, stats,
+                                       config.StreamOptionsFor(sizeof(R)));
     }
-
-    // Finish the previous run's writes before issuing new ones (two write
-    // generations in flight at most — the paper's overlap scheme).
-    {
-      TRACE_SPAN1("run", "rf.write_drain", "run", run);
-      io::WaitAllOk(pending_writes);
-    }
-    pending_writes.clear();
-    write_buffers.clear();
 
     RunPiece<R>& piece = result.runs.pieces[run];
     piece.global_start = sorted.piece_start;
-    piece.size = sorted.piece.size();
-    size_t blocks_needed = (sorted.piece.size() + epb - 1) / epb;
-    piece.blocks = bm->AllocateMany(blocks_needed);
-    std::vector<std::pair<io::BlockId, const void*>> write_ops;
-    write_ops.reserve(blocks_needed);
-    for (size_t b = 0; b < blocks_needed; ++b) {
-      size_t offset = b * epb;
-      size_t count = std::min(epb, sorted.piece.size() - offset);
-      write_buffers.emplace_back(bm->block_size());
-      std::memcpy(write_buffers.back().data(), sorted.piece.data() + offset,
-                  count * sizeof(R));
-      // Zero the tail (partial last block, plus any block-size slack when
-      // records do not divide the block): blocks are written full-size, and
-      // uninitialized buffer bytes on disk would make the image
-      // nondeterministic and trip MSAN.
-      std::memset(write_buffers.back().data() + count * sizeof(R), 0,
-                  bm->block_size() - count * sizeof(R));
-      piece.block_first_records.push_back(sorted.piece[offset]);
-      write_ops.emplace_back(piece.blocks[b], write_buffers.back().data());
+    piece.size = sorted.piece_size;
+    const size_t num_blocks = (piece.size + epb - 1) / epb;
+    {
+      TRACE_SPAN1("run", "rf.pack", "run", run);
+      // Sample every K-th element of the piece with exact run positions,
+      // plus the closing element (exact tail counts for selection).
+      auto& samples = result.samples.per_run[run];
+      for (size_t idx = 0; idx < piece.size; idx += sample_k) {
+        SampleTable<R>::Append(samples, records[idx],
+                               piece.global_start + idx);
+      }
+      if (piece.size > 0 && (piece.size - 1) % sample_k != 0) {
+        SampleTable<R>::Append(samples, records[piece.size - 1],
+                               piece.global_start + piece.size - 1);
+      }
+      piece.block_first_records.reserve(num_blocks);
+      for (size_t b = 0; b < num_blocks; ++b) {
+        piece.block_first_records.push_back(records[b * epb]);
+      }
+      // Lay the merged piece out at block stride, last block first (a
+      // block's records only move up, past every earlier block's), and
+      // zero each tail: the partial last block, plus any block-size slack.
+      // Blocks are written full-size, and uninitialized or stale bytes on
+      // disk would make the image nondeterministic and trip MSAN.
+      for (size_t b = num_blocks; b-- > 0;) {
+        const size_t count = std::min<size_t>(epb, piece.size - b * epb);
+        uint8_t* block = base + b * bs;
+        const R* from = records.data() + b * epb;
+        if (reinterpret_cast<const uint8_t*>(from) != block) {
+          std::memmove(block, from, count * sizeof(R));
+        }
+        std::memset(block + count * sizeof(R), 0, bs - count * sizeof(R));
+      }
     }
-    for (io::Request& r : bm->WriteBatch(write_ops)) {
-      pending_writes.push_back(std::move(r));
+    {
+      TRACE_SPAN1("run", "rf.write_issue", "run", run);
+      piece.blocks = bm->AllocateMany(num_blocks);
+      std::vector<std::pair<io::BlockId, const void*>> ops;
+      ops.reserve(num_blocks);
+      for (size_t b = 0; b < num_blocks; ++b) {
+        ops.emplace_back(piece.blocks[b], base + b * bs);
+      }
+      buf.writes = bm->WriteBatch(ops);
     }
     if (!config.overlap_run_formation) {
       {
         TRACE_SPAN1("run", "rf.write_drain", "run", run);
-        io::WaitAllOk(pending_writes);
+        io::WaitAllOk(buf.writes);
       }
-      pending_writes.clear();
-      write_buffers.clear();
-    }
-
-    // Sample every K-th element of the piece with exact run positions,
-    // plus the closing element (exact tail counts for selection).
-    auto& samples = result.samples.per_run[run];
-    for (size_t idx = 0; idx < sorted.piece.size(); idx += sample_k) {
-      samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece[idx], piece.global_start + idx});
-    }
-    if (!sorted.piece.empty() && (sorted.piece.size() - 1) % sample_k != 0) {
-      samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece.back(),
-          piece.global_start + sorted.piece.size() - 1});
-    }
-    if (!config.overlap_run_formation && run + 1 < num_runs) {
-      reads = issue_reads(run + 1);
+      buf.writes.clear();
+      if (run + 1 < num_runs) issue_reads(run + 1);
     }
   }
   {
     TRACE_SPAN("run", "rf.write_drain.final");
-    io::WaitAllOk(pending_writes);
+    for (RunBuffer& buf : run_buffers) io::WaitAllOk(buf.writes);
   }
 
   // Replicate piece boundaries: for each run, allgather piece sizes.

@@ -72,6 +72,15 @@ struct SampleTable {
   };
   static_assert(std::is_trivially_copyable_v<Entry>);
 
+  /// Appends (record, pos). The entry is value-initialised, so its padding
+  /// (4 bytes after a Gray100) is zero and checkpoint images, which store
+  /// entries as raw bytes, are deterministic.
+  static void Append(std::vector<Entry>& to, const R& record, uint64_t pos) {
+    Entry& entry = to.emplace_back();
+    entry.record = record;
+    entry.pos = pos;
+  }
+
   std::vector<std::vector<Entry>> per_run;  // sorted by pos (== by key)
   uint64_t sample_every_k = 0;
 };

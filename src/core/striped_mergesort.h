@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/block_io.h"
 #include "core/config.h"
 #include "core/internal_sort.h"
 #include "core/local_input.h"

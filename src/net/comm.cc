@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <thread>
 #include <utility>
@@ -69,18 +70,23 @@ namespace {
 /// [u64 len][len bytes], gathered up the tree allgather's binomial tree.
 std::vector<uint8_t> PackRankedParts(
     const std::vector<std::pair<uint32_t, std::vector<uint8_t>>>& entries) {
-  std::vector<uint8_t> blob;
-  uint32_t count = static_cast<uint32_t>(entries.size());
-  blob.insert(blob.end(), reinterpret_cast<uint8_t*>(&count),
-              reinterpret_cast<uint8_t*>(&count) + sizeof(count));
+  size_t total = sizeof(uint32_t);
+  for (const auto& entry : entries) {
+    total += sizeof(uint32_t) + sizeof(uint64_t) + entry.second.size();
+  }
+  std::vector<uint8_t> blob(total);
+  uint8_t* at = blob.data();
+  auto put = [&](const void* src, size_t n) {
+    if (n > 0) std::memcpy(at, src, n);
+    at += n;
+  };
+  const uint32_t count = static_cast<uint32_t>(entries.size());
+  put(&count, sizeof(count));
   for (const auto& [rank, bytes] : entries) {
-    uint32_t r = rank;
-    uint64_t n = bytes.size();
-    blob.insert(blob.end(), reinterpret_cast<uint8_t*>(&r),
-                reinterpret_cast<uint8_t*>(&r) + sizeof(r));
-    blob.insert(blob.end(), reinterpret_cast<uint8_t*>(&n),
-                reinterpret_cast<uint8_t*>(&n) + sizeof(n));
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
+    const uint64_t n = bytes.size();
+    put(&rank, sizeof(rank));
+    put(&n, sizeof(n));
+    put(bytes.data(), bytes.size());
   }
   return blob;
 }

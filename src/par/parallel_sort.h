@@ -84,27 +84,29 @@ void ParallelMsdSort(ThreadPool& pool, E* data, E* scratch, size_t n) {
 
 }  // namespace radix_internal
 
-/// Sorts `data` by RecordTraits<R>::Less using the pool. STABLE: equal
-/// records keep their input order — the distributed algorithms build a
-/// deterministic (key, PE, position) total order on top of this. Returns at
-/// once on sorted input. Scratch: ceil(n/2) records on one thread or below
-/// 8192 records (RadixSort); otherwise one buffer of n records that the
-/// top-digit scatter fills and the buckets sort back out of. Records over
-/// 16 bytes sort 2n tags (32 bytes a record) instead, then gather from a
-/// copy in that buffer — within the "factor around two" memory remark in
-/// the paper's run-size footnote.
+/// Sorts `data` by RecordTraits<R>::Less using the pool, with `scratch`
+/// (at least data.size() records, caller-owned so a run loop can reuse it)
+/// as the other buffer. STABLE: equal records keep their input order — the
+/// distributed algorithms build a deterministic (key, PE, position) total
+/// order on top of this. Returns at once on sorted input. On one thread or
+/// below 8192 records this is RadixSort, which uses ceil(n/2) records of
+/// the scratch; otherwise the top-digit scatter fills the scratch and the
+/// buckets sort back out of it. Records over 16 bytes sort 2n tags (32
+/// bytes a record, allocated here) instead, then gather from a copy in the
+/// scratch — within the "factor around two" memory remark in the paper's
+/// run-size footnote.
 template <typename R>
-void ParallelSort(ThreadPool& pool, std::span<R> data) {
+void ParallelSort(ThreadPool& pool, std::span<R> data, std::span<R> scratch) {
   using namespace radix_internal;
   using Less = typename core::RecordTraits<R>::Less;
   const size_t n = data.size();
+  DEMSORT_CHECK_GE(scratch.size(), n);
   if (pool.num_threads() <= 1 || n < 8192) {
-    RadixSort(data);
+    RadixSort(data, scratch);
     return;
   }
   if (std::is_sorted(data.begin(), data.end(), Less())) return;
 
-  std::vector<R> scratch(n);
   if constexpr (kSortsTags<R>) {
     DEMSORT_CHECK_LE(n, size_t{UINT32_MAX});
     std::vector<Tag> tags(n);
@@ -122,6 +124,13 @@ void ParallelSort(ThreadPool& pool, std::span<R> data) {
   } else {
     ParallelMsdSort<RecordKey<R>>(pool, data.data(), scratch.data(), n);
   }
+}
+
+/// ParallelSort with a scratch buffer of its own.
+template <typename R>
+void ParallelSort(ThreadPool& pool, std::span<R> data) {
+  std::vector<R> scratch(data.size());
+  ParallelSort(pool, data, std::span<R>(scratch));
 }
 
 }  // namespace demsort::par

@@ -242,13 +242,14 @@ void PermuteInPlace(std::span<R> data, std::vector<Tag>& tags) {
 
 }  // namespace radix_internal
 
-/// Sorts `data` stably in place with at most ceil(n/2) records of scratch,
-/// the buffer std::stable_sort allocates. Records of up to 16 bytes sort
-/// both halves against one half-size buffer — the upper half back in place,
-/// the lower half into the buffer — then merge them through it; larger
-/// records need 2n tags (32n bytes, under ceil(n/2) records).
+/// Sorts `data` stably in place with ceil(n/2) records of `scratch` (the
+/// buffer std::stable_sort allocates), which must hold that many. Records
+/// of up to 16 bytes sort both halves against the half-size scratch — the
+/// upper half back in place, the lower half into the scratch — then merge
+/// them through it; larger records leave `scratch` unused and sort 2n tags
+/// (32n bytes, under ceil(n/2) records).
 template <typename R>
-void RadixSort(std::span<R> data) {
+void RadixSort(std::span<R> data, std::span<R> scratch) {
   using namespace radix_internal;
   using Less = typename core::RecordTraits<R>::Less;
   const size_t n = data.size();
@@ -259,7 +260,7 @@ void RadixSort(std::span<R> data) {
   } else {
     const size_t n_lo = (n + 1) / 2;
     const size_t n_hi = n - n_lo;
-    std::vector<R> scratch(n_lo);
+    DEMSORT_CHECK_GE(scratch.size(), n_lo);
     R* lo = data.data();
     R* hi = lo + n_lo;
     R* s = scratch.data();

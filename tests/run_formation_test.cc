@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <mutex>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/block_io.h"
 #include "core/run_formation.h"
 #include "test_util.h"
+#include "util/aligned_buffer.h"
 #include "workload/generators.h"
 
 namespace demsort::core {
@@ -29,6 +33,19 @@ std::vector<KV16> ReadPiece(PeContext& ctx, const SortConfig& config,
     remaining -= counts[i];
   }
   return ReadBlocks<KV16>(ctx.bm, piece.blocks, counts);
+}
+
+/// The piece's blocks, byte for byte: records, tails and block slack.
+template <typename R>
+std::vector<uint8_t> BlockBytes(PeContext& ctx, const RunPiece<R>& piece) {
+  const size_t bs = ctx.bm->block_size();
+  std::vector<uint8_t> bytes(piece.blocks.size() * bs);
+  AlignedBuffer block(bs);
+  for (size_t b = 0; b < piece.blocks.size(); ++b) {
+    ctx.bm->ReadSync(piece.blocks[b], block.data());
+    std::memcpy(bytes.data() + b * bs, block.data(), bs);
+  }
+  return bytes;
 }
 
 class RunFormationParamTest
@@ -134,6 +151,31 @@ TEST(RunFormationTest, NumberOfRunsMatchesMemory) {
   });
 }
 
+TEST(RunFormationTest, PesThatRunOutOfBlocksJoinEveryRun) {
+  // PE p holds 1000 + 300p records: 16, 21 and 25 blocks of 64, so 2, 3
+  // and 4 runs of 8 blocks. The shorter PEs take part in the later runs
+  // with nothing to contribute.
+  const int P = 3;
+  SortConfig config = test::SmallConfig();
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    const uint64_t n = 1000 + 300 * static_cast<uint64_t>(ctx.rank());
+    auto gen = workload::GenerateKV16(ctx.bm, Distribution::kUniform, n,
+                                      ctx.rank(), P, cfg.seed);
+    auto rf = FormRuns<KV16>(ctx, cfg, gen.input);
+    EXPECT_EQ(rf.runs.num_runs(), 4u);
+    EXPECT_EQ(rf.total_elements, 3900u);
+    uint64_t seen = 0;
+    for (size_t r = 0; r < rf.runs.num_runs(); ++r) {
+      const RunPiece<KV16>& piece = rf.runs.pieces[r];
+      std::vector<KV16> data = ReadPiece(ctx, cfg, piece);
+      EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), KVLess()));
+      EXPECT_EQ(piece.global_start, rf.table.piece_start[r][ctx.rank()]);
+      seen += piece.size;
+    }
+    EXPECT_EQ(ctx.comm->AllreduceSum<uint64_t>(seen), rf.total_elements);
+  });
+}
+
 TEST(RunFormationTest, InPlaceKeepsPeakNearInput) {
   const int P = 2;
   SortConfig config = test::SmallConfig();
@@ -185,29 +227,121 @@ TEST(RunFormationTest, RandomizationChangesRunComposition) {
 }
 
 TEST(RunFormationTest, OverlapOffProducesSameRuns) {
+  // The written blocks must not depend on the overlap. With overlap, three
+  // run buffers rotate and a buffer's writes drain only before it is read
+  // into again; six runs reuse every buffer. The throttled disk keeps its
+  // pump, so reads and writes complete on another thread while the next
+  // runs sort, and the blocks must still match byte for byte.
   const int P = 2;
-  const uint64_t n = 2000;
+  const uint64_t n = 3000;  // 47 blocks of 64 per PE, 8 per run: 6 runs
+  const char* kVariants[] = {"overlap off", "overlap on",
+                             "overlap on, throttled disk"};
   std::mutex mu;
-  std::vector<std::vector<uint64_t>> first_values(2);
-  for (int variant = 0; variant < 2; ++variant) {
+  // (rank, run) -> the piece's blocks, byte for byte.
+  std::vector<std::map<std::pair<int, size_t>, std::vector<uint8_t>>> runs(3);
+  for (int variant = 0; variant < 3; ++variant) {
     SortConfig config = test::SmallConfig();
-    config.overlap_run_formation = variant == 1;
+    config.overlap_run_formation = variant != 0;
+    if (variant == 2) {
+      config.disk_model.throttle = true;
+      config.disk_model.seek_ms = 0.2;
+      config.disk_model.mib_per_s = 1e6;
+    }
     test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
       auto gen = workload::GenerateKV16(ctx.bm, Distribution::kUniform, n,
                                         ctx.rank(), P, cfg.seed);
       auto rf = FormRuns<KV16>(ctx, cfg, gen.input);
+      EXPECT_GE(rf.runs.num_runs(), 6u);
       for (size_t r = 0; r < rf.runs.num_runs(); ++r) {
-        auto data = ReadPiece(ctx, cfg, rf.runs.pieces[r]);
+        std::vector<uint8_t> bytes = BlockBytes(ctx, rf.runs.pieces[r]);
         std::lock_guard<std::mutex> lock(mu);
-        for (const auto& rec : data) {
-          first_values[variant].push_back(rec.value);
-        }
+        runs[variant][{ctx.rank(), r}] = std::move(bytes);
       }
     });
   }
-  std::sort(first_values[0].begin(), first_values[0].end());
-  std::sort(first_values[1].begin(), first_values[1].end());
-  EXPECT_EQ(first_values[0], first_values[1]);
+  ASSERT_FALSE(runs[0].empty());
+  for (int variant = 1; variant < 3; ++variant) {
+    ASSERT_EQ(runs[variant].size(), runs[0].size()) << kVariants[variant];
+    for (const auto& [key, bytes] : runs[0]) {
+      EXPECT_TRUE(runs[variant][key] == bytes)
+          << kVariants[variant] << ": rank " << key.first << " run "
+          << key.second << " differs from " << kVariants[0];
+    }
+  }
+}
+
+TEST(RunFormationTest, Gray100BlocksHoldRecordsThenZeros) {
+  // 1 KiB blocks hold 10 Gray100 records and 24 B of slack, so the run
+  // buffer is compacted before the sort and spread back to block stride
+  // after the merge. 505 records per PE make the last input block partial;
+  // randomization can place it mid-run, leaving a gap the compaction
+  // closes.
+  const int P = 2;
+  const uint64_t n = 505;
+  SortConfig config = test::SmallConfig();
+  const size_t epb = config.ElementsPerBlock<Gray100>();
+  ASSERT_EQ(epb, 10u);
+  std::mutex mu;
+  std::vector<uint64_t> ids;  // every record's input index, read back
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    auto gen = workload::GenerateGray100(ctx.bm, n, ctx.rank(), P, cfg.seed);
+    auto rf = FormRuns<Gray100>(ctx, cfg, gen.input);
+    ASSERT_GE(rf.runs.num_runs(), 4u);
+    RecordTraits<Gray100>::Less less;
+    for (size_t r = 0; r < rf.runs.num_runs(); ++r) {
+      const RunPiece<Gray100>& piece = rf.runs.pieces[r];
+      EXPECT_EQ(piece.global_start, rf.table.piece_start[r][ctx.rank()]);
+      ASSERT_EQ(piece.blocks.size(), (piece.size + epb - 1) / epb);
+      ASSERT_EQ(piece.block_first_records.size(), piece.blocks.size());
+      std::vector<uint8_t> bytes = BlockBytes(ctx, piece);
+      std::vector<Gray100> records;
+      for (size_t b = 0; b < piece.blocks.size(); ++b) {
+        const uint8_t* block = bytes.data() + b * cfg.block_size;
+        const size_t count = std::min<uint64_t>(epb, piece.size - b * epb);
+        for (size_t i = 0; i < count; ++i) {
+          Gray100 rec;
+          std::memcpy(&rec, block + i * sizeof(Gray100), sizeof(Gray100));
+          records.push_back(rec);
+        }
+        for (size_t i = count * sizeof(Gray100); i < cfg.block_size; ++i) {
+          ASSERT_EQ(block[i], 0) << "run " << r << " block " << b
+                                 << " byte " << i;
+        }
+        EXPECT_EQ(std::memcmp(&piece.block_first_records[b], &records[b * epb],
+                              sizeof(Gray100)),
+                  0)
+            << "run " << r << " block " << b;
+      }
+      ASSERT_EQ(records.size(), piece.size);
+      EXPECT_TRUE(std::is_sorted(records.begin(), records.end(), less));
+      size_t in_piece = 0;
+      for (const auto& entry : rf.samples.per_run[r]) {
+        if (entry.pos < piece.global_start ||
+            entry.pos >= piece.global_start + piece.size) {
+          continue;
+        }
+        ++in_piece;
+        EXPECT_EQ(std::memcmp(&entry.record,
+                              &records[entry.pos - piece.global_start],
+                              sizeof(Gray100)),
+                  0)
+            << "run " << r << " sample at " << entry.pos;
+      }
+      // Every K-th record (K = epb) plus the closing one.
+      size_t expect = (piece.size + epb - 1) / epb;
+      if (piece.size > 0 && (piece.size - 1) % epb != 0) ++expect;
+      EXPECT_EQ(in_piece, expect) << "run " << r;
+      std::lock_guard<std::mutex> lock(mu);
+      for (const Gray100& rec : records) {
+        uint64_t gid;
+        std::memcpy(&gid, rec.payload.data(), sizeof(gid));
+        ids.push_back(gid);
+      }
+    }
+  });
+  std::sort(ids.begin(), ids.end());
+  ASSERT_EQ(ids.size(), P * n);
+  for (uint64_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], i);
 }
 
 }  // namespace
