@@ -4,7 +4,7 @@
 // Two axes:
 //   io      = sync (every block waits at the seam, queue depth pinned to 1)
 //             vs async (the VirtualDisk pump keeps the backend's queue fed;
-//             file and mmap disks complete in memory and stay inline)
+//             file disks complete in memory and stay inline)
 //   overlap = pipelined run formation (reads of run r+1 and writes of run
 //             r-1 proceed while run r is cooperatively sorted) vs serialized
 //

@@ -141,8 +141,8 @@ inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
   return options;
 }
 
-/// Parses --storage={memory,file,direct,uring,mmap}, --file-dir=DIR,
-/// --files-per-disk=K and --queue-depth=N into `config`. A malformed value
+/// Parses --storage={memory,file,direct,uring}, --file-dir=DIR and
+/// --queue-depth=N into `config`. A malformed value
 /// aborts the bench; a backend the HOST cannot serve (O_DIRECT on tmpfs,
 /// io_uring filtered or compiled out) prints a '# storage ... unavailable'
 /// marker and returns false — callers exit 0 so sweep scripts record a
@@ -159,8 +159,6 @@ inline bool ApplyStorageFlags(const FlagParser& flags,
     }
     config->backend = kind.value();
   }
-  config->files_per_disk = static_cast<uint32_t>(
-      flags.GetInt("files-per-disk", config->files_per_disk));
   config->io_queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 0));
   if (io::IsFileBacked(config->backend)) {

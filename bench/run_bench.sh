@@ -89,7 +89,7 @@ merge_to_rows() {  # $1=txt $2=storage $3=qd
   ' "$1"
 }
 
-for cell in memory:1 memory:8 file:8 direct:8 uring:1 uring:8 uring:32 mmap:8; do
+for cell in memory:1 memory:8 file:8 direct:8 uring:1 uring:8 uring:32; do
   storage="${cell%%:*}"
   qd="${cell##*:}"
   dir="$STORAGE_DIR/${storage}_qd${qd}"

@@ -13,12 +13,11 @@
 //                                               # peak net buffering and the
 //                                               # intra/inter-node split,
 //                                               # I/O queue depth + latency
-//   ./sortbench_cli --storage=uring --file-dir=/mnt/scratch
-//                   --files-per-disk=4 --queue-depth=32
+//   ./sortbench_cli --storage=uring --file-dir=/mnt/scratch --queue-depth=32
 //                                               # real files, io_uring at
-//                                               # QD 32, 4 stripe files per
+//                                               # QD 32, one file per
 //                                               # emulated disk (also:
-//                                               # file, direct, mmap)
+//                                               # file, direct)
 //   ./sortbench_cli --threads=4
 //                                               # range-partitioned parallel
 //                                               # final merge (see --stats'
@@ -75,6 +74,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/canonical_mergesort.h"
 #include "core/recovery.h"
@@ -739,10 +739,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // ---- storage engine: --storage={memory,file,direct,uring,mmap},
-  // --file-dir=DIR (required for the file-backed kinds), --files-per-disk=K
-  // (stripes per disk), --queue-depth=N (0 = backend capacity),
-  // --sync-io (inline completion on every backend, no pump threads).
+  // ---- storage engine: --storage={memory,file,direct,uring},
+  // --file-dir=DIR (required for the file-backed kinds; one file per disk),
+  // --queue-depth=N (0 = backend capacity), --sync-io (inline completion on
+  // every backend, no pump threads).
   std::string storage = flags.GetString("storage", "");
   if (!storage.empty()) {
     auto parsed = io::ParseBackendKind(storage);
@@ -754,8 +754,6 @@ int main(int argc, char** argv) {
     options.config.backend = parsed.value();
   }
   options.config.file_dir = flags.GetString("file-dir", "");
-  options.config.files_per_disk =
-      static_cast<uint32_t>(flags.GetInt("files-per-disk", 1));
   options.config.io_queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 0));
   options.config.async_io = !flags.GetBool("sync-io", false);
@@ -789,6 +787,14 @@ int main(int argc, char** argv) {
   options.config.checkpoint_dir = flags.GetString("checkpoint-dir", "");
   options.max_restarts =
       static_cast<int>(flags.GetInt("max-restarts", options.max_restarts));
+  // Every flag this program knows has been read by now; a misspelled or
+  // unsupported one must fail instead of silently running a default.
+  if (std::vector<std::string> unread = flags.Unread(); !unread.empty()) {
+    std::string names;
+    for (const std::string& name : unread) names += " --" + name;
+    std::fprintf(stderr, "unknown flag(s):%s\n", names.c_str());
+    return 2;
+  }
   if (options.recover) {
     if (options.config.checkpoint_dir.empty()) {
       std::fprintf(stderr, "--recover requires --checkpoint-dir=DIR\n");

@@ -49,15 +49,12 @@ struct SortConfig {
   /// Worker threads per PE for intra-PE parallelism (the paper's 8 cores).
   uint32_t threads_per_pe = 1;
   /// false forces inline I/O on the disks that keep a pump thread (O_DIRECT,
-  /// io_uring, throttled models). Memory, buffered-file and mmap disks run
-  /// inline either way (see io::VirtualDisk).
+  /// io_uring, throttled models). Memory and buffered-file disks run inline
+  /// either way (see io::VirtualDisk).
   bool async_io = true;
   io::BlockManager::BackendKind backend =
       io::BlockManager::BackendKind::kMemory;
-  std::string file_dir;  // for the file-backed backends
-  /// Stripes per disk: each disk's blocks fan out over this many files, so
-  /// one "disk" drives K independent NVMe queues (file-backed kinds only).
-  uint32_t files_per_disk = 1;
+  std::string file_dir;  // for the file-backed backends, one file per disk
   /// Per-disk target I/O queue depth; 0 = the backend's own capacity
   /// (1 for the inline backends, the SQ depth for uring).
   size_t io_queue_depth = 0;
@@ -96,9 +93,6 @@ struct SortConfig {
     if (memory_per_pe < 2 * block_size) {
       return Status::InvalidArgument(
           "memory_per_pe must hold at least two blocks");
-    }
-    if (files_per_disk == 0) {
-      return Status::InvalidArgument("files_per_disk == 0");
     }
     if (io::IsFileBacked(backend) && file_dir.empty()) {
       return Status::InvalidArgument(

@@ -37,7 +37,6 @@ class PeResources {
     options.file_dir = config.file_dir;
     options.pe_id = comm->rank();
     options.async = config.async_io;
-    options.files_per_disk = config.files_per_disk;
     options.queue_depth = config.io_queue_depth;
     options.model = config.disk_model;
     options.durable_files = !config.checkpoint_dir.empty();

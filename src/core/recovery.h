@@ -242,26 +242,16 @@ class RecoveryRuntime {
   /// The reopened disk files must be at least as long as the bytes the
   /// manifest checkpointed; a shorter (or missing) file means the blocks
   /// the manifest vouches for are not all there — fall back to scratch.
-  /// With K stripe files per disk, disk-local block b lives in stripe b%K
-  /// at offset (b/K)*B: every stripe file must exist, and the one holding
-  /// the high-water block must cover it (a necessary condition — lower
-  /// stripes' exact high-waters are not in the manifest).
   bool DiskFilesCover(const CheckpointManifest& m) const {
     if (m.durable_disk_bytes.size() != config_.disks_per_pe) return false;
-    const uint32_t K = std::max<uint32_t>(1, config_.files_per_disk);
     for (uint32_t d = 0; d < config_.disks_per_pe; ++d) {
       if (m.durable_disk_bytes[d] == 0) continue;
-      const uint64_t high = m.durable_disk_bytes[d] / config_.block_size - 1;
-      for (uint32_t s = 0; s < K; ++s) {
-        struct ::stat st;
-        std::string path = io::BlockManager::StripeFilePath(
-            config_.file_dir, rank_, d, s);
-        if (::stat(path.c_str(), &st) != 0) return false;
-        if (s == high % K &&
-            static_cast<uint64_t>(st.st_size) <
-                (high / K + 1) * config_.block_size) {
-          return false;
-        }
+      struct ::stat st;
+      std::string path =
+          io::BlockManager::DiskFilePath(config_.file_dir, rank_, d);
+      if (::stat(path.c_str(), &st) != 0 ||
+          static_cast<uint64_t>(st.st_size) < m.durable_disk_bytes[d]) {
+        return false;
       }
     }
     return true;
@@ -271,7 +261,7 @@ class RecoveryRuntime {
   void CommitPhase(PeContext& ctx, int phase, std::string section,
                    const std::vector<io::BlockId>& live) {
     // Drain every in-flight write, then push the phase's blocks through the
-    // backend's durability barrier (fsync/msync) before the manifest can
+    // backend's durability barrier (fsync) before the manifest can
     // vouch for them.
     DEMSORT_CHECK_OK(ctx.bm->FlushAll());
     ctx.comm->Barrier();  // every rank's phase results are durable

@@ -1,11 +1,8 @@
 #include "io/backend.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -35,7 +32,6 @@ const char* BackendKindName(BackendKind kind) {
     case BackendKind::kFile: return "file";
     case BackendKind::kDirect: return "direct";
     case BackendKind::kUring: return "uring";
-    case BackendKind::kMmap: return "mmap";
   }
   return "?";
 }
@@ -43,12 +39,12 @@ const char* BackendKindName(BackendKind kind) {
 StatusOr<BackendKind> ParseBackendKind(const std::string& name) {
   for (BackendKind kind :
        {BackendKind::kMemory, BackendKind::kFile, BackendKind::kDirect,
-        BackendKind::kUring, BackendKind::kMmap}) {
+        BackendKind::kUring}) {
     if (name == BackendKindName(kind)) return kind;
   }
   return Status::InvalidArgument(
       "unknown storage backend '" + name +
-      "' (want memory|file|direct|uring|mmap)");
+      "' (want memory|file|direct|uring)");
 }
 
 bool IsFileBacked(BackendKind kind) { return kind != BackendKind::kMemory; }
@@ -287,177 +283,6 @@ Status DirectBackend::Flush() {
   return Status::OK();
 }
 
-// ------------------------------------------------------------ MmapBackend ---
-
-StatusOr<std::unique_ptr<MmapBackend>> MmapBackend::Create(
-    const std::string& path, size_t block_size, bool unlink_on_close) {
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open(" + path + ")");
-  return std::unique_ptr<MmapBackend>(
-      new MmapBackend(fd, path, block_size, unlink_on_close));
-}
-
-StatusOr<std::unique_ptr<MmapBackend>> MmapBackend::Open(
-    const std::string& path, size_t block_size) {
-  int fd = ::open(path.c_str(), O_RDWR);
-  if (fd < 0) {
-    return errno == ENOENT
-               ? Status::NotFound("open(" + path + "): no such file")
-               : Errno("open(" + path + ")");
-  }
-  off_t size = ::lseek(fd, 0, SEEK_END);
-  if (size < 0) {
-    ::close(fd);
-    return Errno("lseek(" + path + ")");
-  }
-  auto backend = std::unique_ptr<MmapBackend>(
-      new MmapBackend(fd, path, block_size, /*unlink_on_close=*/false));
-  uint64_t blocks =
-      (static_cast<uint64_t>(size) + block_size - 1) / block_size;
-  backend->written_.MarkThrough(blocks);
-  backend->high_water_blocks_ = blocks;
-  if (blocks > 0) {
-    Status mapped = backend->EnsureCapacity(blocks);
-    if (!mapped.ok()) return mapped;
-  }
-  return backend;
-}
-
-MmapBackend::~MmapBackend() {
-  if (map_ != nullptr) ::munmap(map_, mapped_blocks_ * block_size_);
-  if (fd_ >= 0) {
-    if (!unlink_on_close_) {
-      // The map grows by doubling, so the file is usually longer than the
-      // data. Trim back to the written high water so a reopen (recovery, or
-      // a plain FileBackend::Open) sees exactly the real blocks.
-      (void)::ftruncate(fd_,
-                        static_cast<off_t>(high_water_blocks_ * block_size_));
-    }
-    ::close(fd_);
-    if (unlink_on_close_) ::unlink(path_.c_str());
-  }
-}
-
-Status MmapBackend::EnsureCapacity(uint64_t blocks) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  if (blocks <= mapped_blocks_) return Status::OK();
-  uint64_t target = std::max<uint64_t>(mapped_blocks_ * 2, 64);
-  while (target < blocks) target *= 2;
-  if (::ftruncate(fd_, static_cast<off_t>(target * block_size_)) != 0) {
-    return Errno("ftruncate(" + path_ + ")");
-  }
-  void* next;
-  if (map_ == nullptr) {
-    next = ::mmap(nullptr, target * block_size_, PROT_READ | PROT_WRITE,
-                  MAP_SHARED, fd_, 0);
-  } else {
-    next = ::mremap(map_, mapped_blocks_ * block_size_, target * block_size_,
-                    MREMAP_MAYMOVE);
-  }
-  if (next == MAP_FAILED) return Errno("mmap(" + path_ + ")");
-  map_ = static_cast<uint8_t*>(next);
-  mapped_blocks_ = target;
-  return Status::OK();
-}
-
-Status MmapBackend::DoRead(uint64_t block, void* buf) {
-  if (!written_.Contains(block)) return NeverWritten(block);
-  std::memcpy(buf, map_ + block * block_size_, block_size_);
-  return Status::OK();
-}
-
-Status MmapBackend::DoWrite(uint64_t block, const void* buf) {
-  DEMSORT_RETURN_IF_ERROR(EnsureCapacity(block + 1));
-  std::memcpy(map_ + block * block_size_, buf, block_size_);
-  high_water_blocks_ = std::max(high_water_blocks_, block + 1);
-  written_.Mark(block);
-  return Status::OK();
-}
-
-Status MmapBackend::Flush() {
-  if (map_ != nullptr &&
-      ::msync(map_, mapped_blocks_ * block_size_, MS_SYNC) != 0) {
-    return Errno("msync(" + path_ + ")");
-  }
-  if (::fsync(fd_) != 0) return Errno("fsync(" + path_ + ")");
-  return Status::OK();
-}
-
-// --------------------------------------------------------- StripedBackend ---
-
-StripedBackend::StripedBackend(
-    std::vector<std::unique_ptr<StorageBackend>> children, size_t block_size)
-    : StorageBackend(block_size), children_(std::move(children)) {
-  DEMSORT_CHECK(!children_.empty());
-  in_flight_.assign(children_.size(), 0);
-}
-
-bool StripedBackend::Submit(const IoOp& op) {
-  size_t child = op.block % children_.size();
-  IoOp routed = op;
-  routed.block = op.block / children_.size();
-  if (!children_[child]->Submit(routed)) return false;
-  ++in_flight_[child];
-  return true;
-}
-
-size_t StripedBackend::Reap(std::vector<IoCompletion>* out, bool wait) {
-  // Non-blocking pass over every child with in-flight ops first; only when
-  // that yields nothing (and the caller wants to block) wait on the child
-  // with the deepest queue — it is the likeliest to complete next.
-  size_t n = 0;
-  for (size_t c = 0; c < children_.size(); ++c) {
-    if (in_flight_[c] == 0) continue;
-    size_t got = children_[c]->Reap(out, /*wait=*/false);
-    in_flight_[c] -= got;
-    n += got;
-  }
-  if (n > 0 || !wait) return n;
-  size_t deepest = children_.size();
-  for (size_t c = 0; c < children_.size(); ++c) {
-    if (in_flight_[c] > 0 &&
-        (deepest == children_.size() ||
-         in_flight_[c] > in_flight_[deepest])) {
-      deepest = c;
-    }
-  }
-  if (deepest == children_.size()) return 0;  // nothing in flight anywhere
-  size_t got = children_[deepest]->Reap(out, /*wait=*/true);
-  in_flight_[deepest] -= got;
-  return got;
-}
-
-size_t StripedBackend::queue_capacity() const {
-  size_t total = 0;
-  for (const auto& child : children_) total += child->queue_capacity();
-  return total;
-}
-
-bool StripedBackend::completes_in_memory() const {
-  return std::all_of(children_.begin(), children_.end(), [](const auto& c) {
-    return c->completes_in_memory();
-  });
-}
-
-Status StripedBackend::Flush() {
-  Status first = Status::OK();
-  for (auto& child : children_) {
-    Status s = child->Flush();
-    if (first.ok() && !s.ok()) first = std::move(s);
-  }
-  return first;
-}
-
-void StripedBackend::TrustOnly(const std::vector<uint64_t>& blocks) {
-  std::vector<std::vector<uint64_t>> per_child(children_.size());
-  for (uint64_t b : blocks) {
-    per_child[b % children_.size()].push_back(b / children_.size());
-  }
-  for (size_t c = 0; c < children_.size(); ++c) {
-    children_[c]->TrustOnly(per_child[c]);
-  }
-}
-
 // ---------------------------------------------------------------- factory ---
 
 StatusOr<std::unique_ptr<StorageBackend>> MakeBackend(
@@ -482,14 +307,6 @@ StatusOr<std::unique_ptr<StorageBackend>> MakeBackend(
                       ? DirectBackend::Open(options.path, block_size)
                       : DirectBackend::Create(options.path, block_size,
                                               options.unlink_on_close);
-      if (!made.ok()) return made.status();
-      return std::unique_ptr<StorageBackend>(std::move(made).value());
-    }
-    case BackendKind::kMmap: {
-      auto made = options.reuse_existing
-                      ? MmapBackend::Open(options.path, block_size)
-                      : MmapBackend::Create(options.path, block_size,
-                                            options.unlink_on_close);
       if (!made.ok()) return made.status();
       return std::unique_ptr<StorageBackend>(std::move(made).value());
     }

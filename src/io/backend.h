@@ -1,29 +1,25 @@
 // Storage backends: where a virtual disk's blocks physically live, behind an
-// asynchronous submit/complete seam.
+// asynchronous submit/complete seam. Each disk is one backend over one file
+// (or, for memory, one block table).
 //
 // The contract mirrors the net::Transport refactor: callers Submit() batches
 // of block operations tagged with opaque user_data, the backend completes
 // them at its own queue depth, and Reap() returns finished operations with
-// their status. Flush() is a real durability barrier. Five backends:
+// their status. Flush() is a real durability barrier. Four backends:
 //
 //   MemoryBackend  blocks in RAM; deterministic, the default for tests.
 //   FileBackend    buffered pread/pwrite against one file per disk.
 //   DirectBackend  O_DIRECT pread/pwrite — page cache bypassed, so buffers
 //                  and block size must be kBlockAlign-aligned (CHECKed).
-//   MmapBackend    the file mapped into memory; reads and writes are
-//                  memcpys through the map, Flush is msync (the mmap-reader
-//                  idiom from the related external-sort repos).
 //   UringBackend   a real io_uring submission/completion ring with
 //                  registered buffers and configurable SQ depth (see
 //                  uring_backend.h; compiled when the kernel headers exist).
 //
-// Memory/file/direct/mmap complete inside Submit() (queue capacity 1) — they
-// are inline adapters, so every pre-existing test and the seek-model benches
-// run unchanged. Of those, memory, file and mmap complete in memory (RAM or
-// the page cache) and never wait on a device; VirtualDisk serves them on the
-// caller's thread. UringBackend reports its SQ depth and completes out of
-// line. StripedBackend multiplexes one disk's blocks across K child
-// backends so a "disk" can drive K independent files/NVMe queues.
+// Memory/file/direct complete inside Submit() (queue capacity 1) — they are
+// inline adapters, so every pre-existing test and the seek-model benches run
+// unchanged. Of those, memory and file complete in memory (RAM or the page
+// cache) and never wait on a device; VirtualDisk serves them on the caller's
+// thread. UringBackend reports its SQ depth and completes out of line.
 #ifndef DEMSORT_IO_BACKEND_H_
 #define DEMSORT_IO_BACKEND_H_
 
@@ -46,9 +42,9 @@ namespace demsort::io {
 inline constexpr size_t kBlockAlign = AlignedBuffer::kAlignment;
 
 /// Which physical backend a BlockManager builds per disk.
-enum class BackendKind { kMemory, kFile, kDirect, kUring, kMmap };
+enum class BackendKind { kMemory, kFile, kDirect, kUring };
 
-/// Stable lowercase name ("memory", "file", "direct", "uring", "mmap").
+/// Stable lowercase name ("memory", "file", "direct", "uring").
 const char* BackendKindName(BackendKind kind);
 /// Parses a BackendKindName(); InvalidArgument on anything else.
 StatusOr<BackendKind> ParseBackendKind(const std::string& name);
@@ -262,72 +258,8 @@ class DirectBackend : public InlineBackend {
   internal::WrittenSet written_;
 };
 
-/// Mmap-backed backend (the MemoryReader/mmap-writer idiom from the related
-/// external-sort repos): the file is mapped read/write, block I/O is a
-/// memcpy through the map, and Flush is msync + fsync. The mapping grows by
-/// doubling (ftruncate + mremap); a clean close truncates the file back to
-/// the written high-water mark so reopen sees only real data.
-class MmapBackend : public InlineBackend {
- public:
-  static StatusOr<std::unique_ptr<MmapBackend>> Create(
-      const std::string& path, size_t block_size,
-      bool unlink_on_close = true);
-  static StatusOr<std::unique_ptr<MmapBackend>> Open(const std::string& path,
-                                                     size_t block_size);
-  ~MmapBackend() override;
-
-  bool completes_in_memory() const override { return true; }
-  Status Flush() override;
-  void TrustOnly(const std::vector<uint64_t>& blocks) override {
-    written_.TrustOnly(blocks);
-  }
-
- protected:
-  Status DoRead(uint64_t block, void* buf) override;
-  Status DoWrite(uint64_t block, const void* buf) override;
-
- private:
-  MmapBackend(int fd, std::string path, size_t block_size,
-              bool unlink_on_close)
-      : InlineBackend(block_size),
-        fd_(fd),
-        path_(std::move(path)),
-        unlink_on_close_(unlink_on_close) {}
-  Status EnsureCapacity(uint64_t blocks);
-
-  int fd_;
-  std::string path_;
-  bool unlink_on_close_;
-  std::mutex map_mu_;
-  uint8_t* map_ = nullptr;
-  uint64_t mapped_blocks_ = 0;
-  uint64_t high_water_blocks_ = 0;
-  internal::WrittenSet written_;
-};
-
-/// Multiplexes one disk's block space across K child backends: global block
-/// b lives on child b % K at local index b / K. With K files per disk the
-/// StripedWriter's per-disk queue fans out over K independent files — K
-/// NVMe queues instead of one — and queue capacity is the children's sum.
-class StripedBackend : public StorageBackend {
- public:
-  StripedBackend(std::vector<std::unique_ptr<StorageBackend>> children,
-                 size_t block_size);
-
-  bool Submit(const IoOp& op) override;
-  size_t Reap(std::vector<IoCompletion>* out, bool wait) override;
-  size_t queue_capacity() const override;
-  /// True when every child completes in memory.
-  bool completes_in_memory() const override;
-  Status Flush() override;
-  void TrustOnly(const std::vector<uint64_t>& blocks) override;
-
- private:
-  std::vector<std::unique_ptr<StorageBackend>> children_;
-  /// Ops in flight per child, so a blocking Reap targets a child that will
-  /// actually complete something.
-  std::vector<size_t> in_flight_;
-};
+/// The io_uring SQ depth a disk gets when no queue depth is asked for.
+inline constexpr unsigned kDefaultUringQueueDepth = 32;
 
 /// How a file-backed backend is opened; ignored by kMemory.
 struct BackendFileOptions {
@@ -337,7 +269,7 @@ struct BackendFileOptions {
   /// Reopen the existing file (recovery) instead of creating/truncating.
   bool reuse_existing = false;
   /// Submission-queue depth for kUring (its queue_capacity).
-  unsigned queue_depth = 32;
+  unsigned queue_depth = kDefaultUringQueueDepth;
 };
 
 /// The one factory BlockManager, the conformance tests, and the benches

@@ -14,14 +14,6 @@ std::string BlockManager::DiskFilePath(const std::string& file_dir, int pe_id,
          std::to_string(disk) + ".bin";
 }
 
-std::string BlockManager::StripeFilePath(const std::string& file_dir,
-                                         int pe_id, uint32_t disk,
-                                         uint32_t stripe) {
-  std::string base = DiskFilePath(file_dir, pe_id, disk);
-  if (stripe == 0) return base;
-  return base + ".s" + std::to_string(stripe);
-}
-
 Status BlockManager::ProbeBackend(BackendKind kind, size_t block_size,
                                   const std::string& dir) {
   if (!IsFileBacked(kind)) return Status::OK();
@@ -48,51 +40,33 @@ Status BlockManager::ProbeBackend(BackendKind kind, size_t block_size,
 BlockManager::BlockManager(const Options& options) : options_(options) {
   DEMSORT_CHECK_GT(options.num_disks, 0u);
   DEMSORT_CHECK_GT(options.block_size, 0u);
+  if (IsFileBacked(options.backend)) {
+    DEMSORT_CHECK(!options.file_dir.empty())
+        << "file-backed backend requires file_dir";
+  } else {
+    DEMSORT_CHECK(!options.reuse_files)
+        << "recovery reuse requires a file-backed backend (memory-backed "
+           "blocks die with the epoch)";
+  }
   disks_.reserve(options.num_disks);
-  const uint32_t stripes =
-      IsFileBacked(options.backend) ? std::max(options.files_per_disk, 1u)
-                                    : 1u;
   for (uint32_t d = 0; d < options.num_disks; ++d) {
-    std::unique_ptr<StorageBackend> backend;
-    if (!IsFileBacked(options.backend)) {
-      DEMSORT_CHECK(!options.reuse_files)
-          << "recovery reuse requires a file-backed backend (memory-backed "
-             "blocks die with the epoch)";
-      backend = std::make_unique<MemoryBackend>(options.block_size);
-    } else {
-      DEMSORT_CHECK(!options.file_dir.empty())
-          << "file-backed backend requires file_dir";
-      std::vector<std::unique_ptr<StorageBackend>> children;
-      children.reserve(stripes);
-      for (uint32_t s = 0; s < stripes; ++s) {
-        BackendFileOptions file_options;
-        file_options.path =
-            StripeFilePath(options.file_dir, options.pe_id, d, s);
-        file_options.unlink_on_close = !options.durable_files;
-        file_options.reuse_existing = options.reuse_files;
-        file_options.queue_depth =
-            options.queue_depth == 0
-                ? 32u
-                : static_cast<unsigned>(options.queue_depth);
-        auto made =
-            MakeBackend(options.backend, options.block_size, file_options);
-        DEMSORT_CHECK(made.ok()) << made.status().ToString();
-        children.push_back(std::move(made).value());
-      }
-      if (children.size() == 1) {
-        backend = std::move(children.front());
-      } else {
-        backend = std::make_unique<StripedBackend>(std::move(children),
-                                                   options.block_size);
-      }
+    BackendFileOptions file_options;  // ignored by the memory backend
+    file_options.path = DiskFilePath(options.file_dir, options.pe_id, d);
+    file_options.unlink_on_close = !options.durable_files;
+    file_options.reuse_existing = options.reuse_files;
+    if (options.queue_depth != 0) {
+      file_options.queue_depth = static_cast<unsigned>(options.queue_depth);
     }
+    auto backend =
+        MakeBackend(options.backend, options.block_size, file_options);
+    DEMSORT_CHECK(backend.ok()) << backend.status().ToString();
     VirtualDisk::Options disk_options;
     disk_options.async = options.async;
     disk_options.queue_depth = options.queue_depth;
     disk_options.model = options.model;
     disk_options.trace_rank = options.pe_id;
-    disks_.push_back(
-        std::make_unique<VirtualDisk>(std::move(backend), disk_options));
+    disks_.push_back(std::make_unique<VirtualDisk>(std::move(backend).value(),
+                                                   disk_options));
   }
   free_lists_.resize(options.num_disks);
   next_fresh_.assign(options.num_disks, 0);

@@ -41,19 +41,16 @@ class BlockManager {
     uint32_t num_disks = 2;
     size_t block_size = 64 * 1024;
     BackendKind backend = BackendKind::kMemory;
-    /// Directory for file-backed disks (one file per disk, times
-    /// files_per_disk stripes). Required for every file-backed kind.
+    /// Directory for file-backed disks (one file per disk, see
+    /// DiskFilePath). Required for every file-backed kind.
     std::string file_dir;
     /// Distinguishes this PE's files from other PEs' in file_dir.
     int pe_id = 0;
     /// See VirtualDisk::Options::async.
     bool async = true;
-    /// Files (stripes) per disk: K > 1 fans one disk's blocks over K
-    /// independent files — K NVMe queues instead of one. Ignored by the
-    /// memory backend.
-    uint32_t files_per_disk = 1;
     /// Per-disk target queue depth; 0 = the backend's own capacity (see
-    /// VirtualDisk::Options::queue_depth).
+    /// VirtualDisk::Options::queue_depth), which for uring is an SQ of
+    /// kDefaultUringQueueDepth.
     size_t queue_depth = 0;
     DiskModel model;
     /// Keep the file-backend disk files on destruction (checkpointed runs
@@ -73,10 +70,6 @@ class BlockManager {
   /// by the constructor and the recovery validator).
   static std::string DiskFilePath(const std::string& file_dir, int pe_id,
                                   uint32_t disk);
-  /// Stripe `stripe` of `disk` (stripe 0 is DiskFilePath itself; stripe k>0
-  /// appends ".s<k>").
-  static std::string StripeFilePath(const std::string& file_dir, int pe_id,
-                                    uint32_t disk, uint32_t stripe);
 
   /// Smoke-tests that `kind` actually works here (kernel + filesystem) by
   /// creating and destroying one scratch backend in `dir`. The authoritative
@@ -130,7 +123,7 @@ class BlockManager {
 
   /// Waits until all disks' queues are empty.
   void DrainAll();
-  /// DrainAll() + per-backend durability barrier (fsync/msync): everything
+  /// DrainAll() + per-backend durability barrier (fsync): everything
   /// written so far survives a kill when this returns OK. The checkpoint
   /// commit protocol calls this before declaring a phase durable.
   Status FlushAll();

@@ -2,7 +2,7 @@
 // serves requests in one of two ways, with identical FIFO semantics and seek
 // model:
 //   - Inline, on the submitting thread under the disk's lock, when the
-//     backend completes in memory (memory, buffered file, mmap) and the
+//     backend completes in memory (memory, buffered file) and the
 //     DiskModel does not throttle. A per-disk I/O thread would hide no
 //     device latency there; it would only add a thread hand-off per block.
 //   - On a pump thread otherwise (O_DIRECT, io_uring, throttled disks). The

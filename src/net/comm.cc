@@ -636,13 +636,6 @@ void Comm::AlltoallvStream(const StreamSendProvider& send_for,
   for (auto& [sr, n] : outstanding) sr.Wait();
 }
 
-uint64_t Comm::ExclusiveScanSum(uint64_t local) {
-  std::vector<uint64_t> all = Allgather(local);
-  uint64_t acc = 0;
-  for (int p = 0; p < rank_; ++p) acc += all[p];
-  return acc;
-}
-
 NetStatsSnapshot Comm::StatsSnapshot() const {
   return transport_->stats(rank_).Snapshot();
 }

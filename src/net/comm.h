@@ -116,20 +116,6 @@ class Comm {
     std::memcpy(&value, bytes.data(), sizeof(T));
     return value;
   }
-  template <typename T>
-  void SendVector(int dst, int tag, const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Send(dst, tag, v.data(), v.size() * sizeof(T));
-  }
-  template <typename T>
-  std::vector<T> RecvVector(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<uint8_t> bytes = Recv(src, tag);
-    DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
-    std::vector<T> v(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(v.data(), bytes.data(), bytes.size());
-    return v;
-  }
 
   // ------------------------------------------------------ collectives ----
   /// Dissemination barrier, O(log P) rounds.
@@ -322,9 +308,6 @@ class Comm {
         local.size() * sizeof(T));
     return StreamIntoVectors<T>([mine](int) { return mine; }, options);
   }
-
-  /// Exclusive prefix sum over one uint64 per PE.
-  uint64_t ExclusiveScanSum(uint64_t local);
 
   /// Collective tags live in [kCollectiveTagBase, kCollectiveTagBase +
   /// kCollectiveTagSpace); silently wrapping within that window would let a

@@ -25,33 +25,50 @@ FlagParser::FlagParser(int argc, char** argv) {
   }
 }
 
+const std::string* FlagParser::Find(const std::string& name) const {
+  {
+    std::lock_guard<std::mutex> lock(read_mu_);
+    read_.insert(name);
+  }
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool FlagParser::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* v = Find(name);
+  return v == nullptr ? default_value : *v;
 }
 
 int64_t FlagParser::GetInt(const std::string& name,
                            int64_t default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : ParseSize(it->second);
+  const std::string* v = Find(name);
+  return v == nullptr ? default_value : ParseSize(*v);
 }
 
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(name);
+  return v == nullptr ? default_value : std::strtod(v->c_str(), nullptr);
 }
 
 bool FlagParser::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  const std::string* v = Find(name);
+  if (v == nullptr) return default_value;
+  return *v == "true" || *v == "1" || *v == "yes" || *v == "on";
+}
+
+std::vector<std::string> FlagParser::Unread() const {
+  std::lock_guard<std::mutex> lock(read_mu_);
+  std::vector<std::string> unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) unread.push_back(name);
+  }
+  return unread;
 }
 
 int64_t ParseSize(const std::string& text) {

@@ -5,11 +5,15 @@
 //   int pes = flags.GetInt("pes", 4);
 //   bool rand = flags.GetBool("randomize", true);
 // Accepts --name=value and --name value; --flag alone means boolean true.
+// Every name looked up through Has/Get* counts as read, so a program that
+// has read all its flags can reject the rest with Unread().
 #ifndef DEMSORT_UTIL_FLAGS_H_
 #define DEMSORT_UTIL_FLAGS_H_
 
 #include <cstdint>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,8 +33,18 @@ class FlagParser {
   /// Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Flags given on the command line whose name was never looked up, in
+  /// name order. A caller that has read every flag it knows uses this to
+  /// fail on a misspelled or retired flag instead of silently ignoring it.
+  std::vector<std::string> Unread() const;
+
  private:
+  /// Marks `name` read and returns its value, or nullptr when absent.
+  const std::string* Find(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::mutex read_mu_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -601,7 +601,7 @@ TEST_P(BackendConformanceTest, FlushThenReopenPreservesContents) {
 }
 
 TEST_P(BackendConformanceTest, VirtualDiskServesInlineWhenBackendCompletesInMemory) {
-  // Memory, file and mmap complete in memory, so a VirtualDisk over them
+  // Memory and file complete in memory, so a VirtualDisk over them
   // settles each request before ReadAsync / WriteAsync returns. The other
   // kinds keep the pump, which on uring drives the device queue past 1.
   BackendFileOptions opts;
@@ -609,9 +609,8 @@ TEST_P(BackendConformanceTest, VirtualDiskServesInlineWhenBackendCompletesInMemo
   opts.queue_depth = 8;
   MAKE_BACKEND_OR_SKIP(backend, opts);
   const BackendKind kind = GetParam();
-  const bool in_memory = kind == BackendKind::kMemory ||
-                         kind == BackendKind::kFile ||
-                         kind == BackendKind::kMmap;
+  const bool in_memory =
+      kind == BackendKind::kMemory || kind == BackendKind::kFile;
   EXPECT_EQ(backend->completes_in_memory(), in_memory);
   VirtualDisk disk(std::move(backend), {});
   EXPECT_EQ(disk.serves_inline(), in_memory);
@@ -648,59 +647,10 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformanceTest,
                          ::testing::Values(BackendKind::kMemory,
                                            BackendKind::kFile,
                                            BackendKind::kDirect,
-                                           BackendKind::kUring,
-                                           BackendKind::kMmap),
+                                           BackendKind::kUring),
                          [](const auto& info) {
                            return std::string(BackendKindName(info.param));
                          });
-
-// ----------------------------------------------------- StripedBackend ----
-
-TEST(StripedBackendTest, RoundTripAcrossStripes) {
-  std::vector<std::unique_ptr<StorageBackend>> children;
-  for (int i = 0; i < 3; ++i) {
-    children.push_back(std::make_unique<MemoryBackend>(kBlock));
-  }
-  StripedBackend striped(std::move(children), kBlock);
-  AlignedBuffer r(kBlock);
-  for (uint64_t b = 0; b < 10; ++b) {
-    AlignedBuffer w = PatternBlock(static_cast<uint8_t>(b + 1));
-    ASSERT_TRUE(striped.WriteBlock(b, w.data()).ok());
-  }
-  for (uint64_t b = 0; b < 10; ++b) {
-    ASSERT_TRUE(striped.ReadBlock(b, r.data()).ok());
-    EXPECT_EQ(r.data()[123], static_cast<uint8_t>(b + 1));
-  }
-  EXPECT_FALSE(striped.ReadBlock(10, r.data()).ok());
-}
-
-TEST(StripedBackendTest, CapacityIsSummed) {
-  std::vector<std::unique_ptr<StorageBackend>> children;
-  for (int i = 0; i < 4; ++i) {
-    children.push_back(std::make_unique<MemoryBackend>(kBlock));
-  }
-  StripedBackend striped(std::move(children), kBlock);
-  EXPECT_EQ(striped.queue_capacity(), 4u);
-}
-
-TEST(StripedBackendTest, FileStripesViaBlockManager) {
-  BlockManager::Options options = SmallBm(2);
-  options.backend = BackendKind::kFile;
-  options.file_dir = std::filesystem::temp_directory_path().string();
-  options.pe_id = 78;
-  options.files_per_disk = 3;
-  BlockManager bm(options);
-  std::vector<BlockId> ids = bm.AllocateMany(12);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    AlignedBuffer w = PatternBlock(static_cast<uint8_t>(i + 1));
-    bm.WriteSync(ids[i], w.data());
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    AlignedBuffer r(kBlock);
-    bm.ReadSync(ids[i], r.data());
-    EXPECT_EQ(r.data()[0], static_cast<uint8_t>(i + 1));
-  }
-}
 
 // --------------------------------------------------- queue-depth gauges ----
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "net/buffer_pool.h"
@@ -108,18 +107,6 @@ TEST(CommTest, EmptyMessage) {
   });
 }
 
-TEST(CommTest, VectorRoundTrip) {
-  Cluster::Run(2, [](Comm& comm) {
-    std::vector<uint64_t> data(1000);
-    std::iota(data.begin(), data.end(), 0);
-    if (comm.rank() == 0) {
-      comm.SendVector(1, 4, data);
-    } else {
-      EXPECT_EQ(comm.RecvVector<uint64_t>(0, 4), data);
-    }
-  });
-}
-
 // ------------------------------------------------------- collectives -----
 
 class CollectiveParamTest : public ::testing::TestWithParam<int> {};
@@ -207,16 +194,6 @@ TEST_P(CollectiveParamTest, AlltoallvExchangesCorrectly) {
         EXPECT_EQ(v, static_cast<uint32_t>(s * 1000 + comm.rank()));
       }
     }
-  });
-}
-
-TEST_P(CollectiveParamTest, ExclusiveScanSum) {
-  int P = GetParam();
-  Cluster::Run(P, [](Comm& comm) {
-    uint64_t prefix = comm.ExclusiveScanSum(comm.rank() + 1);
-    uint64_t expect = 0;
-    for (int p = 0; p < comm.rank(); ++p) expect += p + 1;
-    EXPECT_EQ(prefix, expect);
   });
 }
 

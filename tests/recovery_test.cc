@@ -428,7 +428,7 @@ TEST(RecoverySortTest, KillEachPhaseHierRecovers) {
   KillEachPhaseAndRecover(net::TransportKind::kHier);
 }
 
-// The same sweep on every new file-backed storage backend: the durable
+// The same sweep on the other file-backed storage backends: the durable
 // contract (Flush before the manifest barrier, TrustOnly on reopen,
 // durable-length validation) must hold regardless of how the bytes reach
 // the file. Kinds the host cannot serve skip with the probe's reason.
@@ -450,10 +450,6 @@ void KillEachPhaseOnBackend(io::BackendKind backend) {
                           });
 }
 
-TEST(RecoverySortTest, KillEachPhaseMmapBackendRecovers) {
-  KillEachPhaseOnBackend(io::BackendKind::kMmap);
-}
-
 TEST(RecoverySortTest, KillEachPhaseDirectBackendRecovers) {
   KillEachPhaseOnBackend(io::BackendKind::kDirect);
 }
@@ -470,18 +466,6 @@ TEST(RecoverySortTest, KillEachPhaseParallelMergeRecovers) {
   KillEachPhaseAndRecover(net::TransportKind::kInProc,
                           [](core::SortConfig& config) {
                             config.threads_per_pe = 4;
-                          });
-}
-
-TEST(RecoverySortTest, KillEachPhaseStripedAsyncFilesRecovers) {
-  // Striped files at queue depth (served inline: buffered files complete in
-  // memory): the recovery path must reopen all K stripe files per disk and
-  // the striping-aware durable-length check must accept the healthy layout.
-  KillEachPhaseAndRecover(net::TransportKind::kInProc,
-                          [](core::SortConfig& config) {
-                            config.async_io = true;
-                            config.files_per_disk = 2;
-                            config.io_queue_depth = 4;
                           });
 }
 

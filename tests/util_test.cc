@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/aligned_buffer.h"
@@ -208,6 +209,23 @@ TEST(FlagsTest, ParsesEqualsAndSpaceForms) {
   EXPECT_EQ(flags.GetString("dist", ""), "uniform");
   EXPECT_TRUE(flags.GetBool("verbose", false));
   EXPECT_EQ(flags.GetInt("missing", 42), 42);
+}
+
+TEST(FlagsTest, UnreadListsFlagsNeverLookedUp) {
+  const char* argv[] = {"prog", "--pes=8", "--no-such-flag=4", "--stats",
+                        "--seed", "7", "positional"};
+  FlagParser flags(7, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Unread(),
+            (std::vector<std::string>{"no-such-flag", "pes", "seed",
+                                      "stats"}));
+  EXPECT_EQ(flags.GetInt("pes", 1), 8);
+  EXPECT_TRUE(flags.Has("stats"));
+  // Looking up an absent flag reads it without adding it to the list.
+  EXPECT_EQ(flags.GetDouble("rate", 0.5), 0.5);
+  EXPECT_EQ(flags.GetString("seed", ""), "7");
+  EXPECT_EQ(flags.Unread(), std::vector<std::string>{"no-such-flag"});
+  EXPECT_FALSE(flags.GetBool("no-such-flag", false));
+  EXPECT_TRUE(flags.Unread().empty());
 }
 
 TEST(FlagsTest, SizeSuffixes) {
