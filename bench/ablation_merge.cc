@@ -112,10 +112,13 @@ int main(int argc, char** argv) {
   int reps = static_cast<int>(flags.GetInt("reps", 3));
   int max_threads = static_cast<int>(flags.GetInt("threads", 4));
   bool self_check = flags.GetBool("self-check", false);
+  double max_ratio = flags.GetInt("max-ratio-pct", 75) / 100.0;
 
   core::SortConfig base = bench::FigureConfig(/*block_size=*/16 * 1024);
   base.memory_per_pe = 8 * 1024 * 1024;
-  if (!bench::ApplyStorageFlags(flags, &base)) return 0;
+  const bool storage_ok = bench::ApplyStorageFlags(flags, &base);
+  flags.ExitOnUnknownFlags();
+  if (!storage_ok) return 0;
 
   if (self_check) {
     unsigned hw = std::thread::hardware_concurrency();
@@ -124,7 +127,6 @@ int main(int argc, char** argv) {
                   max_threads);
       return 0;
     }
-    double max_ratio = flags.GetInt("max-ratio-pct", 75) / 100.0;
     core::SortConfig seq = base;
     seq.threads_per_pe = 1;
     core::SortConfig par = base;

@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
   int repeats = static_cast<int>(flags.GetInt("repeats", 3));
 
   core::SortConfig base = bench::FigureConfig();
-  if (!bench::ApplyStorageFlags(flags, &base)) return 0;
+  const bool storage_ok = bench::ApplyStorageFlags(flags, &base);
+  flags.ExitOnUnknownFlags();
+  if (!storage_ok) return 0;
   bool file_backed = io::IsFileBacked(base.backend);
   // Real backends supply real latency; the modeled throttle would only
   // double-charge the emulated disks.

@@ -73,20 +73,13 @@ struct SortRunResult {
 /// the TCP mesh setup is likewise bounded by the connect deadline.
 struct RunOptions {
   net::TransportKind transport = net::TransportKind::kInProc;
-  /// In-process fabric (per-channel cap) or hier (node-uplink channel
-  /// cap): in-flight byte bound, 0 = off.
-  size_t channel_cap_bytes = 0;
-  /// TCP (reader-thread mailbox watermark) or hier (demux pause
-  /// watermark): 0 = drain eagerly.
-  size_t tcp_recv_watermark_bytes = 0;
   /// TCP only: mesh-setup deadline (0 = wait forever).
   int64_t tcp_connect_timeout_ms = 30'000;
   /// Hier only: PEs per emulated node (0 = the default of 2).
   int pes_per_node = 0;
 };
 
-/// Parses --transport / --channel-cap / --recv-watermark /
-/// --connect-timeout-ms / --pes-per-node; a bad value
+/// Parses --transport / --connect-timeout-ms / --pes-per-node; a bad value
 /// aborts the bench (a silent inproc fallback would mislabel every
 /// measured number).
 inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
@@ -97,32 +90,6 @@ inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
     std::exit(2);
   }
   options.transport = kind.value();
-  int64_t cap = ParseSize(flags.GetString("channel-cap", "0"));
-  if (cap < 0) {
-    std::fprintf(stderr, "--channel-cap must be >= 0\n");
-    std::exit(2);
-  }
-  options.channel_cap_bytes = static_cast<size_t>(cap);
-  if (options.transport == net::TransportKind::kTcp &&
-      options.channel_cap_bytes != 0) {
-    std::fprintf(stderr,
-                 "--channel-cap applies to the in-process fabric and the "
-                 "hier uplink only\n");
-    std::exit(2);
-  }
-  int64_t watermark = ParseSize(flags.GetString("recv-watermark", "0"));
-  if (watermark < 0) {
-    std::fprintf(stderr, "--recv-watermark must be >= 0\n");
-    std::exit(2);
-  }
-  options.tcp_recv_watermark_bytes = static_cast<size_t>(watermark);
-  if (options.transport == net::TransportKind::kInProc &&
-      options.tcp_recv_watermark_bytes != 0) {
-    std::fprintf(stderr,
-                 "--recv-watermark applies to the tcp and hier transports "
-                 "only\n");
-    std::exit(2);
-  }
   int64_t pes_per_node = flags.GetInt("pes-per-node", 0);
   if (pes_per_node < 0 ||
       (pes_per_node != 0 && options.transport != net::TransportKind::kHier)) {
@@ -161,8 +128,12 @@ inline bool ApplyStorageFlags(const FlagParser& flags,
   }
   config->io_queue_depth =
       static_cast<size_t>(flags.GetInt("queue-depth", 0));
+  // Read even when unused, so sweeps may pass one --file-dir to every
+  // storage kind.
+  const std::string file_dir =
+      flags.GetString("file-dir", "/tmp/demsort_bench");
   if (io::IsFileBacked(config->backend)) {
-    config->file_dir = flags.GetString("file-dir", "/tmp/demsort_bench");
+    config->file_dir = file_dir;
     if (::mkdir(config->file_dir.c_str(), 0755) != 0 && errno != EEXIST) {
       std::fprintf(stderr, "--file-dir %s: %s\n", config->file_dir.c_str(),
                    std::strerror(errno));
@@ -186,39 +157,6 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
                                   uint64_t elements_per_pe,
                                   const RunOptions& run_options = {}) {
   SortRunResult result;
-  // Credit frames share the socket with data frames; a watermark below one
-  // credit window lets the reader pause with a credit queued behind data,
-  // throttling the streamed exchanges (see TcpTransport::Options). On the
-  // hierarchical transport the window is multiplied by the number of PEs
-  // SHARING the node's uplink endpoint, whose flows all land behind the
-  // same demux pause: a per-PE-sized watermark would silently
-  // under-provision the node endpoint.
-  if ((run_options.transport == net::TransportKind::kTcp ||
-       run_options.transport == net::TransportKind::kHier) &&
-      run_options.tcp_recv_watermark_bytes != 0) {
-    size_t chunk = config.stream_chunk_bytes != 0
-                       ? config.stream_chunk_bytes
-                       : net::Comm::kDefaultStreamChunkBytes;
-    size_t pes_per_uplink =
-        run_options.transport == net::TransportKind::kHier
-            ? static_cast<size_t>(
-                  run_options.pes_per_node > 0 ? run_options.pes_per_node : 2)
-            : 1;
-    size_t credit_window = net::Comm::kStreamSendCreditChunks *
-                           (chunk + sizeof(net::StreamChunkHeader)) *
-                           pes_per_uplink;
-    if (run_options.tcp_recv_watermark_bytes < credit_window) {
-      std::fprintf(stderr,
-                   "warning: --recv-watermark=%zu is below the streaming "
-                   "credit window (%zu bytes = %llu chunks x %zu B x %zu "
-                   "PE(s) per uplink); credit frames may stall behind "
-                   "paused reads\n",
-                   run_options.tcp_recv_watermark_bytes, credit_window,
-                   static_cast<unsigned long long>(
-                       net::Comm::kStreamSendCreditChunks),
-                   chunk, pes_per_uplink);
-    }
-  }
   result.reports.resize(num_pes);
   std::mutex mu;
   bool all_valid = true;
@@ -238,9 +176,6 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
   };
   net::Cluster::Options cluster_options;
   cluster_options.num_pes = num_pes;
-  cluster_options.channel_cap_bytes = run_options.channel_cap_bytes;
-  cluster_options.tcp_recv_watermark_bytes =
-      run_options.tcp_recv_watermark_bytes;
   cluster_options.tcp_connect_timeout_ms =
       run_options.tcp_connect_timeout_ms;
   cluster_options.pes_per_node = run_options.pes_per_node;

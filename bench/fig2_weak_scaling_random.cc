@@ -7,6 +7,7 @@
 // negligible; all-to-all small (randomized run formation already places
 // most data).
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -17,6 +18,8 @@ int main(int argc, char** argv) {
       flags.GetInt("elements-per-pe", (2 << 20) / 16));  // 2 MiB of KV16
   core::SortConfig config = bench::FigureConfig(
       static_cast<size_t>(flags.GetInt("block-size", 4 * 1024)));
+  const std::vector<int> pe_sweep = bench::PeSweep(flags);
+  flags.ExitOnUnknownFlags();
 
   sim::CostModel model;
   std::printf(
@@ -27,7 +30,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(elements_per_pe), config.block_size,
       config.memory_per_pe, config.disks_per_pe);
   bench::PrintPhaseHeader();
-  for (int p : bench::PeSweep(flags)) {
+  for (int p : pe_sweep) {
     bench::SortRunResult run = bench::RunCanonical(
         p, workload::Distribution::kUniform, config, elements_per_pe);
     bench::PrintPhaseRow(p, run, model);

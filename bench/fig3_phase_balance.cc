@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
       flags.GetInt("elements-per-pe", (2 << 20) / 16));
   core::SortConfig config = bench::FigureConfig(
       static_cast<size_t>(flags.GetInt("block-size", 4 * 1024)));
+  flags.ExitOnUnknownFlags();
 
   bench::SortRunResult run = bench::RunCanonical(
       num_pes, workload::Distribution::kUniform, config, elements_per_pe);

@@ -6,6 +6,7 @@
 // run resemble the global distribution, so the all-to-all stays small; the
 // residual movement is the O(R*sqrt(M*B)*logP) term of Appendix C.
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -17,6 +18,8 @@ int main(int argc, char** argv) {
   core::SortConfig config = bench::FigureConfig(
       static_cast<size_t>(flags.GetInt("block-size", 4 * 1024)));
   config.randomize_blocks = true;
+  const std::vector<int> pe_sweep = bench::PeSweep(flags);
+  flags.ExitOnUnknownFlags();
 
   sim::CostModel model;
   std::printf(
@@ -26,7 +29,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(elements_per_pe), config.block_size,
       config.memory_per_pe, config.disks_per_pe);
   bench::PrintPhaseHeader();
-  for (int p : bench::PeSweep(flags)) {
+  for (int p : pe_sweep) {
     bench::SortRunResult run = bench::RunCanonical(
         p, workload::Distribution::kWorstCaseLocal, config,
         elements_per_pe);

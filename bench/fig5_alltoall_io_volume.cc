@@ -9,6 +9,7 @@
 // the sqrt(B) dependence of Appendix C (the reorganization overhead grows
 // with the square root of the block size).
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -35,10 +36,10 @@ int main(int argc, char** argv) {
   size_t block_default =
       static_cast<size_t>(flags.GetInt("block-size", 4 * 1024));
   size_t block_small = block_default / 4;  // the paper's 8 MiB vs 2 MiB
-  // --transport=tcp runs every sweep point over real loopback sockets;
-  // --channel-cap=<size> bounds the in-process fabric's per-channel
-  // buffering (I/O volumes must be identical either way — the figure is
-  // about the algorithm, the substrate only moves the bytes).
+  // --transport=tcp (or hier) runs every sweep point over real loopback
+  // sockets (or the two-level transport); I/O volumes must be identical
+  // either way — the figure is about the algorithm, the substrate only
+  // moves the bytes.
   // --stream-chunk=<size> sets the streamed exchange's chunk (0 = the
   // 256 KiB default): smaller chunks shrink receive-side buffering of the
   // all-to-all at a higher per-message overhead, I/O volume unchanged.
@@ -48,6 +49,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--stream-chunk must be >= 0\n");
     return 2;
   }
+  const std::vector<int> pe_sweep = bench::PeSweep(flags);
+  flags.ExitOnUnknownFlags();
 
   struct Series {
     const char* name;
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
   for (const Series& s : series) std::printf("  %18s", s.name);
   std::printf("\n");
 
-  for (int p : bench::PeSweep(flags)) {
+  for (int p : pe_sweep) {
     std::printf("%4d", p);
     for (const Series& s : series) {
       core::SortConfig config = bench::FigureConfig(s.block);

@@ -6,6 +6,7 @@
 // is misplaced after run formation and the external all-to-all performs an
 // extra read+write of nearly everything (4N -> 6N I/O volume).
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -17,6 +18,8 @@ int main(int argc, char** argv) {
   core::SortConfig config = bench::FigureConfig(
       static_cast<size_t>(flags.GetInt("block-size", 4 * 1024)));
   config.randomize_blocks = false;
+  const std::vector<int> pe_sweep = bench::PeSweep(flags);
+  flags.ExitOnUnknownFlags();
 
   sim::CostModel model;
   std::printf(
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(elements_per_pe), config.block_size,
       config.memory_per_pe, config.disks_per_pe);
   bench::PrintPhaseHeader();
-  for (int p : bench::PeSweep(flags)) {
+  for (int p : pe_sweep) {
     bench::SortRunResult run = bench::RunCanonical(
         p, workload::Distribution::kWorstCaseLocal, config,
         elements_per_pe);

@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
   int num_pes = static_cast<int>(flags.GetInt("pes", 32));
   uint64_t records_per_pe =
       static_cast<uint64_t>(flags.GetInt("records-per-pe", 20000));
+  flags.ExitOnUnknownFlags();
 
   core::SortConfig config = bench::FigureConfig(4 * 1024);
   // 100-byte records: keep the same geometry ratios.

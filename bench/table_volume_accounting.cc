@@ -65,6 +65,7 @@ int main(int argc, char** argv) {
   int num_pes = static_cast<int>(flags.GetInt("pes", 8));
   uint64_t elements_per_pe = static_cast<uint64_t>(
       flags.GetInt("elements-per-pe", (2 << 20) / 16));
+  flags.ExitOnUnknownFlags();
 
   std::printf(
       "# §IV-D volume accounting, P=%d, %llu elements/PE\n"

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("vertices", 20000));
   const uint64_t edges_per_pe =
       static_cast<uint64_t>(flags.GetInt("edges-per-pe", 100000));
+  flags.ExitOnUnknownFlags();
 
   core::SortConfig config;
   config.block_size = 16 * 1024;

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   config.disks_per_pe = 2;              // D per PE
   config.randomize_blocks = true;       // the §IV randomization
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  flags.ExitOnUnknownFlags();
 
   std::printf("Sorting %llu x 16-byte elements on %d emulated PEs (%s)...\n",
               static_cast<unsigned long long>(elements_per_pe) * pes, pes,

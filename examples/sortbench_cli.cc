@@ -787,14 +787,8 @@ int main(int argc, char** argv) {
   options.config.checkpoint_dir = flags.GetString("checkpoint-dir", "");
   options.max_restarts =
       static_cast<int>(flags.GetInt("max-restarts", options.max_restarts));
-  // Every flag this program knows has been read by now; a misspelled or
-  // unsupported one must fail instead of silently running a default.
-  if (std::vector<std::string> unread = flags.Unread(); !unread.empty()) {
-    std::string names;
-    for (const std::string& name : unread) names += " --" + name;
-    std::fprintf(stderr, "unknown flag(s):%s\n", names.c_str());
-    return 2;
-  }
+  // Every flag this program knows has been read by now.
+  flags.ExitOnUnknownFlags();
   if (options.recover) {
     if (options.config.checkpoint_dir.empty()) {
       std::fprintf(stderr, "--recover requires --checkpoint-dir=DIR\n");

@@ -46,7 +46,9 @@ std::vector<std::string> SplitCommas(const std::string& s) {
   return out;
 }
 
-int LintTrace(const std::string& path, const FlagParser& flags) {
+/// `expect_pids` < 0 skips the pid-count check.
+int LintTrace(const std::string& path, int expect_pids,
+              const std::vector<std::string>& expect_names) {
   std::string text;
   if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "trace_lint: cannot read %s\n", path.c_str());
@@ -70,17 +72,12 @@ int LintTrace(const std::string& path, const FlagParser& flags) {
                  path.c_str());
     rc = 1;
   }
-  if (flags.Has("expect-pids")) {
-    const int want = static_cast<int>(flags.GetInt("expect-pids", 0));
-    if (static_cast<int>(lint.pids.size()) != want) {
-      std::fprintf(stderr,
-                   "trace_lint: %s: expected %d rank pids, found %zu\n",
-                   path.c_str(), want, lint.pids.size());
-      rc = 1;
-    }
+  if (expect_pids >= 0 && static_cast<int>(lint.pids.size()) != expect_pids) {
+    std::fprintf(stderr, "trace_lint: %s: expected %d rank pids, found %zu\n",
+                 path.c_str(), expect_pids, lint.pids.size());
+    rc = 1;
   }
-  for (const std::string& name :
-       SplitCommas(flags.GetString("expect-names", ""))) {
+  for (const std::string& name : expect_names) {
     if (lint.names.count(name) == 0) {
       std::fprintf(stderr, "trace_lint: %s: span \"%s\" not found\n",
                    path.c_str(), name.c_str());
@@ -125,7 +122,8 @@ bool CheckPhase(const obs::JsonValue& phase, int pes, std::string* err) {
   return true;
 }
 
-int LintStats(const std::string& path, const FlagParser& flags) {
+/// `expect_pes` < 0 skips the cluster-size check.
+int LintStats(const std::string& path, int expect_pes) {
   std::string text;
   if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "trace_lint: cannot read %s\n", path.c_str());
@@ -149,12 +147,9 @@ int LintStats(const std::string& path, const FlagParser& flags) {
     std::fprintf(stderr, "trace_lint: %s: bad pes\n", path.c_str());
     return 1;
   }
-  if (flags.Has("expect-pes") &&
-      static_cast<int>(pes->number) != flags.GetInt("expect-pes", 0)) {
-    std::fprintf(stderr, "trace_lint: %s: expected %lld pes, found %d\n",
-                 path.c_str(),
-                 static_cast<long long>(flags.GetInt("expect-pes", 0)),
-                 static_cast<int>(pes->number));
+  if (expect_pes >= 0 && static_cast<int>(pes->number) != expect_pes) {
+    std::fprintf(stderr, "trace_lint: %s: expected %d pes, found %d\n",
+                 path.c_str(), expect_pes, static_cast<int>(pes->number));
     return 1;
   }
   const obs::JsonValue* phases = doc.Find("phases");
@@ -204,6 +199,19 @@ int main(int argc, char** argv) {
                  "[--expect-pes=N]\n");
     return 2;
   }
-  if (stats_mode) return LintStats(path, flags);
-  return LintTrace(path, flags);
+  if (stats_mode) {
+    const int expect_pes = flags.Has("expect-pes")
+                               ? static_cast<int>(flags.GetInt("expect-pes", 0))
+                               : -1;
+    flags.ExitOnUnknownFlags();
+    return LintStats(path, expect_pes);
+  }
+  const int expect_pids =
+      flags.Has("expect-pids")
+          ? static_cast<int>(flags.GetInt("expect-pids", 0))
+          : -1;
+  const std::vector<std::string> expect_names =
+      SplitCommas(flags.GetString("expect-names", ""));
+  flags.ExitOnUnknownFlags();
+  return LintTrace(path, expect_pids, expect_names);
 }

@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
   const int pes = static_cast<int>(flags.GetInt("pes", 4));
   const uint64_t points_per_pe = static_cast<uint64_t>(
       flags.GetInt("points-per-pe", 100000));
+  flags.ExitOnUnknownFlags();
 
   core::SortConfig config;
   config.block_size = 16 * 1024;

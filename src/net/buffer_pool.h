@@ -36,7 +36,7 @@ namespace demsort::net {
 /// neither crowd out chunk buffers nor stretch the under-lock scan a
 /// chunk-sized lease pays. Lease never blocks: the bytes out on lease are
 /// bounded by the transport's windows, not by the pool (Comm's send
-/// window, the receive-side credits and watermarks).
+/// window and the streaming exchange's receive-side credits).
 class BufferPool {
  public:
   /// Free-list retention cap; recycled buffers beyond it are freed.

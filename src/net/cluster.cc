@@ -63,9 +63,7 @@ int SuperviseEpochs(const RecoveryOptions& options,
 
 }  // namespace internal
 
-Fabric::Fabric(const Options& options)
-    : num_pes_(options.num_pes),
-      channel_cap_bytes_(options.channel_cap_bytes) {
+Fabric::Fabric(int num_pes) : num_pes_(num_pes) {
   DEMSORT_CHECK_GT(num_pes_, 0);
   pool_ = std::make_shared<BufferPool>();
   stats_.resize(num_pes_);
@@ -73,12 +71,11 @@ Fabric::Fabric(const Options& options)
   channels_.resize(static_cast<size_t>(num_pes_) * num_pes_);
   for (int src = 0; src < num_pes_; ++src) {
     for (int dst = 0; dst < num_pes_; ++dst) {
-      // Self-channels are local memory traffic: exempt from the cap and
-      // from the receiver-side buffering gauge, like the volume counters.
+      // Self-channels are local memory traffic: exempt from the
+      // receiver-side buffering gauge, like the volume counters.
       NetStats* recv_stats = src == dst ? nullptr : stats_[dst].get();
       channels_[static_cast<size_t>(src) * num_pes_ + dst] =
-          std::make_unique<internal::TagChannel>(channel_cap_bytes_,
-                                                 recv_stats);
+          std::make_unique<internal::TagChannel>(recv_stats);
     }
   }
 }
@@ -94,13 +91,11 @@ SendRequest Fabric::Isend(int src, int dst, int tag, const void* data,
   if (bytes != 0) std::memcpy(buf.data(), data, bytes);
   Frame payload(std::move(buf), pool_);
   if (src != dst) {
-    // Counters record logical traffic at hand-off; the physical flow is
-    // observable via SendRequest completion and max_channel_queued_bytes.
+    // Counters record logical traffic at hand-off.
     stats_[src]->RecordSend(bytes);
     stats_[dst]->RecordRecv(bytes);
   }
-  return channel(src, dst).Offer(tag, std::move(payload),
-                                 /*exempt_from_cap=*/src == dst);
+  return channel(src, dst).Offer(tag, std::move(payload));
 }
 
 SendRequest Fabric::IsendGather(int src, int dst, int tag, const void* header,
@@ -119,8 +114,7 @@ SendRequest Fabric::IsendGather(int src, int dst, int tag, const void* header,
     stats_[src]->RecordSend(payload.size());
     stats_[dst]->RecordRecv(payload.size());
   }
-  return channel(src, dst).Offer(tag, std::move(payload),
-                                 /*exempt_from_cap=*/src == dst);
+  return channel(src, dst).Offer(tag, std::move(payload));
 }
 
 SendRequest Fabric::IsendFrame(int src, int dst, int tag, Frame frame) {
@@ -130,8 +124,7 @@ SendRequest Fabric::IsendFrame(int src, int dst, int tag, Frame frame) {
     stats_[src]->RecordSend(frame.size());
     stats_[dst]->RecordRecv(frame.size());
   }
-  return channel(src, dst).Offer(tag, std::move(frame),
-                                 /*exempt_from_cap=*/src == dst);
+  return channel(src, dst).Offer(tag, std::move(frame));
 }
 
 RecvRequest Fabric::Irecv(int dst, int src, int tag) {
@@ -166,20 +159,6 @@ std::vector<uint8_t> Fabric::Recv(int dst, int src, int tag) {
   return Irecv(dst, src, tag).Take();
 }
 
-uint64_t Fabric::max_channel_queued_bytes() const {
-  uint64_t max_bytes = 0;
-  for (int src = 0; src < num_pes_; ++src) {
-    for (int dst = 0; dst < num_pes_; ++dst) {
-      if (src == dst) continue;
-      uint64_t b =
-          channels_[static_cast<size_t>(src) * num_pes_ + dst]
-              ->max_queued_bytes();
-      if (b > max_bytes) max_bytes = b;
-    }
-  }
-  return max_bytes;
-}
-
 void Cluster::Run(int num_pes, const PeBody& body) {
   Options options;
   options.num_pes = num_pes;
@@ -194,10 +173,7 @@ std::vector<NetStatsSnapshot> Cluster::RunWithStats(int num_pes,
 }
 
 Cluster::Result Cluster::Run(const Options& options, const PeBody& body) {
-  Fabric::Options fabric_options;
-  fabric_options.num_pes = options.num_pes;
-  fabric_options.channel_cap_bytes = options.channel_cap_bytes;
-  Fabric fabric(fabric_options);
+  Fabric fabric(options.num_pes);
   Transport* transport = &fabric;
   if (options.wrap_transport) {
     Transport* wrapped = options.wrap_transport(&fabric, options.epoch);
@@ -244,7 +220,6 @@ Cluster::Result Cluster::Run(const Options& options, const PeBody& body) {
   for (int pe = 0; pe < num_pes; ++pe) {
     result.stats.push_back(transport->stats(pe).Snapshot());
   }
-  result.max_channel_queued_bytes = fabric.max_channel_queued_bytes();
   return result;
 }
 

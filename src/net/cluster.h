@@ -24,24 +24,13 @@ class Comm;
 /// The in-process Transport: P*P FIFO channels with MPI-style (source, tag)
 /// matching, plus per-PE traffic counters.
 ///
-/// By default mailboxes are unbounded (a send is admitted instantly and the
-/// sorting algorithms bound in-flight volume themselves, exactly as the
-/// paper's external all-to-all does). Setting `channel_cap_bytes` bounds the
-/// delivered-but-unreceived bytes of every src→dst channel: further Isends
-/// park until the receiver drains, modeling real link backpressure.
-/// Self-sends (src == dst) are exempt — they are local memory traffic in a
-/// real cluster. A capped fabric requires receivers to actually drain their
-/// mailboxes (collectives do; see comm.cc).
+/// Mailboxes are unbounded: a send is admitted instantly, and the sorting
+/// algorithms bound in-flight volume themselves, exactly as the paper's
+/// external all-to-all does (sub-steps, and the streaming credits of
+/// Comm::AlltoallvStream).
 class Fabric : public Transport {
  public:
-  struct Options {
-    int num_pes = 1;
-    /// 0 = unbounded (compatible default).
-    size_t channel_cap_bytes = 0;
-  };
-
-  explicit Fabric(int num_pes) : Fabric(Options{num_pes, 0}) {}
-  explicit Fabric(const Options& options);
+  explicit Fabric(int num_pes);
 
   int num_pes() const override { return num_pes_; }
   SendRequest Isend(int src, int dst, int tag, const void* data,
@@ -53,8 +42,8 @@ class Fabric : public Transport {
   RecvRequest Irecv(int dst, int src, int tag) override;
 
   /// Poisons every channel from or to `pe`: peers' posted and future
-  /// receives from it fail with CommError(status), sends to it fail, and
-  /// parked (capped) sends are released with the error. Called by
+  /// receives from it fail with CommError(status) and sends to it fail.
+  /// Called by
   /// Cluster::Run when a PE body throws — the survivors' waits become
   /// errors instead of a join() deadlock — and by net::FaultTransport.
   void KillPe(int pe, const Status& status) override;
@@ -67,18 +56,12 @@ class Fabric : public Transport {
   void Send(int src, int dst, int tag, const void* data, size_t bytes);
   std::vector<uint8_t> Recv(int dst, int src, int tag);
 
-  /// High-water mark of queued bytes over all cross-PE channels — what a
-  /// bounded-memory router would have had to buffer. Self-channels are
-  /// excluded (local memory, not network buffering).
-  uint64_t max_channel_queued_bytes() const;
-
  private:
   internal::TagChannel& channel(int src, int dst) {
     return *channels_[static_cast<size_t>(src) * num_pes_ + dst];
   }
 
   int num_pes_;
-  size_t channel_cap_bytes_;
   /// Shared recycling pool for message frames; shared_ptr because frames
   /// sitting in mailboxes may outlive the Fabric (see buffer_pool.h).
   std::shared_ptr<BufferPool> pool_;
@@ -127,14 +110,8 @@ class Cluster {
 
   struct Options {
     int num_pes = 1;
-    /// Per-channel in-flight byte cap; 0 = unbounded. See Fabric::Options.
-    /// In-process fabric only.
-    size_t channel_cap_bytes = 0;
-    /// TCP only (used by RunOverTransport with TransportKind::kTcp): the
-    /// per-peer mailbox byte watermark at which the reader thread pauses;
-    /// 0 = drain eagerly. See TcpTransport::Options::recv_watermark_bytes.
-    size_t tcp_recv_watermark_bytes = 0;
-    /// TCP only: mesh-setup deadline, forwarded to
+    /// TCP only (used by RunOverTransport with TransportKind::kTcp):
+    /// mesh-setup deadline, forwarded to
     /// TcpTransport::Options::connect_timeout_ms (0 = wait forever).
     int64_t tcp_connect_timeout_ms = 30'000;
     /// Hier only (RunOverTransport with TransportKind::kHier): PEs per
@@ -156,8 +133,6 @@ class Cluster {
 
   struct Result {
     std::vector<NetStatsSnapshot> stats;
-    /// Fabric::max_channel_queued_bytes() at the end of the run.
-    uint64_t max_channel_queued_bytes = 0;
   };
 
   struct SupervisedResult {
@@ -173,7 +148,7 @@ class Cluster {
   static std::vector<NetStatsSnapshot> RunWithStats(int num_pes,
                                                     const PeBody& body);
 
-  /// Full-control variant: fabric options in, traffic + buffering peaks out.
+  /// Full-control variant: options in, per-PE traffic counters out.
   static Result Run(const Options& options, const PeBody& body);
 
   /// Supervised restart: when an epoch dies of a contained rank failure

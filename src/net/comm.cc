@@ -24,8 +24,6 @@ void Comm::Barrier() {
   TRACE_SPAN("net", "barrier");
   // Dissemination barrier: in round k, PE i signals (i + 2^k) mod P and
   // waits for (i - 2^k) mod P. O(log P) rounds, no central bottleneck.
-  // The receive is posted before the send so a capped fabric always has a
-  // drain in place.
   int tag = AllocateCollectiveTag();
   for (int step = 1; step < size_; step <<= 1) {
     int to = (rank_ + step) % size_;
@@ -321,10 +319,9 @@ uint64_t Comm::StreamChunkBytes(const StreamOptions& options) {
 // header simply queues at the future partner, and a waiting chain always
 // ends at a pair that is in its mutual round, which makes progress. No
 // DATA chunk goes to a partner before it has entered the round: each
-// side's size header grants the first kStreamSendCreditChunks credits. A
-// chunk parked in a future round's mailbox could otherwise hold a
-// transport-wide pause — the hierarchical demux stops a whole uplink at
-// one mailbox's watermark — that the partner's current round needs lifted.
+// side's size header grants the first kStreamSendCreditChunks credits.
+// That rule is the receive bound's precondition: every buffered data chunk
+// was sent against a window its receiver granted.
 void Comm::AlltoallvStream(const StreamSendProvider& send_for,
                            const ChunkConsumer& consumer,
                            const StreamSizeCallback& on_size,

@@ -7,18 +7,18 @@
 // Semantics follow MPI where it matters to the algorithms:
 //  * Isend(dst, tag, data, bytes) copies the payload before returning (the
 //    caller's buffer is immediately reusable) and returns a SendRequest
-//    that completes when the transport has accepted the bytes — the
-//    flow-control credit under bounded channels.
+//    that completes when the transport has accepted the bytes (the
+//    in-process fabrics accept at once; TCP when the socket takes them).
 //  * Irecv(src, tag) posts a receive and returns a RecvRequest carrying the
 //    payload on completion; messages from the same (src, tag) pair are
 //    delivered in send order.
-//  * Send/Recv are the blocking forms (admission wait / payload wait). With
-//    an unbounded fabric, Send never blocks — the compatible default.
+//  * Send/Recv are the blocking forms (admission wait / payload wait). On
+//    the in-process fabrics Send never blocks.
 //  * Collectives must be called by all PEs of the cluster in the same order
 //    (SPMD discipline); each call internally uses a fresh reserved tag.
 //    They are built on Isend/Irecv with receives posted before sends and a
-//    bounded volume of in-flight sends, so they neither deadlock under
-//    capped channels nor buffer more than the window per peer.
+//    bounded volume of in-flight sends (the send window), so a collective's
+//    un-completed sends never exceed the window.
 //
 // Unlike MPI's int counts (the paper had to re-implement MPI_Alltoallv to
 // move >2 GiB), all sizes here are 64-bit native.
@@ -55,7 +55,7 @@ class Comm {
 
   /// Default bound on un-completed Isend bytes inside one collective: large
   /// enough to keep every link busy, small enough that a collective's
-  /// buffering footprint stays bounded on capped/socket transports.
+  /// un-flushed send footprint stays bounded on socket transports.
   static constexpr size_t kDefaultSendWindowBytes = size_t{64} << 20;
 
   /// Default chunk of the streaming Alltoallv: large enough to amortize
@@ -243,9 +243,9 @@ class Comm {
   /// and a sender keeps at most kStreamSendCreditChunks un-credited chunks
   /// in flight per destination — none before the destination has entered
   /// the round and granted the first window — so receive-side buffering is
-  /// O(credit x chunk) per active source ON EVERY TRANSPORT — chunking
-  /// alone would not bound it on an uncapped fabric — instead of
-  /// O(payload) per source.
+  /// O(credit x chunk) per active source ON EVERY TRANSPORT — no transport
+  /// throttles its receiver, so chunking alone would not bound it —
+  /// instead of O(payload) per source.
   ///
   /// The exchange runs as P-1 SYMMETRIC pairwise rounds (XOR partners when
   /// P is a power of two, tournament pairing (round - rank) mod P

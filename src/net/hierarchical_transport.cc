@@ -14,12 +14,10 @@
 namespace demsort::net {
 
 HierarchicalTransport::HierarchicalTransport(const Topology& topo, int node,
-                                             Transport* uplink,
-                                             const Options& options)
+                                             Transport* uplink)
     : topo_(topo),
       node_(node),
       uplink_(uplink),
-      options_(options),
       first_(topo_.node_first(node)),
       k_(topo_.node_size(node)) {
   DEMSORT_CHECK_GE(node_, 0);
@@ -38,16 +36,10 @@ HierarchicalTransport::HierarchicalTransport(const Topology& topo, int node,
       NetStats* recv_stats =
           topo_.node_of(src) == node_ ? nullptr : stats_[ld].get();
       mailbox_[static_cast<size_t>(ld) * P + src] =
-          std::make_unique<internal::TagChannel>(/*cap_bytes=*/0, recv_stats);
+          std::make_unique<internal::TagChannel>(recv_stats);
     }
   }
   if (topo_.num_nodes() > 1) {
-    // Every mailbox drain signals the reactor's eventcount: that is what
-    // ends a watermark pause, and Signal is one atomic bump unless the
-    // reactor is actually asleep.
-    for (auto& ch : mailbox_) {
-      ch->SetDrainListener([this] { event_.Signal(); });
-    }
     reactor_ = std::thread([this] {
       // The reactor serves the whole node; its trace track is attributed to
       // the node-leader rank (the node's first PE).
@@ -70,10 +62,6 @@ void HierarchicalTransport::Shutdown() {
       if (n != node_) SendControl(n, kHierClose, 0, 0);
     }
   }
-  // A reactor paused at a mailbox watermark would never see the peer's
-  // close; an undrained mailbox at teardown is a protocol bug, not a hang.
-  for (auto& ch : mailbox_) ch->CancelWaits();
-  event_.Signal();
 }
 
 HierarchicalTransport::~HierarchicalTransport() {
@@ -130,16 +118,13 @@ void HierarchicalTransport::FailPeerNode(int src_node, const Status& status) {
 }
 
 void HierarchicalTransport::ReactorLoop() {
-  // One posted receive per open peer; a peer whose last delivery crossed
-  // the watermark is skipped (not served, never parked) until the
-  // destination mailbox drains to half, so one slow consumer cannot stall
-  // the other peers' traffic — and a dead peer is failed over per-rank
-  // while the rest keep flowing (the thread-per-peer demux got the latter
-  // for free; the reactor must do both explicitly).
+  // One posted receive per open peer; a dead peer is failed over per-rank
+  // while the rest keep flowing (the thread-per-peer demux got that for
+  // free; the reactor must do it explicitly).
   //
   // Event-driven, not polled: a scan pass that makes no progress sleeps on
-  // the eventcount, which every posted receive's completion (OnDone) and
-  // every mailbox drain signals. The Snapshot-before-scan ordering makes
+  // the eventcount, which every posted receive's completion (OnDone)
+  // signals. The Snapshot-before-scan ordering makes
   // the sleep race-free — anything that fires mid-scan bumps the count and
   // the Wait returns immediately. Sleeping (instead of a backoff poll)
   // matters beyond CPU: demux latency quantizes every cross-node credit
@@ -149,7 +134,6 @@ void HierarchicalTransport::ReactorLoop() {
     RecvRequest rr;
     bool posted = false;
     bool open = true;
-    internal::TagChannel* paused_box = nullptr;
   };
   std::vector<Peer> peers;
   peers.reserve(topo_.num_nodes() - 1);
@@ -159,9 +143,6 @@ void HierarchicalTransport::ReactorLoop() {
     p.node = n;
     peers.push_back(std::move(p));
   }
-  const size_t watermark = options_.recv_watermark_bytes;
-  const size_t resume_below =
-      watermark == 0 ? 0 : std::max<size_t>(1, watermark / 2);
   size_t open_count = peers.size();
   while (open_count > 0) {
     const uint64_t seen = event_.Snapshot();
@@ -172,10 +153,6 @@ void HierarchicalTransport::ReactorLoop() {
 #endif
     for (Peer& p : peers) {
       if (!p.open) continue;
-      if (p.paused_box != nullptr) {
-        if (!p.paused_box->DrainedBelow(resume_below)) continue;
-        p.paused_box = nullptr;
-      }
       if (!p.posted) {
         p.rr = uplink_->Irecv(node_, p.node, kHierUplinkTag);
         p.posted = true;
@@ -244,18 +221,10 @@ void HierarchicalTransport::ReactorLoop() {
           frame.Consume(sizeof(HierFrameHeader));
           const int ld = topo_.local_rank(dst);
           stats_[ld]->RecordRecv(frame.size());
-          internal::TagChannel& box = mailbox(ld, src);
-          // Exempt from the (unused) channel cap: admission is decided
-          // here, by pausing this peer at the watermark — the uplink then
-          // backs up into the sender's credit.
-          (void)box.Offer(hdr.tag, std::move(frame),
-                          /*exempt_from_cap=*/true);
+          (void)mailbox(ld, src).Offer(hdr.tag, std::move(frame));
 #if DEMSORT_TRACING
           ++pass_frames;
 #endif
-          if (watermark != 0 && box.queued_bytes() >= watermark) {
-            p.paused_box = &box;
-          }
           break;
         }
         default:
@@ -293,7 +262,7 @@ SendRequest HierarchicalTransport::Isend(int src, int dst, int tag,
       stats_[topo_.local_rank(dst)]->RecordRecv(bytes);
     }
     return mailbox(topo_.local_rank(dst), src)
-        .Offer(tag, std::move(payload), /*exempt_from_cap=*/true);
+        .Offer(tag, std::move(payload));
   }
   return UplinkSend(src, dst, tag, nullptr, 0, data, bytes);
 }
@@ -324,7 +293,7 @@ SendRequest HierarchicalTransport::IsendGather(int src, int dst, int tag,
       stats_[topo_.local_rank(dst)]->RecordRecv(total);
     }
     return mailbox(topo_.local_rank(dst), src)
-        .Offer(tag, std::move(payload), /*exempt_from_cap=*/true);
+        .Offer(tag, std::move(payload));
   }
   return UplinkSend(src, dst, tag, header, header_bytes, data, bytes);
 }
@@ -445,17 +414,11 @@ HierCluster::Result HierCluster::Run(const Options& options,
   const Topology& topo = options.topology;
   const int P = topo.num_pes();
   const int N = topo.num_nodes();
-  Fabric::Options fabric_options;
-  fabric_options.num_pes = N;
-  fabric_options.channel_cap_bytes = options.uplink_channel_cap_bytes;
-  Fabric uplink(fabric_options);
-  HierarchicalTransport::Options t_options;
-  t_options.recv_watermark_bytes = options.recv_watermark_bytes;
+  Fabric uplink(N);
   std::vector<std::unique_ptr<HierarchicalTransport>> nodes(N);
   std::vector<Transport*> node_endpoints(N);
   for (int n = 0; n < N; ++n) {
-    nodes[n] = std::make_unique<HierarchicalTransport>(topo, n, &uplink,
-                                                       t_options);
+    nodes[n] = std::make_unique<HierarchicalTransport>(topo, n, &uplink);
     node_endpoints[n] = nodes[n].get();
     if (options.wrap_transport) {
       Transport* wrapped =

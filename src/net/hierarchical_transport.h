@@ -22,13 +22,10 @@
 // one mandated by the Isend contract (out of the caller's buffer).
 //
 // Flow control: intra-node traffic is local memory (exempt from the
-// receive-buffering gauge, like self-sends on the flat transports).
-// Cross-node traffic can be bounded end to end: the reactor stops serving
-// a peer whose last delivery filled the destination mailbox past
-// Options::recv_watermark_bytes (the TCP reader's watermark pattern,
-// without parking a thread) and resumes it at half, which backs the uplink
-// channel up into the sender's Isend credit when the uplink itself is
-// bounded (capped Fabric / TCP socket). Other peers keep flowing.
+// receive-buffering gauge, like self-sends on the flat transports). The
+// reactor delivers every cross-node frame as soon as it arrives; what
+// bounds the mailboxes is the protocol above (the streaming credits of
+// Comm::AlltoallvStream), as on the flat transports.
 //
 // Failure containment (the PR 3 contract, preserved through the proxy):
 //  * KillPe(non-leader) poisons the victim's channels on its node and
@@ -92,23 +89,12 @@ inline constexpr int kHierUplinkTag = 1 << 30;
 
 class HierarchicalTransport : public Transport {
  public:
-  struct Options {
-    /// Stop serving a peer node once the mailbox the reactor just
-    /// delivered into holds this many undrained bytes; resume at half —
-    /// the uplink then backs up into the sender's credit exactly like the
-    /// TCP reader watermark. 0 = drain eagerly.
-    size_t recv_watermark_bytes = 0;
-  };
-
   /// Serves the PEs of node `node` of `topo`. `uplink` is a Transport over
   /// NODES (uplink->num_pes() == topo.num_nodes()) on which this object
   /// sends and receives as rank `node`; it must outlive this transport and
   /// all nodes' transports must be destroyed concurrently (collective
   /// teardown).
-  HierarchicalTransport(const Topology& topo, int node, Transport* uplink,
-                        const Options& options);
-  HierarchicalTransport(const Topology& topo, int node, Transport* uplink)
-      : HierarchicalTransport(topo, node, uplink, Options()) {}
+  HierarchicalTransport(const Topology& topo, int node, Transport* uplink);
   ~HierarchicalTransport() override;
 
   HierarchicalTransport(const HierarchicalTransport&) = delete;
@@ -131,8 +117,8 @@ class HierarchicalTransport : public Transport {
   /// Serves this node's PEs only (like the TCP endpoint serves one rank).
   NetStats& stats(int pe) override;
 
-  /// First half of the collective teardown: sends the CLOSE frames and
-  /// releases any watermark-paused mailbox wait, without joining. The
+  /// First half of the collective teardown: sends the CLOSE frames
+  /// without joining. The
   /// destructor calls it (idempotent) and then joins the reactor; a
   /// harness that destroys several node transports from ONE thread must
   /// call Shutdown() on all of them first, or the first destructor would
@@ -152,8 +138,8 @@ class HierarchicalTransport : public Transport {
   /// Best-effort control frame to one peer node (kill/close notifications).
   void SendControl(int dst_node, HierFrameKind kind, int a, int b);
   /// The single demux reactor: polls every peer node's uplink mailbox,
-  /// routes data frames into PE mailboxes, honors per-peer watermark
-  /// pauses, and contains per-peer uplink failures without stopping.
+  /// routes data frames into PE mailboxes, and contains per-peer uplink
+  /// failures without stopping.
   void ReactorLoop();
   /// Poisons every mailbox that receives from `pe` (all local PEs' views).
   void PoisonFrom(int pe, const Status& status);
@@ -164,9 +150,9 @@ class HierarchicalTransport : public Transport {
   bool RouteDead(int src, int dst, Status* status);
 
   /// Eventcount the reactor sleeps on between work: signaled by every
-  /// uplink receive completion (RecvRequest::OnDone), every mailbox drain
-  /// (TagChannel drain listener — what resumes a watermark pause), and
-  /// Shutdown. Signal is one atomic bump unless the reactor is actually
+  /// uplink receive completion (RecvRequest::OnDone) — close and kill
+  /// frames, and a dead uplink, included. Signal is one atomic bump unless
+  /// the reactor is actually
   /// asleep; Wait(seen) returns immediately if anything signaled since the
   /// Snapshot() taken before the reactor's scan, so no wakeup is lost.
   struct ReactorEvent {
@@ -194,7 +180,6 @@ class HierarchicalTransport : public Transport {
   Topology topo_;
   int node_;
   Transport* uplink_;
-  Options options_;
   int first_;  // first global rank of this node
   int k_;      // PEs on this node
 
@@ -229,10 +214,6 @@ class HierCluster {
 
   struct Options {
     Topology topology = Topology::Flat(1);
-    /// Per-channel cap of the node-to-node uplink fabric; 0 = unbounded.
-    size_t uplink_channel_cap_bytes = 0;
-    /// Demux pause watermark (see HierarchicalTransport::Options).
-    size_t recv_watermark_bytes = 0;
     /// Test seam: wraps each NODE transport (e.g. in net::FaultTransport)
     /// before any Comm is built over it. Called once per node per epoch;
     /// the returned transport must outlive the epoch (nullptr = unwrapped).

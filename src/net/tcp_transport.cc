@@ -210,17 +210,17 @@ StatusOr<int> ConnectWithDeadline(const TcpTransport::Peer& peer,
 
 }  // namespace
 
-TcpTransport::TcpTransport(int rank, int num_pes, const Options& options)
-    : rank_(rank), num_pes_(num_pes), options_(options) {
+TcpTransport::TcpTransport(int rank, int num_pes)
+    : rank_(rank), num_pes_(num_pes) {
   pool_ = std::make_shared<BufferPool>();
   links_.resize(num_pes);
   for (auto& link : links_) link = std::make_unique<PeerLink>();
   mailbox_.resize(num_pes);
   for (int src = 0; src < num_pes; ++src) {
-    // Cap 0: socket + watermark provide the backpressure. The self mailbox
-    // is local memory traffic and stays off the buffering gauge.
+    // The self mailbox is local memory traffic and stays off the
+    // buffering gauge.
     mailbox_[src] = std::make_unique<internal::TagChannel>(
-        /*cap_bytes=*/0, src == rank ? nullptr : &stats_);
+        src == rank ? nullptr : &stats_);
   }
 }
 
@@ -230,7 +230,7 @@ StatusOr<std::unique_ptr<TcpTransport>> TcpTransport::Connect(
   DEMSORT_CHECK_EQ(peers.size(), static_cast<size_t>(num_pes));
   DEMSORT_CHECK_GE(rank, 0);
   DEMSORT_CHECK_LT(rank, num_pes);
-  std::unique_ptr<TcpTransport> t(new TcpTransport(rank, num_pes, options));
+  std::unique_ptr<TcpTransport> t(new TcpTransport(rank, num_pes));
   const int64_t deadline =
       options.connect_timeout_ms > 0 ? NowMillis() + options.connect_timeout_ms
                                      : 0;
@@ -376,9 +376,6 @@ TcpTransport::~TcpTransport() {
     if (link->fd >= 0) ::shutdown(link->fd, SHUT_WR);
   }
   // Phase 2: readers drain inbound data until the peer's own half-close.
-  // A reader parked at its watermark would never see that EOF; release the
-  // parks first (undrained mailboxes are a protocol bug, not a hang).
-  for (auto& ch : mailbox_) ch->CancelWaits();
   for (auto& link : links_) {
     if (link->reader.joinable()) link->reader.join();
     if (link->fd >= 0) ::close(link->fd);
@@ -498,19 +495,7 @@ void TcpTransport::ReaderLoop(int peer) {
       if (s.ok()) {
         Frame payload(std::move(buf), pool_);
         stats_.RecordRecv(bytes);
-        // Exempt from the (unused) cap: admission is decided here, by
-        // pausing the read loop itself at the watermark instead of parking
-        // payloads.
-        (void)mailbox_[peer]->Offer(tag, std::move(payload),
-                                    /*exempt_from_cap=*/true);
-        size_t watermark = options_.recv_watermark_bytes;
-        if (watermark != 0 && mailbox_[peer]->queued_bytes() >= watermark) {
-          // Paused: the socket fills, the peer's writer blocks, and its
-          // Isend credit stalls until this PE's consumer drains to the
-          // low-water mark — backpressure that reflects the actual
-          // consumer.
-          mailbox_[peer]->WaitQueuedBelow(std::max<size_t>(1, watermark / 2));
-        }
+        (void)mailbox_[peer]->Offer(tag, std::move(payload));
         continue;
       }
     }
@@ -557,8 +542,7 @@ SendRequest TcpTransport::IsendPayload(int src, int dst, int tag,
   DEMSORT_CHECK_LT(dst, num_pes_);
   const size_t bytes = payload.size();
   if (dst == rank_) {
-    return mailbox_[rank_]->Offer(tag, std::move(payload),
-                                  /*exempt_from_cap=*/true);
+    return mailbox_[rank_]->Offer(tag, std::move(payload));
   }
   stats_.RecordSend(bytes);
   auto state = std::make_shared<internal::SendState>();
@@ -795,37 +779,38 @@ TcpCluster::SupervisedResult TcpCluster::RunSupervised(
   return sr;
 }
 
+namespace {
+
+HierCluster::Options HierOptionsFor(const Cluster::Options& options) {
+  HierCluster::Options hier_options;
+  if (!options.node_sizes.empty()) {
+    auto topo = Topology::FromNodeSizes(options.node_sizes);
+    DEMSORT_CHECK_OK(topo.status());
+    DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
+        << "node sizes must sum to num_pes";
+    hier_options.topology = std::move(topo).value();
+  } else {
+    hier_options.topology = Topology::Uniform(
+        options.num_pes, options.pes_per_node > 0 ? options.pes_per_node : 2);
+  }
+  return hier_options;
+}
+
+TcpTransport::Options TcpOptionsFor(const Cluster::Options& options) {
+  TcpTransport::Options tcp_options;
+  tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
+  return tcp_options;
+}
+
+}  // namespace
+
 void RunOverTransport(TransportKind kind, const Cluster::Options& options,
                       const TcpCluster::PeBody& body) {
   if (kind == TransportKind::kTcp) {
-    DEMSORT_CHECK_EQ(options.channel_cap_bytes, 0u)
-        << "channel caps apply to the in-process fabric only";
-    TcpTransport::Options tcp_options;
-    tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
-    TcpCluster::RunWithStats(options.num_pes, body, tcp_options);
+    TcpCluster::RunWithStats(options.num_pes, body, TcpOptionsFor(options));
   } else if (kind == TransportKind::kHier) {
-    HierCluster::Options hier_options;
-    if (!options.node_sizes.empty()) {
-      auto topo = Topology::FromNodeSizes(options.node_sizes);
-      DEMSORT_CHECK_OK(topo.status());
-      DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
-          << "node sizes must sum to num_pes";
-      hier_options.topology = std::move(topo).value();
-    } else {
-      hier_options.topology = Topology::Uniform(
-          options.num_pes,
-          options.pes_per_node > 0 ? options.pes_per_node : 2);
-    }
-    // The fabric channel cap bounds the node-to-node uplink channels and
-    // the tcp watermark maps onto the demux pause — both backpressure
-    // knobs translate to their hierarchical equivalents.
-    hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
-    hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    HierCluster::Run(hier_options, body);
+    HierCluster::Run(HierOptionsFor(options), body);
   } else {
-    DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)
-        << "the reader watermark applies to the tcp and hier transports only";
     Cluster::Run(options, body);
   }
 }
@@ -835,34 +820,14 @@ int RunSupervisedOverTransport(TransportKind kind,
                                const RecoveryOptions& recovery,
                                const TcpCluster::PeBody& body) {
   if (kind == TransportKind::kTcp) {
-    DEMSORT_CHECK_EQ(options.channel_cap_bytes, 0u)
-        << "channel caps apply to the in-process fabric only";
-    TcpTransport::Options tcp_options;
-    tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
     return TcpCluster::RunSupervised(options.num_pes, body, recovery,
-                                     tcp_options)
+                                     TcpOptionsFor(options))
         .restarts;
   }
   if (kind == TransportKind::kHier) {
-    HierCluster::Options hier_options;
-    if (!options.node_sizes.empty()) {
-      auto topo = Topology::FromNodeSizes(options.node_sizes);
-      DEMSORT_CHECK_OK(topo.status());
-      DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
-          << "node sizes must sum to num_pes";
-      hier_options.topology = std::move(topo).value();
-    } else {
-      hier_options.topology = Topology::Uniform(
-          options.num_pes,
-          options.pes_per_node > 0 ? options.pes_per_node : 2);
-    }
-    hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
-    hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    return HierCluster::RunSupervised(hier_options, recovery, body).restarts;
+    return HierCluster::RunSupervised(HierOptionsFor(options), recovery, body)
+        .restarts;
   }
-  DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)
-      << "the reader watermark applies to the tcp and hier transports only";
   return Cluster::RunSupervised(options, recovery, body).restarts;
 }
 

@@ -9,12 +9,9 @@
 //
 // Threading per endpoint: one writer thread per peer draining a send queue
 // (Isend completes when the bytes hit the socket), and one reader thread
-// per peer delivering frames into the (source, tag)-matched mailbox. With
-// Options::recv_watermark_bytes set, a reader pauses once its mailbox holds
-// that many undrained bytes and resumes at half the watermark — the socket
-// then backs up, the peer's writer blocks, and the peer's SendRequest
-// credit reflects the actual consumer (the same receiver-driven
-// backpressure a capped in-process Fabric provides).
+// per peer delivering frames into the (source, tag)-matched mailbox as fast
+// as they arrive; receive buffering is bounded by the protocol above (the
+// streaming credits of Comm::AlltoallvStream), not by the reader.
 // Destruction performs a two-phase shutdown — drain and join writers, then
 // SHUT_WR, then read peers to EOF — so no data is lost and no peer sees a
 // reset, without requiring an application-level barrier before teardown.
@@ -66,24 +63,6 @@ class TcpTransport : public Transport {
   };
 
   struct Options {
-    /// Pause the per-peer reader thread once its mailbox holds this many
-    /// delivered-but-unreceived bytes; resume at half. 0 = drain the socket
-    /// eagerly (the compatible default). A single frame larger than the
-    /// watermark is still delivered whole, so mailbox memory is bounded by
-    /// max(watermark, largest frame) per peer.
-    ///
-    /// Interaction with the streaming credit protocol: credit frames share
-    /// the per-peer socket with data frames, so a paused reader can leave a
-    /// credit queued behind undrained data. Keep the watermark at or above
-    /// one credit window — Comm::kStreamSendCreditChunks x the streaming
-    /// chunk in use (4 x 256 KiB = 1 MiB at the defaults) — so the
-    /// window's worth of data never trips the pause with a credit still in
-    /// the socket. The streaming poll loops tolerate smaller values (they
-    /// keep consuming, which drains the mailbox and resumes the reader),
-    /// but every trapped credit then costs a pause/resume round trip of
-    /// throughput.
-    size_t recv_watermark_bytes = 0;
-
     /// Wall-clock budget for Connect() to establish the whole mesh. A peer
     /// that cannot be reached (connect keeps failing) or never dials in
     /// (accept starves) within this budget turns into a per-rank IoError
@@ -166,7 +145,7 @@ class TcpTransport : public Transport {
     std::thread reader;
   };
 
-  TcpTransport(int rank, int num_pes, const Options& options);
+  TcpTransport(int rank, int num_pes);
 
   void WriterLoop(int peer);
   void ReaderLoop(int peer);
@@ -178,7 +157,6 @@ class TcpTransport : public Transport {
 
   int rank_;
   int num_pes_;
-  Options options_;
   NetStats stats_;
   /// Recycling pool for outgoing frame assembly and reader payloads;
   /// shared_ptr because delivered frames may sit in mailboxes past
@@ -247,7 +225,7 @@ class TcpCluster {
   static void Run(int num_pes, const PeBody& body);
 
   /// As Run, but also returns each PE's final traffic counters. `options`
-  /// applies to every endpoint (e.g. the reader watermark).
+  /// applies to every endpoint (e.g. the connect deadline).
   static std::vector<NetStatsSnapshot> RunWithStats(
       int num_pes, const PeBody& body,
       const TcpTransport::Options& options = TcpTransport::Options(),
@@ -264,10 +242,9 @@ class TcpCluster {
 };
 
 /// The one transport-kind dispatch for harnesses (benches, tests, tools):
-/// kInProc → Cluster with `options`, kTcp → TcpCluster. Channel caps are a
-/// fabric concept and the reader watermark a socket concept, so setting
-/// the wrong one for the chosen kind aborts instead of being silently
-/// dropped. New backends get wired in here once and every harness follows.
+/// kInProc → Cluster with `options`, kTcp → TcpCluster, kHier → HierCluster
+/// over the node geometry in `options`. New backends get wired in here once
+/// and every harness follows.
 void RunOverTransport(TransportKind kind, const Cluster::Options& options,
                       const TcpCluster::PeBody& body);
 

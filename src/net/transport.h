@@ -10,12 +10,10 @@
 //    so the buffer is immediately reusable. The returned SendRequest
 //    completes when the bytes have been admitted into the channel (in
 //    process) or flushed to the socket (TCP) — completion is a SENDER-side
-//    credit, not delivery. Both backends can turn that credit into
-//    receiver-side backpressure: the capped in-process fabric parks sends
-//    at the channel cap, and the TCP reader thread pauses at a configurable
-//    mailbox byte watermark (TcpTransport::Options::recv_watermark_bytes),
-//    so the socket fills and the sender's credit stalls until the consumer
-//    actually drains.
+//    credit, not delivery. No transport throttles the receiver: what
+//    bounds receive-side buffering is the protocol above it
+//    (Comm::AlltoallvStream's per-source credits, Comm::Alltoallv's
+//    bounded sub-steps).
 //  * Irecv posts a receive for (src, tag); the returned RecvRequest
 //    completes when a matching message arrives and carries the payload.
 //  * Requests complete with a Status. A peer or link failure fails the
@@ -27,8 +25,7 @@
 //
 // Implementations:
 //  * net::Fabric (cluster.h)       — in-process byte-copying mailboxes,
-//    one object serving all PEs of an emulated cluster; optional bounded
-//    per-channel in-flight volume (backpressure).
+//    one object serving all PEs of an emulated cluster.
 //  * net::TcpTransport (tcp_transport.h) — real sockets, one endpoint per
 //    OS process (or per thread in the loopback test harness).
 #ifndef DEMSORT_NET_TRANSPORT_H_
@@ -105,8 +102,7 @@ struct RecvState {
 }  // namespace internal
 
 /// Completion handle for a nonblocking send. Copyable; default-constructed
-/// handles are already complete (used for self-sends and the uncapped
-/// in-process fast path).
+/// handles are already complete (every in-process delivery).
 class SendRequest {
  public:
   SendRequest() = default;
@@ -121,7 +117,8 @@ class SendRequest {
     return SendRequest(std::move(state));
   }
 
-  /// Blocks until the transport has accepted the bytes (flow control).
+  /// Blocks until the transport has accepted the bytes (for TCP: until the
+  /// socket took them).
   /// Throws CommError if the transfer failed (peer or link death).
   void Wait() const {
     if (state_ == nullptr) return;
@@ -322,7 +319,7 @@ class Transport {
 
   /// Marks PE `pe` as failed: every posted and future receive from it
   /// completes with `status` (already-delivered messages stay receivable),
-  /// parked and future sends to it fail, and any blocked internal machinery
+  /// pending and future sends to it fail, and any blocked internal machinery
   /// touching it is released. Used by fault injection (net::FaultTransport)
   /// and by the cluster harnesses to cancel peers' waits when a PE throws —
   /// survivors observe the death as CommError from Wait/Take, never as a
@@ -374,169 +371,59 @@ inline StatusOr<TransportKind> ParseTransportKind(const std::string& name) {
 namespace internal {
 
 /// One ordered (source → destination) stream: MPI-style per-tag FIFO
-/// matching between delivered messages and posted receives, plus an
-/// optional cap on queued (delivered but not yet received) bytes.
+/// matching between delivered messages and posted receives.
 ///
-/// Shared by both transports: Fabric uses Offer() as the send path itself
-/// (the cap is the backpressure), the TCP receiver thread uses Offer() to
-/// park already-transferred bytes and pauses itself at a mailbox watermark
-/// (WaitQueuedBelow) — receiver-driven backpressure through the socket.
+/// Shared by every transport: Fabric uses Offer() as the send path itself,
+/// the TCP reader thread and the hierarchical demux reactor use it to hand
+/// already-transferred bytes to the receiving PE. The channel never
+/// throttles: what bounds its queue is the sender's protocol
+/// (Comm::AlltoallvStream's credits).
 ///
 /// If `recv_stats` is given, every payload delivered through this channel
 /// is charged to the receiving PE's buffering gauge from delivery until
 /// the application takes it (see NetStats::AddRecvBuffered).
 class TagChannel {
  public:
-  explicit TagChannel(size_t cap_bytes = 0, NetStats* recv_stats = nullptr)
-      : cap_bytes_(cap_bytes), recv_stats_(recv_stats) {}
+  explicit TagChannel(NetStats* recv_stats = nullptr)
+      : recv_stats_(recv_stats) {}
 
   /// Delivers a message: hands it to the earliest posted receive with this
-  /// tag, else queues it — unless a cap is set and the queue is full, in
-  /// which case the message parks and the returned request stays pending
-  /// until a receive drains the queue. `exempt_from_cap` admits
-  /// unconditionally (self-sends: local memory traffic in a real cluster).
-  SendRequest Offer(int tag, Frame payload, bool exempt_from_cap) {
+  /// tag, else queues it. The returned request is already complete — OK,
+  /// or failed if the channel is poisoned.
+  SendRequest Offer(int tag, Frame payload) {
     std::lock_guard<std::mutex> lock(mu_);
     if (poisoned_) return SendRequest::Failed(poison_);
-    if (exempt_from_cap) {
-      // Exempt messages (self-sends; TCP delivery, where the socket already
-      // provided the backpressure) bypass the cap and the park queue.
-      DeliverUnconditionallyLocked(tag, std::move(payload));
-      return SendRequest();
+    size_t n = payload.size();
+    if (recv_stats_ != nullptr) recv_stats_->AddRecvBuffered(n);
+    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
+      if (it->tag == tag) {
+        auto state = it->state;
+        waiters_.erase(it);
+        if (recv_stats_ != nullptr) {
+          state->buffered_stats = recv_stats_;
+          state->buffered_bytes = n;
+        }
+        RecvRequest::Complete(state, std::move(payload));
+        return SendRequest();
+      }
     }
-    // Fast path: nothing parked, delivery fits → done, no allocation.
-    if (parked_.empty() && TryDeliverLocked(tag, payload, /*exempt=*/false)) {
-      return SendRequest();
-    }
-    // Park behind any same-tag predecessor; the admission scan delivers
-    // whatever the per-tag FIFO and the cap allow.
-    auto state = std::make_shared<SendState>();
-    parked_.push_back(Parked{tag, std::move(payload), state});
-    AdmitParkedLocked();
-    return SendRequest(state);
+    messages_.push_back(Message{tag, std::move(payload)});
+    return SendRequest();
   }
 
   /// Posts a receive for (this source, tag). Completes immediately if a
-  /// matching message is queued (admitting parked senders into the freed
-  /// space), else when one arrives.
+  /// matching message is queued, else when one arrives.
   RecvRequest PostRecv(int tag) {
-    RecvRequest out;
-    bool drained = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      out = PostRecvLocked(tag, &drained);
-    }
-    // Outside the lock: a paused demux reactor sleeping for this channel
-    // to drain wakes without a lock-order entanglement.
-    if (drained && drain_listener_) drain_listener_();
-    return out;
-  }
-
-  /// Fails the channel permanently with `status`: every posted receive and
-  /// every parked send completes with the status, future receives that no
-  /// already-delivered message can satisfy fail immediately, future sends
-  /// fail, and any WaitQueuedBelow() waiter is released. Messages that were
-  /// delivered BEFORE the poison stay receivable — a PE that exits cleanly
-  /// after sending its last data must not invalidate that data (the
-  /// legitimate-early-finisher case). Idempotent; the first status wins.
-  void Poison(Status status) {
-    std::deque<Waiter> waiters;
-    std::deque<Parked> parked;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (poisoned_) return;
-      poisoned_ = true;
-      poison_ = std::move(status);
-      waiters.swap(waiters_);
-      parked.swap(parked_);
-      canceled_ = true;  // release any reader parked at its watermark
-    }
-    drain_cv_.notify_all();
-    if (drain_listener_) drain_listener_();
-    for (Waiter& w : waiters) RecvRequest::Fail(w.state, poison_);
-    for (Parked& p : parked) SendRequest::Fail(p.state, poison_);
-  }
-
-  bool poisoned() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return poisoned_;
-  }
-
-  /// High-water mark of queued (unreceived) bytes on this channel.
-  uint64_t max_queued_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return max_queued_bytes_;
-  }
-
-  /// Currently queued (delivered but unmatched) bytes.
-  size_t queued_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queued_bytes_;
-  }
-
-  /// Blocks until the queued bytes drop below `low_bytes` (or CancelWaits).
-  /// The TCP reader thread parks here at its mailbox watermark, so the
-  /// socket backs up and the sender's credit stalls — receiver-driven flow
-  /// control.
-  void WaitQueuedBelow(size_t low_bytes) {
-    std::unique_lock<std::mutex> lock(mu_);
-    drain_cv_.wait(lock, [&] {
-      return canceled_ || queued_bytes_ < low_bytes;
-    });
-  }
-
-  /// Non-blocking WaitQueuedBelow: whether a reader paused at its
-  /// watermark may resume. The event-driven demux reactor polls this
-  /// instead of parking a dedicated thread per peer.
-  bool DrainedBelow(size_t low_bytes) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return canceled_ || queued_bytes_ < low_bytes;
-  }
-
-  /// Releases any WaitQueuedBelow() waiter permanently (teardown).
-  void CancelWaits() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      canceled_ = true;
-    }
-    drain_cv_.notify_all();
-    if (drain_listener_) drain_listener_();
-  }
-
-  /// Registers a callback invoked (outside the channel lock) whenever the
-  /// queue drains or the channel is poisoned/canceled — the conditions a
-  /// watermark-paused demux reactor sleeps on. NOT thread-safe against
-  /// concurrent channel use: set once, before the channel carries traffic.
-  void SetDrainListener(std::function<void()> fn) {
-    drain_listener_ = std::move(fn);
-  }
-
- private:
-  struct Waiter {
-    int tag;
-    std::shared_ptr<RecvState> state;
-  };
-  struct Parked {
-    int tag;
-    Frame payload;
-    std::shared_ptr<SendState> state;
-  };
-
-  RecvRequest PostRecvLocked(int tag, bool* drained) {
     for (auto it = messages_.begin(); it != messages_.end(); ++it) {
       if (it->tag == tag) {
-        size_t n = it->payload.size();
         auto state = std::make_shared<RecvState>();
         // The payload stays charged to the buffering gauge (it moved from
         // the queue into the un-taken state, not out of the transport).
         state->buffered_stats = recv_stats_;
-        state->buffered_bytes = n;
+        state->buffered_bytes = it->payload.size();
         RecvRequest::Complete(state, std::move(it->payload));
         messages_.erase(it);
-        queued_bytes_ -= n;
-        drain_cv_.notify_all();
-        *drained = true;
-        AdmitParkedLocked();
         return RecvRequest(state);
       }
     }
@@ -544,83 +431,45 @@ class TagChannel {
     if (poisoned_) return RecvRequest::Failed(poison_);
     auto state = std::make_shared<RecvState>();
     waiters_.push_back(Waiter{tag, state});
-    // The new waiter may be exactly what a parked message (blocked on the
-    // cap) is waiting for — hand it over directly, or receivers that take
-    // tags out of send order would deadlock against a full channel.
-    AdmitParkedLocked();
     return RecvRequest(state);
   }
 
-  void DeliverUnconditionallyLocked(int tag, Frame payload) {
-    // Exempt delivery never parks: the cap check is skipped entirely.
-    (void)TryDeliverLocked(tag, payload, /*exempt=*/true);
+  /// Fails the channel permanently with `status`: every posted receive
+  /// completes with the status, future receives that no already-delivered
+  /// message can satisfy fail immediately, and future sends fail. Messages
+  /// that were delivered BEFORE the poison stay receivable — a PE that
+  /// exits cleanly after sending its last data must not invalidate that
+  /// data (the legitimate-early-finisher case). Idempotent; the first
+  /// status wins.
+  void Poison(Status status) {
+    std::deque<Waiter> waiters;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (poisoned_) return;
+      poisoned_ = true;
+      poison_ = std::move(status);
+      waiters.swap(waiters_);
+    }
+    for (Waiter& w : waiters) RecvRequest::Fail(w.state, poison_);
   }
 
-  /// Matches a waiter or queues the message if the cap allows. Returns
-  /// false when the message must park (payload left intact).
-  bool TryDeliverLocked(int tag, Frame& payload, bool exempt) {
-    size_t n = payload.size();
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (it->tag == tag) {
-        auto state = it->state;
-        waiters_.erase(it);
-        if (recv_stats_ != nullptr) {
-          recv_stats_->AddRecvBuffered(n);
-          state->buffered_stats = recv_stats_;
-          state->buffered_bytes = n;
-        }
-        RecvRequest::Complete(state, std::move(payload));
-        return true;
-      }
-    }
-    if (!exempt && cap_bytes_ != 0 && queued_bytes_ != 0 &&
-        queued_bytes_ + n > cap_bytes_) {
-      return false;  // full: an empty queue always admits (no livelock on
-                     // messages larger than the cap)
-    }
-    if (recv_stats_ != nullptr) recv_stats_->AddRecvBuffered(n);
-    messages_.push_back(Message{tag, std::move(payload)});
-    queued_bytes_ += n;
-    if (queued_bytes_ > max_queued_bytes_) max_queued_bytes_ = queued_bytes_;
-    return true;
+  bool poisoned() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return poisoned_;
   }
 
-  /// Delivers every parked message the contract allows: an entry may go
-  /// only if no EARLIER parked entry shares its tag (per-(src, tag) FIFO;
-  /// cross-tag order is not a contract) and a waiter or cap space exists.
-  void AdmitParkedLocked() {
-    std::vector<int> blocked_tags;
-    auto tag_blocked = [&](int tag) {
-      for (int t : blocked_tags) {
-        if (t == tag) return true;
-      }
-      return false;
-    };
-    for (auto it = parked_.begin(); it != parked_.end();) {
-      if (!tag_blocked(it->tag) &&
-          TryDeliverLocked(it->tag, it->payload, /*exempt=*/false)) {
-        SendRequest::Complete(it->state);
-        it = parked_.erase(it);
-      } else {
-        blocked_tags.push_back(it->tag);
-        ++it;
-      }
-    }
-  }
+ private:
+  struct Waiter {
+    int tag;
+    std::shared_ptr<RecvState> state;
+  };
 
   mutable std::mutex mu_;
-  size_t cap_bytes_;
   NetStats* recv_stats_;
-  std::function<void()> drain_listener_;
-  std::condition_variable drain_cv_;
-  bool canceled_ = false;
   bool poisoned_ = false;
   Status poison_;
   std::deque<Message> messages_;
   std::deque<Waiter> waiters_;
-  std::deque<Parked> parked_;
-  uint64_t queued_bytes_ = 0;
-  uint64_t max_queued_bytes_ = 0;
 };
 
 }  // namespace internal

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -69,6 +70,15 @@ std::vector<std::string> FlagParser::Unread() const {
     if (read_.count(name) == 0) unread.push_back(name);
   }
   return unread;
+}
+
+void FlagParser::ExitOnUnknownFlags() const {
+  std::vector<std::string> unread = Unread();
+  if (unread.empty()) return;
+  std::string names;
+  for (const std::string& name : unread) names += " --" + name;
+  std::fprintf(stderr, "unknown flag(s):%s\n", names.c_str());
+  std::exit(2);
 }
 
 int64_t ParseSize(const std::string& text) {

@@ -6,7 +6,7 @@
 //   bool rand = flags.GetBool("randomize", true);
 // Accepts --name=value and --name value; --flag alone means boolean true.
 // Every name looked up through Has/Get* counts as read, so a program that
-// has read all its flags can reject the rest with Unread().
+// has read all its flags rejects the rest with ExitOnUnknownFlags().
 #ifndef DEMSORT_UTIL_FLAGS_H_
 #define DEMSORT_UTIL_FLAGS_H_
 
@@ -37,6 +37,11 @@ class FlagParser {
   /// name order. A caller that has read every flag it knows uses this to
   /// fail on a misspelled or retired flag instead of silently ignoring it.
   std::vector<std::string> Unread() const;
+
+  /// Prints "unknown flag(s): --a --b" to stderr and exits 2 if Unread()
+  /// is non-empty. Call it after the last flag read and before any work,
+  /// so a misspelled or retired flag never runs the default silently.
+  void ExitOnUnknownFlags() const;
 
  private:
   /// Marks `name` read and returns its value, or nullptr when absent.

@@ -1,18 +1,16 @@
 // The hierarchical transport under the flat collective schedules, swept
 // over degenerate and uneven node shapes: a single PE, one big node, even
 // nodes, a singleton-plus-big-node split, and uneven three-node machines.
-// Covers the collective contract, the streaming exchange (on its own, and
-// under a demux watermark below one credit window), failure containment
-// through the proxy (kill a non-leader, kill a leader = node death, sever
-// cross-node and intra-node links), the N*(N-1) inter-node connection
-// arithmetic, the intra/inter traffic classification, the demux
-// watermark's buffering bound, the frame pool's recycling bound
+// Covers the collective contract, the streaming exchange, failure
+// containment through the proxy (kill a non-leader, kill a leader = node
+// death, sever cross-node and intra-node links), the N*(N-1) inter-node
+// connection arithmetic, the intra/inter traffic classification, the
+// frame pool's recycling bound
 // (allocations stay O(pool), not O(messages)), and the single uplink
 // reactor's failover (one dead peer node must not stop service to the
 // survivors).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -146,27 +144,10 @@ void StreamBody(Comm& comm) {
 }
 
 TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
-  struct Mode {
-    const char* name;
-    size_t recv_watermark_bytes = 0;
-  };
-  const Mode modes[] = {
-      {"fixed"},
-      // A demux watermark below one credit window (4 chunks plus their
-      // headers): the reactor pauses a whole peer node's uplink whenever
-      // one mailbox fills, so a chunk sent to a partner that has not yet
-      // entered its round would park behind the pause and deadlock.
-      {"watermark", 4 * kStreamBodyChunk},
-  };
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
-    for (const Mode& mode : modes) {
-      SCOPED_TRACE("shape " + topo.ToString() + " mode " + mode.name);
-      HierCluster::Options cluster_options;
-      cluster_options.topology = topo;
-      cluster_options.recv_watermark_bytes = mode.recv_watermark_bytes;
-      HierCluster::Run(cluster_options, [](Comm& comm) { StreamBody(comm); });
-    }
+    SCOPED_TRACE("shape " + topo.ToString());
+    HierCluster::Run(topo, [](Comm& comm) { StreamBody(comm); });
   }
 }
 
@@ -278,34 +259,6 @@ TEST(HierarchicalTransportTest, PooledFramesRecycleAcrossRepeats) {
   EXPECT_LT(leases - hits, leases / 4)
       << "fresh allocations must be a small fraction of " << leases
       << " leases once the pool is primed (hits: " << hits << ")";
-}
-
-TEST(HierarchicalTransportTest, DemuxWatermarkBoundsReceiveBuffering) {
-  // A cross-node burst at a sleeping receiver: the demux thread pauses at
-  // the watermark, so the receiver's transport-held bytes stay bounded.
-  constexpr size_t kFrame = 4096;
-  constexpr size_t kBound = 16 * 1024;
-  constexpr int kFrames = 64;
-  HierCluster::Options options;
-  options.topology = ShapeTopo({1, 1});
-  options.recv_watermark_bytes = kBound;
-  HierCluster::Result result = HierCluster::Run(options, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<uint8_t> frame(kFrame, 7);
-      std::vector<SendRequest> sends;
-      for (int i = 0; i < kFrames; ++i) {
-        sends.push_back(comm.Isend(1, 5, frame.data(), frame.size()));
-      }
-      for (SendRequest& s : sends) s.Wait();
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      uint64_t total = 0;
-      for (int i = 0; i < kFrames; ++i) total += comm.Recv(0, 5).size();
-      EXPECT_EQ(total, uint64_t{kFrames} * kFrame);
-    }
-  });
-  EXPECT_LE(result.stats[1].recv_buffer_peak_bytes,
-            kBound + kFrame + sizeof(HierFrameHeader));
 }
 
 // --------------------------------------------- failure containment ----

@@ -461,8 +461,8 @@ TEST(TeardownTest, TcpEarlyFinisherDataStaysReceivableThenPoisons) {
 
 TEST(TagChannelPoisonTest, FailsPostedAndFutureButDeliveredSurvive) {
   internal::TagChannel channel;
-  (void)channel.Offer(7, std::vector<uint8_t>(3, 9), false);  // delivered
-  RecvRequest posted = channel.PostRecv(8);                   // pending
+  (void)channel.Offer(7, std::vector<uint8_t>(3, 9));  // delivered
+  RecvRequest posted = channel.PostRecv(8);            // pending
   channel.Poison(Status::IoError("peer died"));
   EXPECT_TRUE(posted.done());
   EXPECT_THROW(posted.Take(), CommError);
@@ -470,19 +470,9 @@ TEST(TagChannelPoisonTest, FailsPostedAndFutureButDeliveredSurvive) {
   EXPECT_EQ(channel.PostRecv(7).Take().size(), 3u);
   // ...but anything beyond it fails, as do new sends.
   EXPECT_THROW(channel.PostRecv(7).Take(), CommError);
-  SendRequest send = channel.Offer(9, std::vector<uint8_t>(1, 1), false);
+  SendRequest send = channel.Offer(9, std::vector<uint8_t>(1, 1));
   EXPECT_TRUE(send.done());
   EXPECT_THROW(send.Wait(), CommError);
-}
-
-TEST(TagChannelPoisonTest, ParkedCappedSendsFailOnPoison) {
-  internal::TagChannel channel(/*cap_bytes=*/4);
-  (void)channel.Offer(1, std::vector<uint8_t>(4, 0), false);  // fills cap
-  SendRequest parked = channel.Offer(1, std::vector<uint8_t>(4, 0), false);
-  EXPECT_FALSE(parked.done());
-  channel.Poison(Status::IoError("peer died"));
-  EXPECT_TRUE(parked.done());
-  EXPECT_THROW(parked.Wait(), CommError);
 }
 
 TEST(FaultInjectorTest, SeedDerivationIsDeterministicAndInRange) {

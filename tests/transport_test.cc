@@ -1,10 +1,9 @@
 // The transport layer contract, exercised identically against both
 // implementations: the in-process Fabric and the TCP socket transport.
 // Plus TCP-specific wire coverage (loopback echo, out-of-order tag
-// matching, 64-bit frame lengths), the Fabric's bounded-channel
-// backpressure, the streaming Alltoallv conformance suite (including the
-// typed Alltoallv built on it), and receiver-side backpressure (channel cap / reader watermark)
-// pause-resume over both backends.
+// matching, 64-bit frame lengths), the streaming Alltoallv conformance
+// suite (including the typed Alltoallv built on it), and the receive-side
+// buffering bound the streaming credits keep on every backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -437,95 +436,53 @@ TEST_P(TransportParamTest, AlltoallvAssemblesMultiChunkPayloads) {
   });
 }
 
-// ------------------------------ receiver-side backpressure conformance ----
+// ------------------------------------ receive-side buffering bound ----
 
-/// Runs `body` with receiver-side backpressure configured the way each
-/// backend expresses it — per-channel byte cap on the fabric, reader
-/// watermark on TCP — and returns the per-PE stats.
-std::vector<NetStatsSnapshot> RunWithBackpressure(TransportKind kind,
-                                                  int num_pes, size_t bound,
-                                                  const Cluster::PeBody& body) {
+/// Runs `body` over an unmodified transport of `kind` (the hierarchical one
+/// at 2 PEs per node) and returns the per-PE stats.
+std::vector<NetStatsSnapshot> RunWithStats(TransportKind kind, int num_pes,
+                                           const Cluster::PeBody& body) {
   if (kind == TransportKind::kTcp) {
-    TcpTransport::Options options;
-    options.recv_watermark_bytes = bound;
-    return TcpCluster::RunWithStats(num_pes, body, options);
+    return TcpCluster::RunWithStats(num_pes, body);
   }
   if (kind == TransportKind::kHier) {
-    // Both halves of the hierarchical backpressure chain: the demux pause
-    // at the PE mailbox watermark AND a bounded uplink channel behind it.
     HierCluster::Options options;
     options.topology = Topology::Uniform(num_pes, 2);
-    options.uplink_channel_cap_bytes = bound;
-    options.recv_watermark_bytes = bound;
     return HierCluster::Run(options, body).stats;
   }
   Cluster::Options options;
   options.num_pes = num_pes;
-  options.channel_cap_bytes = bound;
   return Cluster::Run(options, body).stats;
 }
 
-TEST_P(TransportParamTest, BackpressurePausesAndResumesAtWatermark) {
+TEST_P(TransportParamTest, AlltoallvStreamBoundsReceiveBuffering) {
   if (pes() < 2) GTEST_SKIP();
-  // Rank 0 fires a burst far above the bound at a sleeping receiver: the
-  // fabric parks sends at the channel cap / the TCP reader pauses at the
-  // mailbox watermark, so the receiver's transport-held bytes never exceed
-  // bound + one frame. Completion of every send after the receiver drains
-  // is the resume half of the contract.
-  constexpr size_t kFrame = 4096;
-  constexpr size_t kBound = 16 * 1024;
-  constexpr int kFrames = 64;
-  auto stats = RunWithBackpressure(kind(), pes(), kBound, [](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<uint8_t> frame(kFrame, 7);
-      std::vector<SendRequest> sends;
-      sends.reserve(kFrames);
-      for (int i = 0; i < kFrames; ++i) {
-        sends.push_back(comm.Isend(1, 5, frame.data(), frame.size()));
-      }
-      for (SendRequest& s : sends) s.Wait();
-    } else if (comm.rank() == 1) {
-      // Give the burst time to hit the backpressure before draining.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      uint64_t total = 0;
-      for (int i = 0; i < kFrames; ++i) total += comm.Recv(0, 5).size();
-      EXPECT_EQ(total, uint64_t{kFrames} * kFrame);
-    }
-  });
-  EXPECT_LE(stats[1].recv_buffer_peak_bytes, kBound + kFrame);
-  EXPECT_GE(stats[1].bytes_received, uint64_t{kFrames} * kFrame);
-}
-
-TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
-  if (pes() < 2) GTEST_SKIP();
-  // The full streaming collective under tight receiver-side backpressure:
-  // must complete (no deadlock between parked sends, credits, and paused
-  // readers) and keep every PE's transport-held bytes at
-  // O(credit x chunk x sources), far below the exchanged volume.
+  // No transport throttles its receiver, so the streaming credits alone
+  // must keep every PE's transport-held bytes at O(credit x chunk x
+  // sources), far below the exchanged volume.
   constexpr size_t kChunk = 2048;
   constexpr size_t kPerPair = 64 * 1024;
   const int P = pes();
-  auto stats = RunWithBackpressure(
-      kind(), P, /*bound=*/4 * kChunk, [&](Comm& comm) {
-        std::vector<uint8_t> payload(kPerPair);
-        for (size_t i = 0; i < payload.size(); ++i) {
-          payload[i] = static_cast<uint8_t>(comm.rank() + i);
-        }
-        std::vector<std::span<const uint8_t>> spans(
-            comm.size(), std::span<const uint8_t>(payload));
-        std::vector<uint64_t> got(comm.size(), 0);
-        comm.AlltoallvStream(
-            spans,
-            [&](int src, std::span<const uint8_t> data, bool last) {
-              (void)last;
-              got[src] += data.size();
-            },
-            nullptr, StreamOptions{.chunk_bytes = kChunk});
-        for (int s = 0; s < comm.size(); ++s) EXPECT_EQ(got[s], kPerPair);
-      });
+  auto stats = RunWithStats(kind(), P, [&](Comm& comm) {
+    std::vector<uint8_t> payload(kPerPair);
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<uint8_t>(comm.rank() + i);
+    }
+    std::vector<std::span<const uint8_t>> spans(
+        comm.size(), std::span<const uint8_t>(payload));
+    std::vector<uint64_t> got(comm.size(), 0);
+    comm.AlltoallvStream(
+        spans,
+        [&](int src, std::span<const uint8_t> data, bool last) {
+          (void)last;
+          got[src] += data.size();
+        },
+        nullptr, StreamOptions{.chunk_bytes = kChunk});
+    for (int s = 0; s < comm.size(); ++s) EXPECT_EQ(got[s], kPerPair);
+  });
   // Credit window + posted lookahead, each chunk message carrying its
-  // frame header, plus the stream's size header and a few parked credit
-  // messages per source.
+  // frame header, plus the stream's size header and a few credit messages
+  // per source.
   const uint64_t per_source =
       (Comm::kStreamSendCreditChunks + 2) *
           (kChunk + sizeof(StreamChunkHeader)) +
@@ -539,8 +496,8 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
 
 TEST_P(TransportParamTest, UnevenConsumersKeepUncappedReceiveBufferBound) {
   if (pes() < 4) GTEST_SKIP();
-  // Uncapped transport, so the streaming credit protocol is the ONLY thing
-  // bounding buffering: while one source's consumer sleeps 1 ms per chunk,
+  // The streaming credit protocol is the ONLY thing bounding buffering:
+  // while one source's consumer sleeps 1 ms per chunk,
   // the receive-side peak stays within credits x chunk x sources (plus
   // frame headers), rather than drifting toward O(payload). And slow
   // consumers change no framing: every source still arrives as exactly
@@ -570,18 +527,7 @@ TEST_P(TransportParamTest, UnevenConsumersKeepUncappedReceiveBufferBound) {
       EXPECT_EQ(chunks[s], (per_pair + kChunk - 1) / kChunk) << "source " << s;
     }
   };
-  std::vector<NetStatsSnapshot> stats;
-  if (kind() == TransportKind::kTcp) {
-    stats = TcpCluster::RunWithStats(P, body);
-  } else if (kind() == TransportKind::kHier) {
-    HierCluster::Options hier_options;
-    hier_options.topology = Topology::Uniform(P, 2);
-    stats = HierCluster::Run(hier_options, body).stats;
-  } else {
-    Cluster::Options cluster_options;
-    cluster_options.num_pes = P;
-    stats = Cluster::Run(cluster_options, body).stats;
-  }
+  std::vector<NetStatsSnapshot> stats = RunWithStats(kind(), P, body);
   // A source has at most a credit window of chunks un-consumed here; its
   // size header and a few credit messages ride along.
   const uint64_t per_source =
@@ -612,13 +558,12 @@ TEST_P(TransportParamTest, AlltoallvStreamUnevenConsumersNoDeadlock) {
   // one source there stops the credit flow to the others, and a cycle of
   // drain-blocked and credit-blocked PEs can close into a distributed
   // deadlock at P >= 4. Source-dependent consumer delays push PEs into
-  // the drain loop at very different times, payloads span several credit
-  // windows, and the backpressure bound sits BELOW one credit window so
-  // credit frames also ride behind paused/parked delivery.
+  // the drain loop at very different times, and payloads span several
+  // credit windows.
   constexpr size_t kChunk = 1024;
   const size_t per_pair = Comm::kStreamSendCreditChunks * 4 * kChunk;
   const int P = pes();
-  RunWithBackpressure(kind(), P, /*bound=*/2 * kChunk, [&](Comm& comm) {
+  RunWith(kind(), P, [&](Comm& comm) {
     std::vector<uint8_t> payload(per_pair);
     for (size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<uint8_t>(comm.rank() * 3 + i);
@@ -836,119 +781,6 @@ TEST(TcpTransportTest, Above4GiBCountAlltoallv) {
       EXPECT_EQ(recvd[0][n - 1], 0xEE);
     }
   });
-}
-
-// --------------------------------------------- Fabric channel capping ----
-
-TEST(FabricCapTest, SendParksUntilReceiverDrains) {
-  Fabric::Options options;
-  options.num_pes = 2;
-  options.channel_cap_bytes = 1024;
-  Fabric fabric(options);
-
-  std::vector<uint8_t> block(1024, 1);
-  SendRequest first = fabric.Isend(0, 1, 1, block.data(), block.size());
-  EXPECT_TRUE(first.done());  // empty channel always admits
-  SendRequest second = fabric.Isend(0, 1, 1, block.data(), block.size());
-  EXPECT_FALSE(second.done());  // over the cap: parked
-
-  std::vector<uint8_t> got = fabric.Recv(1, 0, 1);
-  EXPECT_EQ(got.size(), 1024u);
-  second.Wait();  // the drain admitted it
-  EXPECT_TRUE(second.done());
-  EXPECT_EQ(fabric.Recv(1, 0, 1).size(), 1024u);
-  EXPECT_LE(fabric.max_channel_queued_bytes(), 1024u);
-}
-
-TEST(FabricCapTest, ParkedMessagesKeepFifoOrder) {
-  Fabric::Options options;
-  options.num_pes = 2;
-  options.channel_cap_bytes = 8;
-  Fabric fabric(options);
-  for (int i = 0; i < 16; ++i) {
-    fabric.Isend(0, 1, 1, &i, sizeof(i));
-  }
-  for (int i = 0; i < 16; ++i) {
-    std::vector<uint8_t> bytes = fabric.Recv(1, 0, 1);
-    int v;
-    ASSERT_EQ(bytes.size(), sizeof(v));
-    std::memcpy(&v, bytes.data(), sizeof(v));
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(FabricCapTest, OutOfOrderTagReceiveUnblocksParkedSend) {
-  // Regression: a message parked behind a full channel must be handed to a
-  // LATER-posted receive for its tag even when an earlier message (with a
-  // different tag) still occupies the cap — per-tag FIFO, not channel FIFO.
-  Fabric::Options options;
-  options.num_pes = 2;
-  options.channel_cap_bytes = 1024;
-  Fabric fabric(options);
-  std::vector<uint8_t> block(1024, 1);
-  SendRequest first = fabric.Isend(0, 1, /*tag=*/7, block.data(), 1024);
-  EXPECT_TRUE(first.done());
-  SendRequest second = fabric.Isend(0, 1, /*tag=*/8, block.data(), 1024);
-  EXPECT_FALSE(second.done());  // cap full: parked
-
-  // Receive tag 8 FIRST: must complete from the parked message.
-  std::vector<uint8_t> tag8 = fabric.Recv(1, 0, /*tag=*/8);
-  EXPECT_EQ(tag8.size(), 1024u);
-  EXPECT_TRUE(second.done());
-  EXPECT_EQ(fabric.Recv(1, 0, /*tag=*/7).size(), 1024u);
-}
-
-TEST(FabricCapTest, OversizedMessageStillAdmitted) {
-  Fabric::Options options;
-  options.num_pes = 2;
-  options.channel_cap_bytes = 16;
-  Fabric fabric(options);
-  std::vector<uint8_t> big(4096, 7);
-  SendRequest sr = fabric.Isend(0, 1, 1, big.data(), big.size());
-  EXPECT_TRUE(sr.done());  // empty channel admits even > cap (no livelock)
-  EXPECT_EQ(fabric.Recv(1, 0, 1).size(), 4096u);
-}
-
-TEST(FabricCapTest, SelfSendsExempt) {
-  Fabric::Options options;
-  options.num_pes = 1;
-  options.channel_cap_bytes = 4;
-  Fabric fabric(options);
-  for (int i = 0; i < 8; ++i) {
-    SendRequest sr = fabric.Isend(0, 0, 1, &i, sizeof(i));
-    EXPECT_TRUE(sr.done());  // a capped fabric must never deadlock a PE
-  }                          // against its own mailbox
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(fabric.Recv(0, 0, 1).size(), sizeof(int));
-  }
-}
-
-TEST(FabricCapTest, CollectivesCompleteUnderTightCap) {
-  // Every collective drains what it sends, so a capped cluster must make
-  // progress even when the cap is far below the exchanged volume.
-  Cluster::Options options;
-  options.num_pes = 4;
-  options.channel_cap_bytes = 256;
-  Cluster::Result result = Cluster::Run(options, [](Comm& comm) {
-    std::vector<std::vector<uint64_t>> sends(comm.size());
-    for (int d = 0; d < comm.size(); ++d) {
-      sends[d].assign(512, comm.rank() * 100 + d);  // 4 KiB per pair >> cap
-    }
-    auto recvd = comm.Alltoallv<uint64_t>(sends);
-    for (int s = 0; s < comm.size(); ++s) {
-      ASSERT_EQ(recvd[s].size(), 512u);
-      EXPECT_EQ(recvd[s][0], static_cast<uint64_t>(s * 100 + comm.rank()));
-    }
-    comm.Barrier();
-    EXPECT_EQ(comm.AllreduceSum<int>(1), comm.size());
-  });
-  // A message that beats the peer's posted receive queues, but at most one
-  // admission beyond the cap is ever outstanding (the empty-queue rule), so
-  // buffering is bounded by max(cap, one message) — never the full volume.
-  // Alltoallv streams, so its largest message is one chunk frame: here the
-  // whole 4 KiB payload (below the default chunk) plus its frame header.
-  EXPECT_LE(result.max_channel_queued_bytes,
-            512 * sizeof(uint64_t) + sizeof(StreamChunkHeader));
 }
 
 }  // namespace

@@ -228,6 +228,18 @@ TEST(FlagsTest, UnreadListsFlagsNeverLookedUp) {
   EXPECT_TRUE(flags.Unread().empty());
 }
 
+TEST(FlagsTest, ExitOnUnknownFlagsExitsTwoNamingTheFlags) {
+  const char* argv[] = {"prog", "--pes=8", "--files-per-disk=2", "--x"};
+  FlagParser flags(4, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("pes", 1), 8);
+  EXPECT_EXIT(flags.ExitOnUnknownFlags(), ::testing::ExitedWithCode(2),
+              "unknown flag\\(s\\): --files-per-disk --x");
+  // Once every flag given has been looked up, it returns.
+  EXPECT_TRUE(flags.Has("files-per-disk"));
+  EXPECT_TRUE(flags.Has("x"));
+  flags.ExitOnUnknownFlags();
+}
+
 TEST(FlagsTest, SizeSuffixes) {
   EXPECT_EQ(ParseSize("128"), 128);
   EXPECT_EQ(ParseSize("4k"), 4096);
