@@ -1,5 +1,6 @@
 // §IV-D accounting table: CANONICALMERGESORT needs "I/O volume 4N + o(N),
-// communication volume N + o(N)"; GLOBALSTRIPEDMERGESORT needs 4-5
+// communication volume N + o(N)", here 4N - 2·K·N/R + o(N) because the
+// last K = min(3, R) runs stay in memory; GLOBALSTRIPEDMERGESORT needs 4-5
 // communications of the data for two passes. This bench prints the measured
 // volumes normalized by N for both algorithms across distributions.
 #include <cstdio>
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "# §IV-D volume accounting, P=%d, %llu elements/PE\n"
-      "# claims: canonical io/N -> 4 (6 for non-randomized worst case), "
-      "comm/N -> ~1 (x(P-1)/P);\n"
+      "# claims: canonical io/N -> 4 - 2K/R (up to 2 more for non-randomized "
+      "worst case), comm/N -> ~1 (x(P-1)/P);\n"
       "#         striped comm/N -> ~4 (sort + striped write, both "
       "passes)\n",
       num_pes, static_cast<unsigned long long>(elements_per_pe));

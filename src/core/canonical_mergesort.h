@@ -7,7 +7,8 @@
 //
 // Afterwards PE i holds, sorted and striped over its local disks, exactly
 // the elements of global ranks [i*N/P, (i+1)*N/P) — the "canonical" output
-// format. I/O volume 4N + o(N); communication volume N + o(N) (best case:
+// format. I/O volume 4N - 2·K·N/R + o(N), where phase 1 keeps its last
+// K = min(3, R) runs in memory; communication volume N + o(N) (best case:
 // only the internal sort of run formation moves data).
 //
 // With a RecoveryRuntime attached, every phase boundary is a durable

@@ -15,8 +15,10 @@
 //    or rewritten: the local slice becomes a zero-copy extent over the run
 //    piece's blocks (the in-place fast path that makes random/randomized
 //    inputs nearly free — Figs. 2, 4, 5);
-//  * piece blocks not referenced by the local extent are freed as soon as
-//    their last byte has been shipped.
+//  * piece blocks not referenced by the local extent are freed at the end
+//    of the sub-step that shipped their last record;
+//  * a received block's buffer is released as soon as its disk write
+//    completes, so receive memory holds only the writes still in flight.
 //
 // The exchange itself runs as a streaming collective (Comm::AlltoallvStream):
 // within a sub-step, each destination's frames are packed (disk reads) and
@@ -82,7 +84,6 @@ struct ExtentAssembly {
   size_t open_bytes = 0;
   bool need_first_record = true;
   bool started = false;
-  std::vector<std::pair<io::Request, AlignedBuffer>> pending;
 };
 
 /// Per-source parse state of one sub-step's frame stream: a frame header
@@ -129,7 +130,6 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
       num_runs, std::vector<std::pair<uint64_t, uint64_t>>(P, {0, 0}));
   uint64_t bytes_out = 0;
   uint64_t bytes_in = 0;
-  std::vector<uint8_t> piece_block_retained;
 
   for (size_t j = 0; j < num_runs; ++j) {
     const RunPiece<R>& piece = rf.runs.pieces[j];
@@ -185,11 +185,51 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
   uint64_t k = std::max<uint64_t>(1, (max_vol + budget - 1) / budget);
   result.substeps = k;
 
+  // ---- the sub-step after which each shipped piece block is freed: the
+  // last one that ships a record of it. Sub-step s ships offsets
+  // [len·s/k, len·(s+1)/k) of a range of len records, so offset d goes in
+  // sub-step ceil((d+1)·k/len) - 1.
+  std::vector<std::vector<io::BlockId>> free_after(k);
+  for (size_t j = 0; j < num_runs; ++j) {
+    const RunPiece<R>& piece = rf.runs.pieces[j];
+    std::vector<uint64_t> last_substep(piece.blocks.size(), 0);
+    for (int t = 0; t < P; ++t) {
+      auto [a, b] = send_range[j][t];
+      if (t == me || a >= b) continue;
+      const uint64_t len = b - a;
+      for (uint64_t bi = (a - piece.global_start) / epb;
+           bi * epb + piece.global_start < b; ++bi) {
+        const uint64_t block_end = (bi + 1) * epb + piece.global_start;
+        const uint64_t d = std::min(b, block_end) - 1 - a;
+        last_substep[bi] =
+            std::max(last_substep[bi], ((d + 1) * k + len - 1) / len - 1);
+      }
+    }
+    for (size_t bi = 0; bi < piece.blocks.size(); ++bi) {
+      if (retained[j][bi]) continue;
+      free_after[last_substep[bi]].push_back(piece.blocks[bi]);
+    }
+  }
+
   // ---- receiver assembly state, one per (run, source).
   std::vector<std::vector<internal::ExtentAssembly<R>>> assembly(num_runs);
   for (size_t j = 0; j < num_runs; ++j) {
     assembly[j].resize(P);
   }
+  // Received blocks whose writes are in flight, oldest first, each with the
+  // buffer the write reads from.
+  std::deque<std::pair<io::Request, AlignedBuffer>> pending;
+  // Releases the buffers of the oldest writes that completed and returns
+  // the newest of them for reuse (a fresh buffer if none completed).
+  auto reap_writes = [&] {
+    AlignedBuffer spare;
+    while (!pending.empty() && pending.front().first.done()) {
+      pending.front().first.WaitOk();
+      spare = std::move(pending.front().second);
+      pending.pop_front();
+    }
+    return spare.empty() ? AlignedBuffer(bs) : std::move(spare);
+  };
 
   // ---- sub-steps, each a streaming exchange on the transport layer.
   const size_t block_payload_bytes = epb * sizeof(R);
@@ -366,9 +406,9 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
           // a record multiple); zero the slack so no uninitialized buffer
           // bytes reach disk.
           std::memset(as.open.data() + as.open_bytes, 0, bs - as.open_bytes);
-          as.pending.emplace_back(bm->WriteAsync(id, as.open.data()),
-                                  std::move(as.open));
-          as.open = AlignedBuffer(bs);
+          pending.emplace_back(bm->WriteAsync(id, as.open.data()),
+                               std::move(as.open));
+          as.open = reap_writes();
           as.open_bytes = 0;
           as.need_first_record = true;
         }
@@ -385,13 +425,10 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
       DEMSORT_CHECK_EQ(cursors[src].frame_bytes_left, 0u)
           << "truncated all-to-all frame from " << src;
     }
-    // Reap completed writes each sub-step to bound buffer memory.
-    for (size_t j = 0; j < num_runs; ++j) {
-      for (auto& as : assembly[j]) {
-        for (auto& [req, buf] : as.pending) req.WaitOk();
-        as.pending.clear();
-      }
-    }
+    // Every write of the sub-step completes within it.
+    for (auto& [req, buf] : pending) req.WaitOk();
+    pending.clear();
+    for (const io::BlockId& id : free_after[s]) bm->Free(id);
   }
 
   // ---- flush the RP' partial tail blocks.
@@ -412,14 +449,8 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
     }
   }
 
-  // ---- free piece blocks that were fully shipped away.
-  for (size_t j = 0; j < num_runs; ++j) {
-    RunPiece<R>& piece = rf.runs.pieces[j];
-    for (size_t bi = 0; bi < piece.blocks.size(); ++bi) {
-      if (!retained[j][bi]) bm->Free(piece.blocks[bi]);
-    }
-    piece.blocks.clear();  // ownership moved to extents (or freed)
-  }
+  // Ownership of the piece blocks moved to the extents, or they are freed.
+  for (RunPiece<R>& piece : rf.runs.pieces) piece.blocks.clear();
 
   // ---- order extents and verify they tile my output ranges exactly.
   for (size_t j = 0; j < num_runs; ++j) {

@@ -1,6 +1,7 @@
 // Phase 1 of CANONICALMERGESORT (§IV): form R = ceil(N/M) globally sorted
 // runs, each written back to the PEs' *local* disks (no striping — this is
-// what makes the algorithm communication-minimal).
+// what makes the algorithm communication-minimal), except the runs still in
+// memory when the phase ends (see "Tail runs").
 //
 //  * Randomization: each PE shuffles its local input block IDs first, so
 //    every run sees ≈ the global key distribution (the defence that turns
@@ -20,8 +21,17 @@
 //    run r starts, and run r's writes stay in flight across run r+1's
 //    sort. A buffer's writes are drained only right before it is read into
 //    again, and once at the end of FormRuns.
-//  * Sampling: every K-th element of each written piece is recorded with its
-//    exact run position — the selection bootstrap and prediction sequence.
+//  * Tail runs: the last K = min(#run buffers, R) runs (3, or 1 without
+//    overlap) sit in buffers no later run reads into, so they are not
+//    written. Their buffers go to the BlockManager, which keeps the blocks
+//    in memory under their ids (BlockManager::Keep): phases 2-4 read them
+//    through the same calls at no I/O cost, and each block's memory goes
+//    back as it is freed. I/O volume is 4N - 2·K·N/R + o(N), and phase 1's
+//    buffers carry into phases 2-4, shrinking as those consume the blocks.
+//    A checkpoint's FlushAll writes the kept blocks to disk first.
+//  * Sampling: every sample_every_k-th element of each piece is recorded
+//    with its exact run position — the selection bootstrap and prediction
+//    sequence.
 #ifndef DEMSORT_CORE_RUN_FORMATION_H_
 #define DEMSORT_CORE_RUN_FORMATION_H_
 
@@ -237,12 +247,17 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     {
       TRACE_SPAN1("run", "rf.write_issue", "run", run);
       piece.blocks = bm->AllocateMany(num_blocks);
-      std::vector<std::pair<io::BlockId, const void*>> ops;
-      ops.reserve(num_blocks);
-      for (size_t b = 0; b < num_blocks; ++b) {
-        ops.emplace_back(piece.blocks[b], base + b * bs);
+      if (run + run_buffers.size() >= num_runs) {
+        // A tail run: no later run reads into this buffer.
+        bm->Keep(piece.blocks, std::move(buf.bytes));
+      } else {
+        std::vector<std::pair<io::BlockId, const void*>> ops;
+        ops.reserve(num_blocks);
+        for (size_t b = 0; b < num_blocks; ++b) {
+          ops.emplace_back(piece.blocks[b], base + b * bs);
+        }
+        buf.writes = bm->WriteBatch(ops);
       }
-      buf.writes = bm->WriteBatch(ops);
     }
     if (!config.overlap_run_formation) {
       {

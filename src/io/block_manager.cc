@@ -1,12 +1,34 @@
 #include "io/block_manager.h"
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/logging.h"
 
 namespace demsort::io {
+
+namespace {
+
+// Gives the whole pages inside [data, data + bytes) back to the OS. Rounds
+// inward: madvise rounds its length up to whole pages, which would also
+// drop the bytes of neighbouring blocks that share a page with this one.
+void ReleasePages(uint8_t* data, size_t bytes) {
+  static const uintptr_t page =
+      static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const uintptr_t at = reinterpret_cast<uintptr_t>(data);
+  const uintptr_t begin = (at + page - 1) / page * page;
+  const uintptr_t end = (at + bytes) / page * page;
+  if (begin < end) {
+    // Advisory: on failure the pages stay resident until the buffer goes.
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_DONTNEED);
+  }
+}
+
+}  // namespace
 
 std::string BlockManager::DiskFilePath(const std::string& file_dir, int pe_id,
                                        uint32_t disk) {
@@ -115,16 +137,50 @@ BlockId BlockManager::AllocateOnDisk(uint32_t disk) {
 void BlockManager::Free(BlockId id) {
   DEMSORT_CHECK(id.valid());
   DEMSORT_CHECK_LT(id.disk, num_disks());
-  std::lock_guard<std::mutex> lock(mu_);
-  DEMSORT_CHECK_GT(in_use_, 0u);
-  if (defer_frees_) {
-    // Still counted in in_use_ and absent from the free lists: the block
-    // stays unreadable-for-reuse until the phase checkpoint commits.
-    deferred_frees_.push_back(id);
-    return;
+  KeptBlock kept;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    DEMSORT_CHECK_GT(in_use_, 0u);
+    if (auto it = kept_.find(id); it != kept_.end()) {
+      kept = std::move(it->second);
+      kept_.erase(it);
+    }
+    if (defer_frees_) {
+      // Still counted in in_use_ and absent from the free lists: the block
+      // stays unreadable-for-reuse until the phase checkpoint commits. A
+      // kept block's memory can go at once: a checkpoint flushes it to
+      // disk first, so only a block no checkpoint vouches for dies here.
+      deferred_frees_.push_back(id);
+    } else {
+      --in_use_;
+      free_lists_[id.disk].push_back(id.block);
+    }
   }
-  --in_use_;
-  free_lists_[id.disk].push_back(id.block);
+  // Outside the lock. Other blocks of the same buffer stay intact; the last
+  // share to go frees the buffer.
+  if (kept.owner != nullptr) ReleasePages(kept.data, block_size());
+}
+
+void BlockManager::Keep(const std::vector<BlockId>& ids,
+                        AlignedBuffer buffer) {
+  DEMSORT_CHECK_LE(ids.size() * block_size(), buffer.size());
+  auto owner = std::make_shared<AlignedBuffer>(std::move(buffer));
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    DEMSORT_CHECK(ids[i].valid());
+    DEMSORT_CHECK_LT(ids[i].disk, num_disks());
+    const bool added =
+        kept_.emplace(ids[i], KeptBlock{owner, owner->data() +
+                                                   i * block_size()})
+            .second;
+    DEMSORT_CHECK(added) << "block " << ids[i].disk << ":" << ids[i].block
+                         << " is kept twice";
+  }
+}
+
+uint64_t BlockManager::blocks_kept() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return kept_.size();
 }
 
 void BlockManager::SetDeferFrees(bool defer) {
@@ -145,6 +201,7 @@ void BlockManager::CommitDeferredFrees() {
 void BlockManager::RestoreAllocator(const std::vector<BlockId>& live) {
   std::lock_guard<std::mutex> lock(mu_);
   DEMSORT_CHECK(deferred_frees_.empty());
+  DEMSORT_CHECK(kept_.empty());
   std::vector<std::vector<uint64_t>> per_disk(num_disks());
   for (const BlockId& id : live) {
     DEMSORT_CHECK(id.valid());
@@ -174,7 +231,16 @@ void BlockManager::RestoreAllocator(const std::vector<BlockId>& live) {
 
 Request BlockManager::ReadAsync(BlockId id, void* buf) {
   DEMSORT_CHECK(id.valid());
-  return disks_[id.disk]->ReadAsync(id.block, buf);
+  KeptBlock kept;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = kept_.find(id); it != kept_.end()) kept = it->second;
+  }
+  if (kept.owner == nullptr) return disks_[id.disk]->ReadAsync(id.block, buf);
+  // Copied outside the lock: the share keeps the buffer alive while other
+  // threads read or free its other blocks.
+  std::memcpy(buf, kept.data, block_size());
+  return Request();
 }
 
 Request BlockManager::WriteAsync(BlockId id, const void* buf) {
@@ -203,7 +269,23 @@ void BlockManager::DrainAll() {
 }
 
 Status BlockManager::FlushAll() {
-  Status first = Status::OK();
+  // Write-back of the kept blocks. They stay readable from memory until
+  // their writes complete, and are ordinary disk blocks afterwards.
+  std::vector<std::pair<BlockId, KeptBlock>> kept;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    kept.assign(kept_.begin(), kept_.end());
+  }
+  std::vector<Request> writes;
+  writes.reserve(kept.size());
+  for (const auto& [id, block] : kept) {
+    writes.push_back(disks_[id.disk]->WriteAsync(id.block, block.data));
+  }
+  Status first = WaitAll(writes);
+  if (first.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [id, block] : kept) kept_.erase(id);
+  }
   for (auto& disk : disks_) {
     Status s = disk->Flush();
     if (first.ok() && !s.ok()) first = std::move(s);

@@ -1,10 +1,17 @@
 // BlockManager: a PE's view of its D local disks — striped block allocation,
 // free lists, async access by BlockId, and the allocation high-water mark
 // that backs the paper's (nearly) in-place claims.
+//
+// A block may also be kept in memory (Keep): it has a BlockId like any
+// other, but its bytes live in a buffer the manager owns and no disk holds
+// them. Reads of a kept block are a memcpy that costs no I/O, Free releases
+// its memory, and FlushAll writes it to its disk. Phase 1 keeps the runs
+// whose buffers it never reuses, so they are never written and read back.
 #ifndef DEMSORT_IO_BLOCK_MANAGER_H_
 #define DEMSORT_IO_BLOCK_MANAGER_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,6 +22,7 @@
 #include "io/disk.h"
 #include "io/io_stats.h"
 #include "io/request.h"
+#include "util/aligned_buffer.h"
 
 namespace demsort::io {
 
@@ -89,7 +97,18 @@ class BlockManager {
   /// algorithm, whose disk choice is dictated by the global stripe).
   BlockId AllocateOnDisk(uint32_t disk);
 
+  /// Frees the block. A kept block's memory goes with it: the whole pages
+  /// inside the block return to the OS at once, and the buffer it shares
+  /// with other kept blocks is released with the last of them.
   void Free(BlockId id);
+
+  /// Takes ownership of `buffer` and keeps block ids[i] in memory as its
+  /// block_size() bytes at offset i * block_size(), in place of a write.
+  /// The ids must be allocated and not yet written. A kept block is
+  /// read-only until freed or flushed.
+  void Keep(const std::vector<BlockId>& ids, AlignedBuffer buffer);
+  /// Blocks currently kept in memory.
+  uint64_t blocks_kept() const;
 
   /// Recovery seam: while deferring, Free() only queues — freed blocks are
   /// neither reusable nor counted out of in_use_ until
@@ -106,6 +125,7 @@ class BlockManager {
   /// StorageBackend::TrustOnly). Call before the epoch's first allocation.
   void RestoreAllocator(const std::vector<BlockId>& live);
 
+  /// A kept block is copied before this returns, with no I/O counted.
   Request ReadAsync(BlockId id, void* buf);
   Request WriteAsync(BlockId id, const void* buf);
   void ReadSync(BlockId id, void* buf) { ReadAsync(id, buf).WaitOk(); }
@@ -123,9 +143,11 @@ class BlockManager {
 
   /// Waits until all disks' queues are empty.
   void DrainAll();
-  /// DrainAll() + per-backend durability barrier (fsync): everything
-  /// written so far survives a kill when this returns OK. The checkpoint
-  /// commit protocol calls this before declaring a phase durable.
+  /// Writes every kept block to its disk (they become ordinary disk
+  /// blocks), then DrainAll() + per-backend durability barrier (fsync):
+  /// everything written or kept so far survives a kill when this returns
+  /// OK. The checkpoint commit protocol calls this before declaring a phase
+  /// durable.
   Status FlushAll();
 
   uint64_t blocks_in_use() const;
@@ -143,6 +165,12 @@ class BlockManager {
   double MaxDiskModelBusySeconds() const;
 
  private:
+  /// One kept block: its bytes, and a share of the buffer that holds them.
+  struct KeptBlock {
+    std::shared_ptr<AlignedBuffer> owner;
+    uint8_t* data = nullptr;
+  };
+
   Options options_;
   std::vector<std::unique_ptr<VirtualDisk>> disks_;
 
@@ -154,6 +182,7 @@ class BlockManager {
   uint64_t peak_in_use_ = 0;
   bool defer_frees_ = false;
   std::vector<BlockId> deferred_frees_;
+  std::map<BlockId, KeptBlock> kept_;
 };
 
 }  // namespace demsort::io

@@ -75,8 +75,34 @@ TEST(CanonicalSortTest, Gray100Records) {
   });
 }
 
-TEST(CanonicalSortTest, IoVolumeIsFourNPlusLittle) {
-  // §IV-D: I/O volume 4N + o(N) for random input with randomization.
+TEST(CanonicalSortTest, MergeWorkersReadAndFreeKeptRunsConcurrently) {
+  // Phase 1 keeps its last 3 runs in memory. With 4 merge workers per PE,
+  // several threads read and free blocks of one kept buffer at once, and
+  // by the end of the sort every kept block has been freed.
+  const int P = 2;
+  const uint64_t n = 8192;
+  SortConfig config = test::SmallConfig();
+  config.threads_per_pe = 4;
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    auto gen = workload::GenerateKV16(ctx.bm, Distribution::kUniform, n,
+                                      ctx.rank(), P, cfg.seed);
+    SortOutput<KV16> out = CanonicalMergeSort<KV16>(ctx, cfg, gen.input);
+    EXPECT_GE(
+        out.report.phase[static_cast<int>(Phase::kFinalMerge)].merge_workers,
+        2u);
+    EXPECT_EQ(ctx.bm->blocks_kept(), 0u);
+    ValidationResult v = workload::ValidateCollective<KV16>(
+        ctx, out.blocks, out.num_elements, gen.checksum,
+        /*require_exact_partition=*/true);
+    EXPECT_TRUE(v.ok()) << v.ToString();
+    EXPECT_TRUE(v.partition_exact);
+  });
+}
+
+TEST(CanonicalSortTest, IoVolumeIsFourNLessTheKeptRuns) {
+  // §IV-D: two read/write passes, 4N + o(N) for random input with
+  // randomization, less the K = 3 tail runs that phase 1 keeps in memory:
+  // each is neither written nor read back, which saves 2·K·N/R.
   const int P = 2;
   const uint64_t n = 8192;
   SortConfig config = test::SmallConfig();
@@ -84,14 +110,36 @@ TEST(CanonicalSortTest, IoVolumeIsFourNPlusLittle) {
     auto gen = workload::GenerateKV16(ctx.bm, Distribution::kUniform, n,
                                       ctx.rank(), P, cfg.seed);
     SortOutput<KV16> out = CanonicalMergeSort<KV16>(ctx, cfg, gen.input);
-    uint64_t data_bytes = n * sizeof(KV16);
+    const uint64_t R = out.num_runs;
+    const uint64_t K = 3;
+    ASSERT_EQ(R, 16u);  // 512 records of 16 B per PE per run
+    auto io = [&](Phase p) { return out.report.phase[static_cast<int>(p)].io; };
+    const uint64_t data_bytes = n * sizeof(KV16);
+    const uint64_t kept_bytes = K * data_bytes / R;
+    // The passes are exact: phase 1 reads the input and writes every run
+    // but the kept ones (each piece is 8 whole blocks), and the final
+    // merge writes the output.
+    EXPECT_EQ(io(Phase::kRunFormation).bytes_read, data_bytes);
+    EXPECT_EQ(io(Phase::kRunFormation).bytes_written, data_bytes - kept_bytes);
+    EXPECT_EQ(io(Phase::kFinalMerge).bytes_written, data_bytes);
+    // The final merge reads each written run's blocks in this PE's output
+    // range at most once, plus every block the all-to-all wrote. So the
+    // total is 4N - 2·K·N/R plus at most the selection's block reads and
+    // the all-to-all's own traffic, with the received blocks read back.
+    const uint64_t selection = io(Phase::kMultiwaySelection).bytes();
+    const io::IoStatsSnapshot a2a = io(Phase::kAllToAll);
+    const uint64_t expected = 4 * data_bytes - 2 * kept_bytes;
+    EXPECT_GE(io(Phase::kFinalMerge).bytes_read,
+              data_bytes - kept_bytes - a2a.bytes_read);
+    EXPECT_LE(io(Phase::kFinalMerge).bytes_read,
+              data_bytes - kept_bytes + a2a.bytes_written);
     uint64_t io_bytes = 0;
     for (int p = 0; p < static_cast<int>(Phase::kNumPhases); ++p) {
       io_bytes += out.report.phase[p].io.bytes();
     }
-    // 4 passes = read+write twice; tolerate block rounding + selection.
-    EXPECT_GT(io_bytes, 4 * data_bytes * 9 / 10);
-    EXPECT_LT(io_bytes, 5 * data_bytes);
+    EXPECT_GE(io_bytes, expected);
+    EXPECT_LE(io_bytes,
+              expected + selection + a2a.bytes() + a2a.bytes_written);
   });
 }
 

@@ -339,6 +339,106 @@ TEST(BlockManagerTest, TotalStatsAggregatesDisks) {
   EXPECT_EQ(bm.DiskStats(0).writes + bm.DiskStats(1).writes, 8u);
 }
 
+// Kept blocks: block i of the buffer handed to Keep holds byte i + 1.
+AlignedBuffer KeptBuffer(size_t blocks, size_t block_size) {
+  AlignedBuffer buf(blocks * block_size);
+  for (size_t i = 0; i < blocks; ++i) {
+    std::memset(buf.data() + i * block_size, static_cast<int>(i + 1),
+                block_size);
+  }
+  return buf;
+}
+
+bool HoldsKeptPattern(const AlignedBuffer& block, size_t i) {
+  for (size_t b = 0; b < block.size(); ++b) {
+    if (block.data()[b] != static_cast<uint8_t>(i + 1)) return false;
+  }
+  return true;
+}
+
+TEST(BlockManagerTest, KeptBlocksReadBackExactAndCostNoIo) {
+  BlockManager bm(SmallBm(2));
+  std::vector<BlockId> ids = bm.AllocateMany(6);
+  bm.Keep(ids, KeptBuffer(ids.size(), kBlock));
+  EXPECT_EQ(bm.blocks_kept(), 6u);
+  std::vector<AlignedBuffer> got;
+  std::vector<std::pair<BlockId, void*>> ops;
+  for (const BlockId& id : ids) {
+    got.emplace_back(kBlock);
+    ops.emplace_back(id, got.back().data());
+  }
+  std::vector<Request> reads = bm.ReadBatch(ops);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE(reads[i].done()) << "a kept read completes at once";
+    EXPECT_TRUE(HoldsKeptPattern(got[i], i)) << "block " << i;
+    AlignedBuffer again(kBlock);
+    bm.ReadSync(ids[i], again.data());
+    EXPECT_TRUE(HoldsKeptPattern(again, i)) << "block " << i;
+  }
+  EXPECT_EQ(bm.TotalStats().ops(), 0u);
+  EXPECT_EQ(bm.TotalStats().bytes(), 0u);
+  for (const BlockId& id : ids) bm.Free(id);
+  EXPECT_EQ(bm.blocks_kept(), 0u);
+  EXPECT_EQ(bm.blocks_in_use(), 0u);
+}
+
+TEST(BlockManagerTest, FreeingAKeptBlockLeavesItsNeighboursIntact) {
+  // Free gives back only the whole pages inside a block. 1 KiB blocks hold
+  // no whole page; 3 and 6 KiB blocks share pages with their neighbours.
+  for (size_t block_size : {size_t{1024}, size_t{3072}, size_t{6144}}) {
+    BlockManager::Options options = SmallBm(1);
+    options.block_size = block_size;
+    BlockManager bm(options);
+    std::vector<BlockId> ids = bm.AllocateMany(12);
+    bm.Keep(ids, KeptBuffer(ids.size(), block_size));
+    std::vector<bool> freed(ids.size(), false);
+    for (size_t victim : {5, 0, 11, 6, 4, 1}) {
+      bm.Free(ids[victim]);
+      freed[victim] = true;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (freed[i]) continue;
+        AlignedBuffer block(block_size);
+        bm.ReadSync(ids[i], block.data());
+        EXPECT_TRUE(HoldsKeptPattern(block, i))
+            << block_size << " B blocks: block " << i << " after freeing "
+            << victim;
+      }
+    }
+    EXPECT_EQ(bm.blocks_kept(), 6u);
+  }
+}
+
+TEST(BlockManagerTest, FlushAllWritesKeptBlocksToDisk) {
+  BlockManager::Options options = SmallBm(2);
+  options.backend = BlockManager::BackendKind::kFile;
+  options.file_dir = std::filesystem::temp_directory_path().string();
+  options.pe_id = 78;
+  options.durable_files = true;
+  std::vector<BlockId> ids;
+  {
+    BlockManager bm(options);
+    ids = bm.AllocateMany(5);
+    bm.Keep(ids, KeptBuffer(ids.size(), kBlock));
+    ASSERT_TRUE(bm.FlushAll().ok());
+    EXPECT_EQ(bm.blocks_kept(), 0u);
+    EXPECT_EQ(bm.TotalStats().bytes_written, ids.size() * kBlock);
+  }
+  // A fresh manager over the same files reads them from disk.
+  options.reuse_files = true;
+  BlockManager reopened(options);
+  reopened.RestoreAllocator(ids);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    AlignedBuffer block(kBlock);
+    reopened.ReadSync(ids[i], block.data());
+    EXPECT_TRUE(HoldsKeptPattern(block, i)) << "block " << i;
+  }
+  EXPECT_EQ(reopened.TotalStats().bytes_read, ids.size() * kBlock);
+  for (uint32_t d = 0; d < options.num_disks; ++d) {
+    std::filesystem::remove(
+        BlockManager::DiskFilePath(options.file_dir, options.pe_id, d));
+  }
+}
+
 // ------------------------------------------------------- StripedWriter ----
 
 TEST(StripedWriterTest, WritesAndTracksFirstRecords) {

@@ -227,9 +227,9 @@ TEST(RunFormationTest, RandomizationChangesRunComposition) {
 }
 
 TEST(RunFormationTest, OverlapOffProducesSameRuns) {
-  // The written blocks must not depend on the overlap. With overlap, three
-  // run buffers rotate and a buffer's writes drain only before it is read
-  // into again; six runs reuse every buffer. The throttled disk keeps its
+  // The blocks must not depend on the overlap. With overlap, three run
+  // buffers rotate and a buffer's writes drain only before it is read into
+  // again; six runs reuse every buffer. The throttled disk keeps its
   // pump, so reads and writes complete on another thread while the next
   // runs sort, and the blocks must still match byte for byte.
   const int P = 2;
@@ -252,6 +252,15 @@ TEST(RunFormationTest, OverlapOffProducesSameRuns) {
                                         ctx.rank(), P, cfg.seed);
       auto rf = FormRuns<KV16>(ctx, cfg, gen.input);
       EXPECT_GE(rf.runs.num_runs(), 6u);
+      // The runs in buffers that are never reused stay in memory: the last
+      // three with overlap, the last one without.
+      const size_t kept_runs = cfg.overlap_run_formation ? 3 : 1;
+      size_t kept_blocks = 0;
+      for (size_t r = rf.runs.num_runs() - kept_runs; r < rf.runs.num_runs();
+           ++r) {
+        kept_blocks += rf.runs.pieces[r].blocks.size();
+      }
+      EXPECT_EQ(ctx.bm->blocks_kept(), kept_blocks);
       for (size_t r = 0; r < rf.runs.num_runs(); ++r) {
         std::vector<uint8_t> bytes = BlockBytes(ctx, rf.runs.pieces[r]);
         std::lock_guard<std::mutex> lock(mu);

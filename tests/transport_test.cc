@@ -461,10 +461,21 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundsReceiveBuffering) {
   // must keep every PE's transport-held bytes at O(credit x chunk x
   // sources), far below the exchanged volume.
   constexpr size_t kChunk = 2048;
-  constexpr size_t kPerPair = 64 * 1024;
   const int P = pes();
+  // Credit window + posted lookahead, each chunk message carrying its
+  // frame header, plus the stream's size header and a few credit messages
+  // per source.
+  const uint64_t per_source =
+      (Comm::kStreamSendCreditChunks + 2) *
+          (kChunk + sizeof(StreamChunkHeader)) +
+      sizeof(StreamSizeHeader) + 8 * sizeof(StreamCreditMsg);
+  const uint64_t bound = static_cast<uint64_t>(P - 1) * per_source;
+  // Each pair sends several times the bound: a sender that ignored its
+  // credits would pile up one whole payload at a lagging receiver.
+  const size_t per_pair =
+      std::max<size_t>(64 * 1024, static_cast<size_t>(4 * bound));
   auto stats = RunWithStats(kind(), P, [&](Comm& comm) {
-    std::vector<uint8_t> payload(kPerPair);
+    std::vector<uint8_t> payload(per_pair);
     for (size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<uint8_t>(comm.rank() + i);
     }
@@ -478,19 +489,10 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundsReceiveBuffering) {
           got[src] += data.size();
         },
         nullptr, StreamOptions{.chunk_bytes = kChunk});
-    for (int s = 0; s < comm.size(); ++s) EXPECT_EQ(got[s], kPerPair);
+    for (int s = 0; s < comm.size(); ++s) EXPECT_EQ(got[s], per_pair);
   });
-  // Credit window + posted lookahead, each chunk message carrying its
-  // frame header, plus the stream's size header and a few credit messages
-  // per source.
-  const uint64_t per_source =
-      (Comm::kStreamSendCreditChunks + 2) *
-          (kChunk + sizeof(StreamChunkHeader)) +
-      sizeof(StreamSizeHeader) + 8 * sizeof(StreamCreditMsg);
   for (int pe = 0; pe < P; ++pe) {
-    EXPECT_LE(stats[pe].recv_buffer_peak_bytes,
-              static_cast<uint64_t>(P - 1) * per_source)
-        << "PE " << pe;
+    EXPECT_LE(stats[pe].recv_buffer_peak_bytes, bound) << "PE " << pe;
   }
 }
 
