@@ -1,7 +1,7 @@
-// §IV-D accounting table: CANONICALMERGESORT needs "I/O volume 4N + o(N),
-// communication volume N + o(N)", here 4N - 2·K·N/R + o(N) because the
-// last K = min(3, R) runs stay in memory; GLOBALSTRIPEDMERGESORT needs 4-5
-// communications of the data for two passes. This bench prints the measured
+// §IV-D accounting table: CANONICALMERGESORT needs "I/O volume 4N + o(N)"
+// (here 4N - 2·K·N/R + o(N), because the last K = min(3, R) runs stay in
+// memory) and "communication volume N + o(N)"; GLOBALSTRIPEDMERGESORT needs
+// 4-5 communications of the data for two passes. This bench prints the measured
 // volumes normalized by N for both algorithms across distributions.
 #include <cstdio>
 #include <mutex>

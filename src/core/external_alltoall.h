@@ -185,10 +185,12 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
   uint64_t k = std::max<uint64_t>(1, (max_vol + budget - 1) / budget);
   result.substeps = k;
 
+  // Sub-step s ships offsets [substep_cut(len, s), substep_cut(len, s + 1))
+  // of every (run, destination) range of len records.
+  auto substep_cut = [k](uint64_t len, uint64_t s) { return len * s / k; };
+
   // ---- the sub-step after which each shipped piece block is freed: the
-  // last one that ships a record of it. Sub-step s ships offsets
-  // [len·s/k, len·(s+1)/k) of a range of len records, so offset d goes in
-  // sub-step ceil((d+1)·k/len) - 1.
+  // last one that ships a record of it.
   std::vector<std::vector<io::BlockId>> free_after(k);
   for (size_t j = 0; j < num_runs; ++j) {
     const RunPiece<R>& piece = rf.runs.pieces[j];
@@ -196,13 +198,14 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
     for (int t = 0; t < P; ++t) {
       auto [a, b] = send_range[j][t];
       if (t == me || a >= b) continue;
-      const uint64_t len = b - a;
-      for (uint64_t bi = (a - piece.global_start) / epb;
-           bi * epb + piece.global_start < b; ++bi) {
-        const uint64_t block_end = (bi + 1) * epb + piece.global_start;
-        const uint64_t d = std::min(b, block_end) - 1 - a;
-        last_substep[bi] =
-            std::max(last_substep[bi], ((d + 1) * k + len - 1) / len - 1);
+      for (uint64_t s = 0; s < k; ++s) {
+        const uint64_t from = a + substep_cut(b - a, s);
+        const uint64_t to = a + substep_cut(b - a, s + 1);
+        if (from == to) continue;
+        for (uint64_t bi = (from - piece.global_start) / epb;
+             bi <= (to - 1 - piece.global_start) / epb; ++bi) {
+          last_substep[bi] = std::max(last_substep[bi], s);
+        }
       }
     }
     for (size_t bi = 0; bi < piece.blocks.size(); ++bi) {
@@ -321,9 +324,8 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
         const RunPiece<R>& piece = rf.runs.pieces[j];
         auto [a, b] = send_range[j][t];
         if (a >= b) continue;
-        uint64_t len = b - a;
-        uint64_t from = a + len * s / k;
-        uint64_t to = a + len * (s + 1) / k;
+        uint64_t from = a + substep_cut(b - a, s);
+        uint64_t to = a + substep_cut(b - a, s + 1);
         // Header::count is 32-bit; a fragment beyond 2^32-1 elements is
         // split into consecutive frames (the receiver's contiguity check
         // accepts them as one range) — the >2 GiB count-overflow class

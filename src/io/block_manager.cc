@@ -144,6 +144,7 @@ void BlockManager::Free(BlockId id) {
     if (auto it = kept_.find(id); it != kept_.end()) {
       kept = std::move(it->second);
       kept_.erase(it);
+      num_kept_.store(kept_.size(), std::memory_order_release);
     }
     if (defer_frees_) {
       // Still counted in in_use_ and absent from the free lists: the block
@@ -176,11 +177,11 @@ void BlockManager::Keep(const std::vector<BlockId>& ids,
     DEMSORT_CHECK(added) << "block " << ids[i].disk << ":" << ids[i].block
                          << " is kept twice";
   }
+  num_kept_.store(kept_.size(), std::memory_order_release);
 }
 
 uint64_t BlockManager::blocks_kept() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return kept_.size();
+  return num_kept_.load(std::memory_order_acquire);
 }
 
 void BlockManager::SetDeferFrees(bool defer) {
@@ -231,6 +232,9 @@ void BlockManager::RestoreAllocator(const std::vector<BlockId>& live) {
 
 Request BlockManager::ReadAsync(BlockId id, void* buf) {
   DEMSORT_CHECK(id.valid());
+  if (num_kept_.load(std::memory_order_acquire) == 0) {
+    return disks_[id.disk]->ReadAsync(id.block, buf);
+  }
   KeptBlock kept;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -285,6 +289,7 @@ Status BlockManager::FlushAll() {
   if (first.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [id, block] : kept) kept_.erase(id);
+    num_kept_.store(kept_.size(), std::memory_order_release);
   }
   for (auto& disk : disks_) {
     Status s = disk->Flush();

@@ -10,6 +10,7 @@
 #ifndef DEMSORT_IO_BLOCK_MANAGER_H_
 #define DEMSORT_IO_BLOCK_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -183,6 +184,9 @@ class BlockManager {
   bool defer_frees_ = false;
   std::vector<BlockId> deferred_frees_;
   std::map<BlockId, KeptBlock> kept_;
+  // kept_.size(), stored under mu_ after every change to kept_: reads skip
+  // the lock and the lookup while nothing is kept.
+  std::atomic<uint64_t> num_kept_{0};
 };
 
 }  // namespace demsort::io

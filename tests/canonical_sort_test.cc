@@ -123,23 +123,22 @@ TEST(CanonicalSortTest, IoVolumeIsFourNLessTheKeptRuns) {
     EXPECT_EQ(io(Phase::kRunFormation).bytes_written, data_bytes - kept_bytes);
     EXPECT_EQ(io(Phase::kFinalMerge).bytes_written, data_bytes);
     // The final merge reads each written run's blocks in this PE's output
-    // range at most once, plus every block the all-to-all wrote. So the
-    // total is 4N - 2·K·N/R plus at most the selection's block reads and
-    // the all-to-all's own traffic, with the received blocks read back.
-    const uint64_t selection = io(Phase::kMultiwaySelection).bytes();
+    // range at most once, plus every block the all-to-all wrote.
     const io::IoStatsSnapshot a2a = io(Phase::kAllToAll);
-    const uint64_t expected = 4 * data_bytes - 2 * kept_bytes;
     EXPECT_GE(io(Phase::kFinalMerge).bytes_read,
               data_bytes - kept_bytes - a2a.bytes_read);
     EXPECT_LE(io(Phase::kFinalMerge).bytes_read,
               data_bytes - kept_bytes + a2a.bytes_written);
+    // The total is 4N - 2·K·N/R plus the o(N) of the selection and the
+    // all-to-all. The cap is fixed, so growth in either middle phase fails
+    // it (measured here: 3.88-4.01N).
+    const uint64_t expected = 4 * data_bytes - 2 * kept_bytes;
     uint64_t io_bytes = 0;
     for (int p = 0; p < static_cast<int>(Phase::kNumPhases); ++p) {
       io_bytes += out.report.phase[p].io.bytes();
     }
     EXPECT_GE(io_bytes, expected);
-    EXPECT_LE(io_bytes,
-              expected + selection + a2a.bytes() + a2a.bytes_written);
+    EXPECT_LT(io_bytes, expected + data_bytes / 2);
   });
 }
 
