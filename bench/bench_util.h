@@ -112,8 +112,8 @@ inline RunOptions RunOptionsFromFlags(const FlagParser& flags) {
 /// --queue-depth=N into `config`. A malformed value
 /// aborts the bench; a backend the HOST cannot serve (O_DIRECT on tmpfs,
 /// io_uring filtered or compiled out) prints a '# storage ... unavailable'
-/// marker and returns false — callers exit 0 so sweep scripts record a
-/// skip, not a failure.
+/// marker and returns false — callers exit 0 so a sweep over storage
+/// kinds records a skip, not a failure.
 inline bool ApplyStorageFlags(const FlagParser& flags,
                               core::SortConfig* config) {
   std::string storage = flags.GetString("storage", "");

@@ -67,11 +67,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -656,19 +658,39 @@ int SuperviseLaunches(const CliOptions& options,
   }
 }
 
+/// Reads integer flag --`name` and checks it against [lo, hi] while it is
+/// still an int64_t: a narrowing cast first would wrap a negative value
+/// into a huge unsigned one (--threads=-1 into 4294967295 threads).
+/// Prints the error and returns nullopt when it is out of range.
+std::optional<int64_t> IntFlagInRange(const FlagParser& flags,
+                                      const char* name, int64_t default_value,
+                                      int64_t lo, int64_t hi) {
+  const int64_t value = flags.GetInt(name, default_value);
+  if (value < lo || value > hi) {
+    std::string range = ">= " + std::to_string(lo);
+    if (hi != INT64_MAX) {
+      range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+    std::fprintf(stderr, "--%s must be %s (got %lld)\n", name, range.c_str(),
+                 static_cast<long long>(value));
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   CliOptions options;
-  options.pes = static_cast<int>(flags.GetInt("pes", 8));
-  if (options.pes < 1) {
-    std::fprintf(stderr, "--pes must be >= 1 (got %d)\n", options.pes);
-    return 2;  // the tcp launcher would otherwise fork nothing and
-               // report success without sorting a single record
-  }
-  options.records =
-      static_cast<uint64_t>(flags.GetInt("records-per-pe", 50000));
+  // --pes=0 would make the tcp launcher fork nothing and report success
+  // without sorting a single record.
+  const auto pes = IntFlagInRange(flags, "pes", 8, 1, INT32_MAX);
+  const auto records =
+      IntFlagInRange(flags, "records-per-pe", 50000, 0, INT64_MAX);
+  if (!pes || !records) return 2;
+  options.pes = static_cast<int>(*pes);
+  options.records = static_cast<uint64_t>(*records);
   options.algo = flags.GetString("algo", "canonical");
   options.skewed = flags.GetBool("skewed", false);
   options.stats = flags.GetBool("stats", false);
@@ -732,12 +754,10 @@ int main(int argc, char** argv) {
 
   // ---- merge engine: --threads=N workers per PE (range-partitioned final
   // merge + intra-PE parallel sorting).
-  options.config.threads_per_pe =
-      static_cast<uint32_t>(flags.GetInt("threads", 1));
-  if (options.config.threads_per_pe < 1) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
-    return 2;
-  }
+  const auto threads = IntFlagInRange(flags, "threads", 1, 1,
+                                      core::SortConfig::kMaxThreadsPerPe);
+  if (!threads) return 2;
+  options.config.threads_per_pe = static_cast<uint32_t>(*threads);
 
   // ---- storage engine: --storage={memory,file,direct,uring},
   // --file-dir=DIR (required for the file-backed kinds; one file per disk),
@@ -754,8 +774,10 @@ int main(int argc, char** argv) {
     options.config.backend = parsed.value();
   }
   options.config.file_dir = flags.GetString("file-dir", "");
-  options.config.io_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 0));
+  const auto queue_depth =
+      IntFlagInRange(flags, "queue-depth", 0, 0, INT64_MAX);
+  if (!queue_depth) return 2;
+  options.config.io_queue_depth = static_cast<size_t>(*queue_depth);
   options.config.async_io = !flags.GetBool("sync-io", false);
   if (io::IsFileBacked(options.config.backend)) {
     if (options.config.file_dir.empty()) {

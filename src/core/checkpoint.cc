@@ -25,7 +25,8 @@ std::array<uint32_t, 256> BuildCrcTable() {
 }
 
 constexpr uint64_t kManifestMagic = 0x444D53434B505431ull;  // "DMSCKPT1"
-constexpr uint32_t kManifestVersion = 1;
+// 2: the phase-1 section no longer stores the sample rate.
+constexpr uint32_t kManifestVersion = 2;
 
 Status Errno(const std::string& op, const std::string& path) {
   return Status::IoError(op + "(" + path + "): " + std::strerror(errno));

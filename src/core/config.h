@@ -1,5 +1,6 @@
-// SortConfig: every tunable of the sorting pipeline in one place, mirroring
-// the parameters of the paper (Table I plus implementation knobs of §V-VI).
+// SortConfig: the paper's machine parameters (Table I: B, D, m), the seed
+// and the substrate. What the paper fixes is not a setting: selection samples
+// once per block (App. B), and an all-to-all sub-step moves at most m (§IV-C).
 #ifndef DEMSORT_CORE_CONFIG_H_
 #define DEMSORT_CORE_CONFIG_H_
 
@@ -20,18 +21,13 @@ struct SortConfig {
   /// D per PE (the paper's nodes had 4 local disks).
   uint32_t disks_per_pe = 2;
   /// m = M/P, in bytes: the per-PE share of one run. R = ceil(N / (P*m)).
+  /// Also the per-sub-step budget of the external all-to-all (§IV-C).
   size_t memory_per_pe = 2 * 1024 * 1024;
 
   // ---------------------------------------------------------- algorithm --
   /// §IV randomization: shuffle local input block IDs before run formation.
   bool randomize_blocks = true;
   uint64_t seed = 12345;
-  /// Sample every K-th element of each run piece for selection/prediction;
-  /// 0 means once per block (K = elements per block — Appendix B's choice).
-  size_t sample_every_k = 0;
-  /// Per-sub-step memory budget of the external all-to-all (§IV-C), bytes;
-  /// 0 means memory_per_pe.
-  size_t alltoall_budget = 0;
   /// Chunk of the streaming exchanges (external all-to-all, window
   /// redistribution, selection gathers): each destination's payload travels
   /// as bounded chunks the receiver unpacks as they land, so receive-side
@@ -41,13 +37,11 @@ struct SortConfig {
   size_t stream_chunk_bytes = 0;
   /// Overlap I/O with sorting during run formation (§IV-E Overlapping).
   bool overlap_run_formation = true;
-  /// Cache capacity (blocks) of the selection block cache (§IV-A "we cache
-  /// the most recently accessed disk blocks").
-  size_t selection_cache_blocks = 64;
 
   // ---------------------------------------------------------- substrate --
-  /// Worker threads per PE for intra-PE parallelism (the paper's 8 cores).
+  /// Worker threads per PE (the paper's 8 cores); at most kMaxThreadsPerPe.
   uint32_t threads_per_pe = 1;
+  static constexpr uint32_t kMaxThreadsPerPe = 1024;
   /// false forces inline I/O on the disks that keep a pump thread (O_DIRECT,
   /// io_uring, throttled models). Memory and buffered-file disks run inline
   /// either way (see io::VirtualDisk).
@@ -90,6 +84,11 @@ struct SortConfig {
   Status Validate() const {
     if (block_size == 0) return Status::InvalidArgument("block_size == 0");
     if (disks_per_pe == 0) return Status::InvalidArgument("disks_per_pe == 0");
+    if (threads_per_pe > kMaxThreadsPerPe) {
+      return Status::InvalidArgument(
+          "threads_per_pe must be at most " +
+          std::to_string(kMaxThreadsPerPe));
+    }
     if (memory_per_pe < 2 * block_size) {
       return Status::InvalidArgument(
           "memory_per_pe must hold at least two blocks");

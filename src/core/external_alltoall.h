@@ -177,10 +177,8 @@ AllToAllResult<R> ExternalAllToAll(PeContext& ctx, const SortConfig& config,
     result.extents_per_run[j].push_back(std::move(ext));
   }
 
-  // ---- choose k sub-steps from the global memory budget.
-  uint64_t budget =
-      config.alltoall_budget == 0 ? config.memory_per_pe
-                                  : config.alltoall_budget;
+  // ---- choose k sub-steps, each shipping at most m bytes per PE.
+  const uint64_t budget = config.memory_per_pe;
   uint64_t max_vol = comm.AllreduceMax<uint64_t>(std::max(bytes_out, bytes_in));
   uint64_t k = std::max<uint64_t>(1, (max_vol + budget - 1) / budget);
   result.substeps = k;

@@ -4,8 +4,8 @@
 // [i*N/P, (i+1)*N/P) under the (key, run, position) total order.
 //
 // Implementation follows the paper's optimized variant:
-//  * The in-memory sample (every K-th element of each run, kept with exact
-//    run positions, replicated after run formation) bootstraps per-run
+//  * The in-memory sample (one element per block of each run, kept with
+//    exact run positions, replicated after run formation) bootstraps per-run
 //    bounds without any I/O: a pivot's global rank is bracketed by sample
 //    counts, and decisive brackets tighten the bounds exactly as the pivot
 //    loop of par::MultiwaySelect does.
@@ -56,6 +56,9 @@ template <typename R>
 class ExternalSelector {
  public:
   using Less = typename RecordTraits<R>::Less;
+  /// Capacity floor, in blocks, of the cache of fetched blocks (§IV-A "we
+  /// cache the most recently accessed disk blocks").
+  static constexpr size_t kMinCacheBlocks = 64;
 
   ExternalSelector(PeContext& ctx, const SortConfig& config,
                    const RunFormationResult<R>& rf)
@@ -66,10 +69,10 @@ class ExternalSelector {
         num_runs_(rf.table.num_runs()),
         // A pivot evaluation walks, per run, a deterministic binary-search
         // probe path of <= log2(window/B) + 2 blocks that must stay
-        // resident simultaneously for the walk to complete; clamp the
-        // cache so eviction can never livelock it (26 covers windows up to
-        // 2^24 blocks).
-        cache_capacity_(std::max<size_t>(config.selection_cache_blocks,
+        // resident simultaneously for the walk to complete; size the cache
+        // so eviction can never livelock it (26 covers windows up to 2^24
+        // blocks).
+        cache_capacity_(std::max<size_t>(kMinCacheBlocks,
                                          26 * rf.table.num_runs() + 8)) {}
 
   /// Collective: every PE calls this once; PE i selects rank

@@ -10,6 +10,7 @@
 #include "net/comm.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
+#include "util/logging.h"
 
 namespace demsort::core {
 
@@ -30,6 +31,8 @@ class PeResources {
   /// files of a prior epoch instead of truncating fresh scratch.
   PeResources(net::Comm* comm, const SortConfig& config,
               bool reuse_files = false) {
+    // Fails before any disk or pool thread starts (e.g. a wrapped count).
+    DEMSORT_CHECK_OK(config.Validate());
     io::BlockManager::Options options;
     options.num_disks = config.disks_per_pe;
     options.block_size = config.block_size;

@@ -61,8 +61,6 @@ PipelinedResult<R> PipelinedSort(
   io::BlockManager* bm = ctx.bm;
   const size_t epb = config.ElementsPerBlock<R>();
   const size_t m_elems = config.ElementsPerPeMemory<R>();
-  const size_t sample_k =
-      config.sample_every_k == 0 ? epb : config.sample_every_k;
 
   // ---- phase 1: producer-driven run formation (no randomization).
   RunFormationResult<R> rf;
@@ -87,14 +85,13 @@ PipelinedResult<R> PipelinedSort(
         WriteBlocks<R>(bm, std::span<const R>(sorted.piece), piece.blocks);
 
     std::vector<typename SampleTable<R>::Entry> samples;
-    for (size_t idx = 0; idx < sorted.piece.size(); idx += sample_k) {
+    for (size_t idx = 0; idx < sorted.piece.size(); idx += epb) {
       SampleTable<R>::Append(samples, sorted.piece[idx],
                              piece.global_start + idx);
     }
     rf.runs.pieces.push_back(std::move(piece));
     rf.samples.per_run.push_back(std::move(samples));
   }
-  rf.samples.sample_every_k = sample_k;
   rf.total_elements = comm.AllreduceSum<uint64_t>(my_total);
 
   const uint64_t num_runs = rf.runs.pieces.size();

@@ -233,7 +233,6 @@ class RecoveryRuntime {
                          config_.memory_per_pe,
                          config_.disks_per_pe,
                          config_.seed,
-                         config_.sample_every_k,
                          config_.randomize_blocks ? 1u : 0u,
                          local_input_elements};
     return HashBytes(fields, sizeof(fields), /*seed=*/0xC0FFEEULL);

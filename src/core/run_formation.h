@@ -29,9 +29,9 @@
 //    back as it is freed. I/O volume is 4N - 2·K·N/R + o(N), and phase 1's
 //    buffers carry into phases 2-4, shrinking as those consume the blocks.
 //    A checkpoint's FlushAll writes the kept blocks to disk first.
-//  * Sampling: every sample_every_k-th element of each piece is recorded
-//    with its exact run position — the selection bootstrap and prediction
-//    sequence.
+//  * Sampling: the first record of each block of each piece, and the
+//    piece's closing record, are recorded with their exact run positions:
+//    one sample per block (App. B), the selection bootstrap.
 #ifndef DEMSORT_CORE_RUN_FORMATION_H_
 #define DEMSORT_CORE_RUN_FORMATION_H_
 
@@ -74,8 +74,6 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
   DEMSORT_CHECK_GT(epb, 0u);
   const size_t blocks_per_run =
       std::max<size_t>(1, config.ElementsPerPeMemory<R>() / epb);
-  const size_t sample_k =
-      config.sample_every_k == 0 ? epb : config.sample_every_k;
 
   // Per-block element counts (only the last input block may be partial).
   std::vector<std::pair<io::BlockId, size_t>> block_list;
@@ -105,7 +103,6 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
   result.total_elements = comm.AllreduceSum<uint64_t>(input.num_elements);
   result.runs.pieces.resize(num_runs);
   result.samples.per_run.resize(num_runs);
-  result.samples.sample_every_k = sample_k;
 
   // Run r lives in run_buffers[r % size] (see "In-place, in memory" and
   // "Overlap" above); `recv` is the sort's scratch and landing buffer.
@@ -214,20 +211,18 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     const size_t num_blocks = (piece.size + epb - 1) / epb;
     {
       TRACE_SPAN1("run", "rf.pack", "run", run);
-      // Sample every K-th element of the piece with exact run positions,
-      // plus the closing element (exact tail counts for selection).
+      // Each block's first record is its index entry and a sample; the
+      // closing record is sampled too (exact tail counts for selection).
       auto& samples = result.samples.per_run[run];
-      for (size_t idx = 0; idx < piece.size; idx += sample_k) {
-        SampleTable<R>::Append(samples, records[idx],
-                               piece.global_start + idx);
-      }
-      if (piece.size > 0 && (piece.size - 1) % sample_k != 0) {
-        SampleTable<R>::Append(samples, records[piece.size - 1],
-                               piece.global_start + piece.size - 1);
-      }
       piece.block_first_records.reserve(num_blocks);
       for (size_t b = 0; b < num_blocks; ++b) {
         piece.block_first_records.push_back(records[b * epb]);
+        SampleTable<R>::Append(samples, records[b * epb],
+                               piece.global_start + b * epb);
+      }
+      if (piece.size > 0 && (piece.size - 1) % epb != 0) {
+        SampleTable<R>::Append(samples, records[piece.size - 1],
+                               piece.global_start + piece.size - 1);
       }
       // Lay the merged piece out at block stride, last block first (a
       // block's records only move up, past every earlier block's), and
@@ -309,7 +304,6 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
 template <typename R>
 void SaveRunFormation(ByteWriter& w, const RunFormationResult<R>& rf) {
   w.Pod<uint64_t>(rf.total_elements);
-  w.Pod<uint64_t>(rf.samples.sample_every_k);
   w.Pod<uint64_t>(rf.runs.num_runs());
   for (const RunPiece<R>& piece : rf.runs.pieces) {
     w.Pod<uint64_t>(piece.global_start);
@@ -325,7 +319,6 @@ template <typename R>
 Status LoadRunFormation(ByteReader& r, int num_pes,
                         RunFormationResult<R>* rf) {
   DEMSORT_RETURN_IF_ERROR(r.Pod(&rf->total_elements));
-  DEMSORT_RETURN_IF_ERROR(r.Pod(&rf->samples.sample_every_k));
   uint64_t num_runs = 0;
   DEMSORT_RETURN_IF_ERROR(r.Pod(&num_runs));
   rf->runs.pieces.resize(static_cast<size_t>(num_runs));

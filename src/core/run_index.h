@@ -4,8 +4,8 @@
 // table.RunLength(r), physically split into P pieces: PE p holds positions
 // [piece_start[r][p], piece_start[r][p+1]) on its local disks. The
 // GlobalRunTable (replicated via allgather) plus per-PE RunIndex give every
-// phase the addressing it needs; the SampleTable carries every K-th element
-// (with its exact run position) for selection bootstrap and prediction.
+// phase the addressing it needs; the SampleTable carries one element per
+// block (with its exact run position) for the selection bootstrap.
 #ifndef DEMSORT_CORE_RUN_INDEX_H_
 #define DEMSORT_CORE_RUN_INDEX_H_
 
@@ -63,7 +63,8 @@ struct GlobalRunTable {
   }
 };
 
-/// Every K-th element of every run, with exact run positions; replicated.
+/// The first element of every block of every run piece, plus each piece's
+/// closing element, with exact run positions; replicated.
 template <typename R>
 struct SampleTable {
   struct Entry {
@@ -82,7 +83,6 @@ struct SampleTable {
   }
 
   std::vector<std::vector<Entry>> per_run;  // sorted by pos (== by key)
-  uint64_t sample_every_k = 0;
 };
 
 /// A received (or locally retained) contiguous piece of a run on local

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -281,6 +282,19 @@ TEST(CanonicalSortTest, SyncIoModeWorks) {
                                                 gen.checksum);
     EXPECT_TRUE(v.ok()) << v.ToString();
   });
+}
+
+TEST(SortConfigTest, ValidateBoundsThreadsPerPe) {
+  // A wrapped --threads=-1 reads 4294967295. Validate() rejects it, and
+  // PeResources checks Validate() before it starts a disk or pool thread.
+  // This test only validates, so it starts no thread.
+  SortConfig config = test::SmallConfig();
+  config.threads_per_pe = SortConfig::kMaxThreadsPerPe;
+  EXPECT_TRUE(config.Validate().ok());
+  config.threads_per_pe = SortConfig::kMaxThreadsPerPe + 1;
+  EXPECT_FALSE(config.Validate().ok());
+  config.threads_per_pe = UINT32_MAX;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 }  // namespace

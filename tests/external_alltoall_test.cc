@@ -166,11 +166,12 @@ TEST(AllToAllTest, ReversedRangesMoveEverything) {
 TEST(AllToAllTest, SubstepsRespectBudget) {
   // Worst-case input without randomization maximizes external movement
   // (reversed ranges would already be placed by run formation's internal
-  // sort); a tiny budget must then force many sub-steps.
+  // sort); a tiny budget (memory_per_pe, two blocks) must then force many
+  // sub-steps.
   const int P = 2;
   SortConfig config = test::SmallConfig();
   config.randomize_blocks = false;
-  config.alltoall_budget = 2 * config.block_size;
+  config.memory_per_pe = 2 * config.block_size;
   test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
     auto st = RunThroughAllToAll(ctx, cfg, Distribution::kWorstCaseLocal,
                                  3000);
@@ -180,7 +181,7 @@ TEST(AllToAllTest, SubstepsRespectBudget) {
 
 TEST(AllToAllTest, StaysWithinBudget) {
   // The paper's claim for the sub-stepped exchange is that in-flight volume
-  // is bounded by the configured memory budget. The streamed exchange is
+  // is bounded by the memory budget m. The streamed exchange is
   // bounded much tighter than that: the receiver holds at most ~credit x
   // chunk bytes per source (plus frame headers and sub-step planning
   // messages), NOT a full per-source sub-step payload — asserted against
@@ -189,7 +190,7 @@ TEST(AllToAllTest, StaysWithinBudget) {
   const uint64_t n = 3000;
   SortConfig config = test::SmallConfig();
   config.randomize_blocks = false;
-  config.alltoall_budget = 4 * config.block_size;  // forces several substeps
+  config.memory_per_pe = 4 * config.block_size;  // forces several substeps
   config.stream_chunk_bytes = 256;
 
   net::Cluster::Options options;
@@ -219,9 +220,9 @@ TEST(AllToAllTest, StaysWithinBudget) {
   // source, twice across a sub-step boundary (a finished peer may open its
   // next sub-step's credit window while this PE still drains the last),
   // plus lookahead/header slack — ~7.5 KiB total here, strictly below the
-  // (P-1) x budget = 12 KiB a staged exchange parks per sub-step.
-  // (per_source < alltoall_budget holds by construction of this config —
-  // the bound below is genuinely tighter than the staged exchange's.)
+  // (P-1) x m = 12 KiB a staged exchange parks per sub-step.
+  // (per_source < m holds by construction of this config — the bound below
+  // is genuinely tighter than the staged exchange's.)
   const uint64_t per_source =
       (2 * net::Comm::kStreamSendCreditChunks + 2) *
       config.stream_chunk_bytes;

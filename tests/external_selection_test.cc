@@ -189,28 +189,5 @@ TEST(ExternalSelectionTest, RowGatherStaysAtStreamingBufferBound) {
   });
 }
 
-TEST(ExternalSelectionTest, TinyCacheStillCorrect) {
-  const int P = 3;
-  SortConfig config = test::SmallConfig();
-  config.selection_cache_blocks = 1;  // pathological; must still converge
-  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
-    auto gen = workload::GenerateKV16(ctx.bm, Distribution::kZipf, 1024,
-                                      ctx.rank(), P, cfg.seed);
-    auto rf = FormRuns<KV16>(ctx, cfg, gen.input);
-    ExternalSelector<KV16> selector(ctx, cfg, rf);
-    SplitterMatrix split = selector.SelectAllCollective(nullptr);
-    uint64_t total = rf.total_elements;
-    for (int t = 0; t <= P; ++t) {
-      uint64_t sum = 0;
-      for (size_t r = 0; r < rf.table.num_runs(); ++r) {
-        sum += split.boundary[t][r];
-      }
-      uint64_t expect =
-          t == P ? total : total / P * t + std::min<uint64_t>(total % P, t);
-      EXPECT_EQ(sum, expect);
-    }
-  });
-}
-
 }  // namespace
 }  // namespace demsort::core

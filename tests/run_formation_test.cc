@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -351,6 +353,82 @@ TEST(RunFormationTest, Gray100BlocksHoldRecordsThenZeros) {
   std::sort(ids.begin(), ids.end());
   ASSERT_EQ(ids.size(), P * n);
   for (uint64_t i = 0; i < ids.size(); ++i) ASSERT_EQ(ids[i], i);
+}
+
+/// Runs phase 1 on P PEs, then saves and reloads each PE's checkpoint image
+/// of it (the image a resumed epoch re-enters phase 2 from) and compares
+/// the reloaded result with the original field by field.
+template <typename R>
+void ExpectCheckpointRoundTrip(
+    const std::function<workload::GeneratedInput<R>(PeContext&, int)>&
+        generate) {
+  const int P = 3;
+  SortConfig config = test::SmallConfig();
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    auto gen = generate(ctx, P);
+    RunFormationResult<R> rf = FormRuns<R>(ctx, cfg, gen.input);
+    ASSERT_GE(rf.runs.num_runs(), 2u);
+
+    ByteWriter w;
+    SaveRunFormation(w, rf);
+    const std::string image = w.Take();
+    ByteReader r(image);
+    RunFormationResult<R> loaded;
+    ASSERT_TRUE(LoadRunFormation(r, P, &loaded).ok());
+    EXPECT_TRUE(r.exhausted());
+
+    auto same_bytes = [](const auto& a, const auto& b) {
+      return std::memcmp(&a, &b, sizeof(a)) == 0;
+    };
+    EXPECT_EQ(loaded.total_elements, rf.total_elements);
+    ASSERT_EQ(loaded.runs.num_runs(), rf.runs.num_runs());
+    for (size_t j = 0; j < rf.runs.num_runs(); ++j) {
+      const RunPiece<R>& want = rf.runs.pieces[j];
+      const RunPiece<R>& got = loaded.runs.pieces[j];
+      EXPECT_EQ(got.global_start, want.global_start) << "run " << j;
+      EXPECT_EQ(got.size, want.size) << "run " << j;
+      EXPECT_EQ(got.blocks, want.blocks) << "run " << j;
+      ASSERT_EQ(got.block_first_records.size(),
+                want.block_first_records.size());
+      for (size_t b = 0; b < want.block_first_records.size(); ++b) {
+        EXPECT_TRUE(same_bytes(got.block_first_records[b],
+                               want.block_first_records[b]))
+            << "run " << j << " block " << b;
+      }
+    }
+    EXPECT_EQ(loaded.table.piece_start, rf.table.piece_start);
+    ASSERT_EQ(loaded.samples.per_run.size(), rf.samples.per_run.size());
+    for (size_t j = 0; j < rf.samples.per_run.size(); ++j) {
+      const auto& want = rf.samples.per_run[j];
+      const auto& got = loaded.samples.per_run[j];
+      ASSERT_EQ(got.size(), want.size()) << "run " << j;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].pos, want[i].pos) << "run " << j << " sample " << i;
+        EXPECT_TRUE(same_bytes(got[i].record, want[i].record))
+            << "run " << j << " sample " << i;
+      }
+    }
+
+    // A truncated image is an error, not a short result.
+    const std::string truncated = image.substr(0, image.size() - 1);
+    ByteReader short_reader(truncated);
+    RunFormationResult<R> partial;
+    EXPECT_FALSE(LoadRunFormation(short_reader, P, &partial).ok());
+  });
+}
+
+TEST(RunFormationTest, CheckpointImageRoundTripsKV16) {
+  ExpectCheckpointRoundTrip<KV16>([](PeContext& ctx, int P) {
+    return workload::GenerateKV16(ctx.bm, Distribution::kZipf, 1500,
+                                  ctx.rank(), P, 424242);
+  });
+}
+
+TEST(RunFormationTest, CheckpointImageRoundTripsGray100) {
+  // 10 Gray100 records per 1 KiB block and a partial last input block.
+  ExpectCheckpointRoundTrip<Gray100>([](PeContext& ctx, int P) {
+    return workload::GenerateGray100(ctx.bm, 505, ctx.rank(), P, 424242);
+  });
 }
 
 }  // namespace
