@@ -60,6 +60,23 @@ inline core::SortConfig FigureConfig(size_t block_size = 4 * 1024) {
   return config;
 }
 
+/// The figure benches' --elements-per-pe (default 2 MiB of KV16) and
+/// --block-size (default 4 KiB), range-checked before any narrowing cast;
+/// exits 2 on a value out of range.
+struct FigureSize {
+  uint64_t elements_per_pe;
+  size_t block_size;
+};
+inline FigureSize FigureSizeFromFlags(const FlagParser& flags) {
+  const auto elements =
+      flags.GetIntInRange("elements-per-pe", (2 << 20) / 16, 0, INT64_MAX);
+  const auto block_size =
+      flags.GetIntInRange("block-size", 4 * 1024, 1, INT64_MAX);
+  if (!elements || !block_size) std::exit(2);
+  return {static_cast<uint64_t>(*elements),
+          static_cast<size_t>(*block_size)};
+}
+
 struct SortRunResult {
   std::vector<core::SortReport> reports;
   double wall_ms = 0;
@@ -126,8 +143,10 @@ inline bool ApplyStorageFlags(const FlagParser& flags,
     }
     config->backend = kind.value();
   }
-  config->io_queue_depth =
-      static_cast<size_t>(flags.GetInt("queue-depth", 0));
+  const auto queue_depth =
+      flags.GetIntInRange("queue-depth", 0, 0, INT64_MAX);
+  if (!queue_depth) std::exit(2);
+  config->io_queue_depth = static_cast<size_t>(*queue_depth);
   // Read even when unused, so sweeps may pass one --file-dir to every
   // storage kind.
   const std::string file_dir =

@@ -13,10 +13,9 @@
 int main(int argc, char** argv) {
   using namespace demsort;
   FlagParser flags(argc, argv);
-  uint64_t elements_per_pe = static_cast<uint64_t>(
-      flags.GetInt("elements-per-pe", (2 << 20) / 16));
-  core::SortConfig config = bench::FigureConfig(
-      static_cast<size_t>(flags.GetInt("block-size", 4 * 1024)));
+  const bench::FigureSize size = bench::FigureSizeFromFlags(flags);
+  const uint64_t elements_per_pe = size.elements_per_pe;
+  core::SortConfig config = bench::FigureConfig(size.block_size);
   config.randomize_blocks = true;
   const std::vector<int> pe_sweep = bench::PeSweep(flags);
   flags.ExitOnUnknownFlags();

@@ -31,10 +31,9 @@ int main(int argc, char** argv) {
   using namespace demsort;
   using workload::Distribution;
   FlagParser flags(argc, argv);
-  uint64_t elements_per_pe = static_cast<uint64_t>(
-      flags.GetInt("elements-per-pe", (2 << 20) / 16));
-  size_t block_default =
-      static_cast<size_t>(flags.GetInt("block-size", 4 * 1024));
+  const bench::FigureSize size = bench::FigureSizeFromFlags(flags);
+  const uint64_t elements_per_pe = size.elements_per_pe;
+  const size_t block_default = size.block_size;
   size_t block_small = block_default / 4;  // the paper's 8 MiB vs 2 MiB
   // --transport=tcp (or hier) runs every sweep point over real loopback
   // sockets (or the two-level transport); I/O volumes must be identical

@@ -103,8 +103,10 @@ int main(int argc, char** argv) {
   // algorithm's extra communication starts to bite (the paper's machine
   // showed the same effect as more nodes loaded the InfiniBand fabric).
   int num_pes = static_cast<int>(flags.GetInt("pes", 32));
-  uint64_t records_per_pe =
-      static_cast<uint64_t>(flags.GetInt("records-per-pe", 20000));
+  const auto records =
+      flags.GetIntInRange("records-per-pe", 20000, 0, INT64_MAX);
+  if (!records) return 2;
+  const uint64_t records_per_pe = static_cast<uint64_t>(*records);
   flags.ExitOnUnknownFlags();
 
   core::SortConfig config = bench::FigureConfig(4 * 1024);

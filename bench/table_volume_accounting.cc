@@ -3,6 +3,14 @@
 // memory) and "communication volume N + o(N)"; GLOBALSTRIPEDMERGESORT needs
 // 4-5 communications of the data for two passes. This bench prints the measured
 // volumes normalized by N for both algorithms across distributions.
+//
+// Canonical comm/N is run formation's exchange, (P-1)/P (0.875 at P = 8),
+// plus o(N) terms: the replicated per-block run samples,
+// (P-1)·sizeof(entry)/B (0.041 for KV16 at P = 8, B = 4 KiB), the splitter
+// selection's coarse sample, (P-1)·65 entries per PE and run (0.021 here,
+// where a run piece is 32 Ki records), its refinement rounds and narrow
+// windows, and the collectives' headers. The "sorted" row, whose exchange
+// moves nothing, shows their sum.
 #include <cstdio>
 #include <mutex>
 
@@ -64,8 +72,10 @@ int main(int argc, char** argv) {
   using workload::Distribution;
   FlagParser flags(argc, argv);
   int num_pes = static_cast<int>(flags.GetInt("pes", 8));
-  uint64_t elements_per_pe = static_cast<uint64_t>(
-      flags.GetInt("elements-per-pe", (2 << 20) / 16));
+  const auto elements =
+      flags.GetIntInRange("elements-per-pe", (2 << 20) / 16, 0, INT64_MAX);
+  if (!elements) return 2;
+  const uint64_t elements_per_pe = static_cast<uint64_t>(*elements);
   flags.ExitOnUnknownFlags();
 
   std::printf(

@@ -51,10 +51,13 @@ class UnionFind {
 int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const int pes = static_cast<int>(flags.GetInt("pes", 4));
-  const uint32_t vertices =
-      static_cast<uint32_t>(flags.GetInt("vertices", 20000));
-  const uint64_t edges_per_pe =
-      static_cast<uint64_t>(flags.GetInt("edges-per-pe", 100000));
+  const auto vertices_flag =
+      flags.GetIntInRange("vertices", 20000, 1, UINT32_MAX);
+  const auto edges_flag =
+      flags.GetIntInRange("edges-per-pe", 100000, 0, INT64_MAX);
+  if (!vertices_flag || !edges_flag) return 2;
+  const uint32_t vertices = static_cast<uint32_t>(*vertices_flag);
+  const uint64_t edges_per_pe = static_cast<uint64_t>(*edges_flag);
   flags.ExitOnUnknownFlags();
 
   core::SortConfig config;

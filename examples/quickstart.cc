@@ -24,8 +24,10 @@ int main(int argc, char** argv) {
   using namespace demsort;
   FlagParser flags(argc, argv);
   const int pes = static_cast<int>(flags.GetInt("pes", 4));
-  const uint64_t elements_per_pe = static_cast<uint64_t>(
-      flags.GetInt("elements-per-pe", 256 * 1024));
+  const auto elements =
+      flags.GetIntInRange("elements-per-pe", 256 * 1024, 0, INT64_MAX);
+  if (!elements) return 2;
+  const uint64_t elements_per_pe = static_cast<uint64_t>(*elements);
   workload::Distribution dist =
       workload::ParseDistribution(flags.GetString("dist", "uniform"));
 

@@ -658,26 +658,6 @@ int SuperviseLaunches(const CliOptions& options,
   }
 }
 
-/// Reads integer flag --`name` and checks it against [lo, hi] while it is
-/// still an int64_t: a narrowing cast first would wrap a negative value
-/// into a huge unsigned one (--threads=-1 into 4294967295 threads).
-/// Prints the error and returns nullopt when it is out of range.
-std::optional<int64_t> IntFlagInRange(const FlagParser& flags,
-                                      const char* name, int64_t default_value,
-                                      int64_t lo, int64_t hi) {
-  const int64_t value = flags.GetInt(name, default_value);
-  if (value < lo || value > hi) {
-    std::string range = ">= " + std::to_string(lo);
-    if (hi != INT64_MAX) {
-      range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    }
-    std::fprintf(stderr, "--%s must be %s (got %lld)\n", name, range.c_str(),
-                 static_cast<long long>(value));
-    return std::nullopt;
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -685,9 +665,9 @@ int main(int argc, char** argv) {
   CliOptions options;
   // --pes=0 would make the tcp launcher fork nothing and report success
   // without sorting a single record.
-  const auto pes = IntFlagInRange(flags, "pes", 8, 1, INT32_MAX);
+  const auto pes = flags.GetIntInRange("pes", 8, 1, INT32_MAX);
   const auto records =
-      IntFlagInRange(flags, "records-per-pe", 50000, 0, INT64_MAX);
+      flags.GetIntInRange("records-per-pe", 50000, 0, INT64_MAX);
   if (!pes || !records) return 2;
   options.pes = static_cast<int>(*pes);
   options.records = static_cast<uint64_t>(*records);
@@ -754,8 +734,8 @@ int main(int argc, char** argv) {
 
   // ---- merge engine: --threads=N workers per PE (range-partitioned final
   // merge + intra-PE parallel sorting).
-  const auto threads = IntFlagInRange(flags, "threads", 1, 1,
-                                      core::SortConfig::kMaxThreadsPerPe);
+  const auto threads = flags.GetIntInRange(
+      "threads", 1, 1, core::SortConfig::kMaxThreadsPerPe);
   if (!threads) return 2;
   options.config.threads_per_pe = static_cast<uint32_t>(*threads);
 
@@ -775,7 +755,7 @@ int main(int argc, char** argv) {
   }
   options.config.file_dir = flags.GetString("file-dir", "");
   const auto queue_depth =
-      IntFlagInRange(flags, "queue-depth", 0, 0, INT64_MAX);
+      flags.GetIntInRange("queue-depth", 0, 0, INT64_MAX);
   if (!queue_depth) return 2;
   options.config.io_queue_depth = static_cast<size_t>(*queue_depth);
   options.config.async_io = !flags.GetBool("sync-io", false);

@@ -7,12 +7,12 @@
 //      data crosses the network in the best case of the whole sort),
 //   4. every PE merges the P sorted slices it received.
 //
-// The distributed selection is the in-memory analogue of §IV-A: the same
-// pivot-with-exact-counts loop as par::MultiwaySelect, but the sequences
-// live on remote PEs, so each BSP round allgathers (a) the pivot elements
-// every open (target, sequence) pair needs and (b) each PE's exact local
-// counts for all pivots. All PEs replicate the full selection state
-// deterministically, so no additional coordination is needed.
+// The distributed selection (internal::DistributedSelect) is App. B's
+// sample-bounds idea applied in memory: a coarse position-annotated sample
+// bounds every splitter, refinement rounds narrow the bounds with samples
+// of the windows, and the narrow windows are fetched and finished locally
+// with par::MultiwaySelect. Each round ships O(P^2) sample entries, however
+// long the run, so the exchange of step 3 is the only Theta(N) traffic.
 #ifndef DEMSORT_CORE_INTERNAL_SORT_H_
 #define DEMSORT_CORE_INTERNAL_SORT_H_
 
@@ -44,6 +44,8 @@ struct SortedPiece {
   uint64_t piece_size = 0;
   /// Total run length across all PEs.
   uint64_t total = 0;
+  /// Collectives the splitter selection issued: 5, plus 3 per refinement
+  /// round (each pays one network latency).
   uint64_t selection_rounds = 0;
 };
 
@@ -55,19 +57,58 @@ struct InternalSortResult : SortedPiece {
 
 namespace internal {
 
+/// Entries per sequence in the allgathered coarse sample (plus the closing
+/// entry). Independent of P, so each PE receives O(P) entries per run.
+inline constexpr uint64_t kSelectCoarseSamples = 64;
+/// Entries an owner returns per window in one refinement round.
+inline constexpr uint64_t kSelectRefineSamples = 64;
+/// Refinement stops once no window on any PE is wider than this; the
+/// windows are then fetched whole.
+inline constexpr uint64_t kSelectFetchWindow = 128;
+
+/// Every ceil((end-begin)/count)-th record of local[begin, end), annotated
+/// with its exact position, appended to `out`.
+template <typename R>
+void AppendStridedSample(std::span<const R> local, uint64_t begin,
+                         uint64_t end, uint64_t count,
+                         std::vector<typename SampleTable<R>::Entry>* out) {
+  DEMSORT_CHECK_LE(begin, end);
+  DEMSORT_CHECK_LE(end, local.size());
+  const uint64_t stride = std::max<uint64_t>(1, (end - begin + count - 1) /
+                                                    count);
+  for (uint64_t pos = begin; pos < end; pos += stride) {
+    SampleTable<R>::Append(*out, local[pos], pos);
+  }
+}
+
 /// Splitter matrix: split[t][j] = how many elements of (sorted) sequence j
 /// precede global rank target_ranks[t] (one target per PE rank 1..P-1;
 /// target_ranks.size() must be P-1). Sequence j lives on PE j; `local` is
 /// this PE's sequence. All PEs return identical matrices.
 ///
-/// Constant number of communication rounds (App. B applied in memory):
-///   1. allgather a position-annotated sample of every sequence,
-///   2. every PE derives guaranteed bounds [lo_j, hi_j] for ITS target
-///      locally (SampleBootstrapBounds), windows are O(sample gap) wide,
-///   3. one alltoallv fetches the window contents from their owners,
+/// Communication rounds (App. B applied in memory, refined in rounds):
+///   1. allgather a coarse position-annotated sample of every sequence
+///      (kSelectCoarseSamples + 1 entries each: P (P-1) (S + 1) entries
+///      cross the network); every PE derives guaranteed bounds
+///      [lo_j, hi_j] for ITS target locally (TightenSampleBounds from the
+///      whole sequences), windows about two sample gaps (n/32) wide;
+///   2. an AllreduceMax of the widest window; while it exceeds
+///      kSelectFetchWindow, one refinement round: every target PE sends
+///      each owner its window (P (P-1) requests of 16 bytes), each owner
+///      returns a strided sample of at most kSelectRefineSamples entries
+///      per window (P (P-1) x 64 entries in all), and the target merges
+///      them into that sequence's sample and tightens its bounds again.
+///      Positions stay exact, so the bounds stay guaranteed; a round
+///      shrinks the widest window about 30-fold, so there are
+///      O(log(n) / log(30)) rounds (two at n = 2^18);
+///   3. one alltoallv fetches the now narrow windows (at most
+///      P (P-1) x kSelectFetchWindow records);
 ///   4. exact multiway selection runs locally on the windows (the bounds
-///      guarantee the boundary element lies inside them),
-///   5. rows are allgathered into the full matrix.
+///      guarantee the boundary element lies inside them);
+///   5. rows are allgathered into the full matrix (P (P-1) counts).
+/// None of it depends on n beyond the logarithmic round count, so the
+/// selection adds o(N) to the exchange. `*rounds_out` grows by the number
+/// of collectives issued (each pays one network latency).
 template <typename R>
 std::vector<std::vector<uint64_t>> DistributedSelect(
     net::Comm& comm, std::span<const R> local,
@@ -80,21 +121,17 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   const int P = comm.size();
   const int me = comm.rank();
   DEMSORT_CHECK_EQ(target_ranks.size(), static_cast<size_t>(P - 1));
+  uint64_t rounds = 0;
 
-  // 1. Sample every K-th element (K keeps the replicated sample ~8 entries
-  // per (sequence, PE) pair).
+  // 1. Coarse sample of every sequence.
   const uint64_t n_local = local.size();
-  const uint64_t sample_k =
-      std::max<uint64_t>(1, n_local / (8 * static_cast<uint64_t>(P)));
   std::vector<Entry> mine;
-  for (uint64_t pos = 0; pos < n_local; pos += sample_k) {
-    mine.push_back(Entry{local[pos], pos});
-  }
+  AppendStridedSample<R>(local, 0, n_local, kSelectCoarseSamples, &mine);
   // Closing sample: makes tail counts exact (important under heavy key
   // duplication, where the (key, seq) tie order then resolves whole
   // sequences at once).
-  if (n_local > 0 && (n_local - 1) % sample_k != 0) {
-    mine.push_back(Entry{local[n_local - 1], n_local - 1});
+  if (n_local > 0 && mine.back().pos != n_local - 1) {
+    SampleTable<R>::Append(mine, local[n_local - 1], n_local - 1);
   }
   // Streamed replication: the transport never stages P sample payloads
   // (AllgatherVStreamed appends chunks as they land; align defaults to the
@@ -102,27 +139,64 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   stream_options.align_bytes = 1;
   std::vector<std::vector<Entry>> samples =
       comm.AllgatherVStreamed<Entry>(mine, stream_options);
+  ++rounds;
 
-  // 2. Bounds for MY target (PE 0 has none: its row is all zeros).
+  // Bounds for MY target (PE 0 has none: its row is all zeros); returns
+  // the widest window on any PE.
   std::vector<uint64_t> lo(P, 0), hi(P, 0);
-  if (me > 0) {
-    SampleBootstrapBounds<R, Less>(samples, sequence_sizes,
+  if (me > 0) hi = sequence_sizes;
+  auto bound = [&]() -> uint64_t {
+    uint64_t widest = 0;
+    if (me > 0) {
+      TightenSampleBounds<R, Less>(samples, sequence_sizes,
                                    target_ranks[me - 1], less, &lo, &hi);
-  }
+      for (int j = 0; j < P; ++j) widest = std::max(widest, hi[j] - lo[j]);
+    }
+    ++rounds;
+    return comm.AllreduceMax<uint64_t>(widest);
+  };
 
-  // 3. Fetch windows [lo_j, hi_j) from their owners.
+  // Every round sends each owner the window [lo_j, hi_j) of MY target.
   struct WindowRequest {
     uint64_t begin;
     uint64_t end;
   };
-  std::vector<std::vector<WindowRequest>> requests(P);
-  if (me > 0) {
-    for (int j = 0; j < P; ++j) {
-      requests[j].push_back(WindowRequest{lo[j], hi[j]});
+  auto request_windows = [&]() {
+    std::vector<std::vector<WindowRequest>> requests(P);
+    if (me > 0) {
+      for (int j = 0; j < P; ++j) {
+        requests[j].push_back(WindowRequest{lo[j], hi[j]});
+      }
     }
+    ++rounds;
+    return comm.Alltoallv<WindowRequest>(requests, stream_options);
+  };
+
+  // 2. Refinement rounds.
+  uint64_t widest = bound();
+  while (widest > kSelectFetchWindow) {
+    std::vector<std::vector<WindowRequest>> incoming = request_windows();
+    std::vector<std::vector<Entry>> replies(P);
+    for (int t = 0; t < P; ++t) {
+      for (const WindowRequest& req : incoming[t]) {
+        AppendStridedSample<R>(local, req.begin, req.end,
+                               kSelectRefineSamples, &replies[t]);
+      }
+    }
+    std::vector<std::vector<Entry>> fetched =
+        comm.Alltoallv<Entry>(replies, stream_options);
+    ++rounds;
+    for (int j = 0; j < P; ++j) {
+      MergeSamplesByPosition(&samples[j], fetched[j]);
+    }
+    const uint64_t next = bound();
+    // A round that cannot shrink the widest window would repeat forever.
+    DEMSORT_CHECK_LT(next, widest);
+    widest = next;
   }
-  std::vector<std::vector<WindowRequest>> incoming =
-      comm.Alltoallv<WindowRequest>(requests, stream_options);
+
+  // 3. Fetch the narrow windows [lo_j, hi_j) from their owners.
+  std::vector<std::vector<WindowRequest>> incoming = request_windows();
   std::vector<std::vector<R>> responses(P);
   for (int t = 0; t < P; ++t) {
     for (const WindowRequest& req : incoming[t]) {
@@ -133,6 +207,7 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   }
   std::vector<std::vector<R>> windows =
       comm.Alltoallv<R>(responses, stream_options);
+  ++rounds;
 
   // 4. Exact selection on the windows: positions relative to the window
   // starts; the bounds guarantee sum(lo) <= target <= sum(hi).
@@ -155,9 +230,10 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   // sample gather.
   std::vector<std::vector<uint64_t>> rows =
       comm.AllgatherVStreamed<uint64_t>(my_row, stream_options);
+  ++rounds;
   std::vector<std::vector<uint64_t>> result(P - 1);
   for (int t = 1; t < P; ++t) result[t - 1] = std::move(rows[t]);
-  if (rounds_out != nullptr) *rounds_out += 3;
+  if (rounds_out != nullptr) *rounds_out += rounds;
   return result;
 }
 

@@ -10,15 +10,19 @@
 // heavy key duplication, because the (key, sequence) tie order resolves
 // cross-sequence comparisons at sample granularity.
 //
-// Both selection flavours build on this: the in-memory distributed sort of
-// §IV-B fetches the windows once and finishes locally; the external
-// selector of §IV-A refines them with cached block probes.
+// The in-memory distributed sort of §IV-B builds on this: it narrows the
+// windows in rounds, merging strided samples of each window into the
+// sample and tightening again (TightenSampleBounds), then fetches the
+// narrow windows and finishes locally. The external selector of §IV-A
+// (external_selection.h) brackets with its own copy of this logic and
+// refines with cached block probes.
 #ifndef DEMSORT_CORE_SAMPLE_BOUNDS_H_
 #define DEMSORT_CORE_SAMPLE_BOUNDS_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -99,98 +103,115 @@ void SampleCountBounds(const std::vector<typename SampleTable<R>::Entry>&
   *c_hi = si == samples.size() ? sequence_length : samples[si].pos;
 }
 
-/// Tightens [lo_j, hi_j] for the split positions of `target_rank` using only
-/// the samples, iterating pivots drawn from the samples until fixpoint.
-/// Postcondition: lo_j <= p_j <= hi_j for the exact positions p_j.
+/// Tightens bounds [lo_i, hi_i] that already hold for the split positions
+/// p_i of `target_rank` t (p_i = how many of sequence i's elements are among
+/// the first t of the union), using only the samples.
+///
+/// A sample x of sequence j has an exact position, and SampleCountBounds
+/// brackets how many elements of every other sequence precede it, so its
+/// global rank r(x) lies in a bracket [rl, rh]. Brackets never decrease
+/// along a sequence, so binary searches find in every sequence the last
+/// sample with rh < t (certainly among the first t), the first with
+/// rl >= t (certainly not), and the undecided samples next to them. With
+/// [c_lo_i, c_hi_i] the count bracket of x in sequence i (x.pos for i = j),
+/// each pivot bounds every sequence:
+///   r(x) <  t: c_lo_i (+1 for i = j) <= p_i <= c_hi_i + (t - rl)
+///   r(x) >= t: c_lo_i - (rh - t)     <= p_i <= c_hi_i
+/// (the first t elements are a prefix of the order: they hold everything
+/// before x and at most t - r(x) elements from x on; or they lie before x
+/// and miss at most r(x) - t of its predecessors). An undecided pivot gives
+/// the union of both. Bounds only ever shrink, so a caller that adds
+/// samples and tightens again never loses ground.
+/// Postcondition: lo_i <= p_i <= hi_i for the exact positions p_i.
+template <typename R, typename Less>
+void TightenSampleBounds(
+    const std::vector<std::vector<typename SampleTable<R>::Entry>>& samples,
+    const std::vector<uint64_t>& lengths, uint64_t target_rank,
+    const Less& less, std::vector<uint64_t>* lo, std::vector<uint64_t>* hi) {
+  using Entry = typename SampleTable<R>::Entry;
+  const size_t k = lengths.size();
+  const uint64_t t = target_rank;
+  std::vector<uint64_t> c_lo(k), c_hi(k);
+  // Rank bracket of sample x of sequence j; leaves its count brackets in
+  // c_lo / c_hi.
+  auto bracket = [&](const Entry& x, size_t j, uint64_t* rl, uint64_t* rh) {
+    *rl = 0;
+    *rh = 0;
+    for (size_t i = 0; i < k; ++i) {
+      if (i == j) {
+        c_lo[i] = c_hi[i] = x.pos;
+      } else {
+        SampleCountBounds<R, Less>(samples[i], lengths[i], i, x.record, j,
+                                   less, &c_lo[i], &c_hi[i]);
+      }
+      *rl += c_lo[i];
+      *rh += c_hi[i];
+    }
+  };
+  auto apply = [&](const Entry& x, size_t j) {
+    uint64_t rl, rh;
+    bracket(x, j, &rl, &rh);
+    for (size_t i = 0; i < k; ++i) {
+      const uint64_t low = rh < t ? c_lo[i] + (i == j ? 1 : 0)
+                                  : c_lo[i] - std::min(c_lo[i], rh - t);
+      const uint64_t high = rl >= t ? c_hi[i] : c_hi[i] + (t - rl);
+      (*lo)[i] = std::max((*lo)[i], low);
+      (*hi)[i] = std::min((*hi)[i], high);
+    }
+  };
+  for (size_t j = 0; j < k; ++j) {
+    const auto& sj = samples[j];
+    uint64_t rl, rh;
+    // [sj.begin(), undecided) are certainly among the first t,
+    // [above, sj.end()) certainly not.
+    auto undecided = std::partition_point(
+        sj.begin(), sj.end(), [&](const Entry& x) {
+          bracket(x, j, &rl, &rh);
+          return rh < t;
+        });
+    auto above = std::partition_point(undecided, sj.end(),
+                                      [&](const Entry& x) {
+                                        bracket(x, j, &rl, &rh);
+                                        return rl < t;
+                                      });
+    if (undecided != sj.begin()) apply(*(undecided - 1), j);
+    if (undecided != above) {
+      apply(*undecided, j);
+      if (above - 1 != undecided) apply(*(above - 1), j);
+    }
+    if (above != sj.end()) apply(*above, j);
+  }
+  for (size_t i = 0; i < k; ++i) DEMSORT_CHECK_LE((*lo)[i], (*hi)[i]);
+}
+
+/// Merges `more` into `into`; both are sorted by position, and each
+/// position is kept once.
+template <typename Entry>
+void MergeSamplesByPosition(std::vector<Entry>* into,
+                            const std::vector<Entry>& more) {
+  auto by_pos = [](const Entry& a, const Entry& b) { return a.pos < b.pos; };
+  std::vector<Entry> merged;
+  merged.reserve(into->size() + more.size());
+  std::merge(into->begin(), into->end(), more.begin(), more.end(),
+             std::back_inserter(merged), by_pos);
+  merged.erase(std::unique(merged.begin(), merged.end(),
+                           [](const Entry& a, const Entry& b) {
+                             return a.pos == b.pos;
+                           }),
+               merged.end());
+  *into = std::move(merged);
+}
+
+/// Bounds [lo_j, hi_j] for the split positions of `target_rank` from the
+/// samples alone: TightenSampleBounds from the whole sequences.
 template <typename R, typename Less>
 void SampleBootstrapBounds(
     const std::vector<std::vector<typename SampleTable<R>::Entry>>& samples,
     const std::vector<uint64_t>& lengths, uint64_t target_rank,
     const Less& less, std::vector<uint64_t>* lo, std::vector<uint64_t>* hi) {
-  const size_t k = lengths.size();
-  lo->assign(k, 0);
-  hi->assign(k, 0);
-  for (size_t j = 0; j < k; ++j) (*hi)[j] = lengths[j];
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t j = 0; j < k; ++j) {
-      if ((*lo)[j] >= (*hi)[j]) continue;
-      const auto& sj = samples[j];
-      if (sj.empty()) continue;
-      uint64_t mid = (*lo)[j] + ((*hi)[j] - (*lo)[j]) / 2;
-      // Sample of sequence j nearest at-or-below mid.
-      size_t si = std::partition_point(sj.begin(), sj.end(),
-                                       [&](const auto& s) {
-                                         return s.pos <= mid;
-                                       }) -
-                  sj.begin();
-      if (si == 0) continue;
-      const auto& pivot = sj[si - 1];
-      uint64_t rank_lo = 0, rank_hi = 0;
-      for (size_t i = 0; i < k; ++i) {
-        if (i == j) {
-          rank_lo += pivot.pos;
-          rank_hi += pivot.pos;
-          continue;
-        }
-        uint64_t c_lo, c_hi;
-        SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                   j, less, &c_lo, &c_hi);
-        rank_lo += c_lo;
-        rank_hi += c_hi;
-      }
-      if (rank_lo == rank_hi && rank_lo == target_rank) {
-        // The pivot IS the boundary element and every count is exact
-        // (the brackets collapsed): fix all positions.
-        for (size_t i = 0; i < k; ++i) {
-          uint64_t c_lo, c_hi;
-          if (i == j) {
-            c_lo = c_hi = pivot.pos;
-          } else {
-            SampleCountBounds<R, Less>(samples[i], lengths[i], i,
-                                       pivot.record, j, less, &c_lo, &c_hi);
-            DEMSORT_CHECK_EQ(c_lo, c_hi);
-          }
-          (*lo)[i] = c_lo;
-          (*hi)[i] = c_lo;
-        }
-        return;
-      }
-      if (rank_hi < target_rank) {
-        for (size_t i = 0; i < k; ++i) {
-          if (i == j) continue;
-          uint64_t c_lo, c_hi;
-          SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                     j, less, &c_lo, &c_hi);
-          if (c_lo > (*lo)[i]) {
-            (*lo)[i] = c_lo;
-            changed = true;
-          }
-        }
-        if (pivot.pos + 1 > (*lo)[j]) {
-          (*lo)[j] = pivot.pos + 1;
-          changed = true;
-        }
-      } else if (rank_lo > target_rank) {
-        for (size_t i = 0; i < k; ++i) {
-          if (i == j) continue;
-          uint64_t c_lo, c_hi;
-          SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                     j, less, &c_lo, &c_hi);
-          if (c_hi < (*hi)[i]) {
-            (*hi)[i] = c_hi;
-            changed = true;
-          }
-        }
-        if (pivot.pos < (*hi)[j]) {
-          (*hi)[j] = pivot.pos;
-          changed = true;
-        }
-      }
-    }
-  }
+  lo->assign(lengths.size(), 0);
+  *hi = lengths;
+  TightenSampleBounds<R, Less>(samples, lengths, target_rank, less, lo, hi);
 }
 
 }  // namespace demsort::core

@@ -51,6 +51,23 @@ int64_t FlagParser::GetInt(const std::string& name,
   return v == nullptr ? default_value : ParseSize(*v);
 }
 
+std::optional<int64_t> FlagParser::GetIntInRange(const std::string& name,
+                                                 int64_t default_value,
+                                                 int64_t lo,
+                                                 int64_t hi) const {
+  const int64_t value = GetInt(name, default_value);
+  if (value < lo || value > hi) {
+    std::string range = ">= " + std::to_string(lo);
+    if (hi != INT64_MAX) {
+      range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+    std::fprintf(stderr, "--%s must be %s (got %lld)\n", name.c_str(),
+                 range.c_str(), static_cast<long long>(value));
+    return std::nullopt;
+  }
+  return value;
+}
+
 double FlagParser::GetDouble(const std::string& name,
                              double default_value) const {
   const std::string* v = Find(name);

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +30,13 @@ class FlagParser {
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+  /// GetInt, checked against [lo, hi] while it is still an int64_t: a
+  /// narrowing cast first would wrap a negative value into a huge unsigned
+  /// one (--threads=-1 into 4294967295 threads). Prints the error and
+  /// returns nullopt when the value is out of range; callers exit 2.
+  std::optional<int64_t> GetIntInRange(const std::string& name,
+                                       int64_t default_value, int64_t lo,
+                                       int64_t hi) const;
 
   /// Positional (non --flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

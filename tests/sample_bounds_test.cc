@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -153,6 +154,60 @@ TEST(SampleBoundsTest, SingleElementSequences) {
     EXPECT_GE(hi[0], p0);
     EXPECT_LE(lo[1], p1);
     EXPECT_GE(hi[1], p1);
+  }
+}
+
+TEST(SampleBoundsTest, WindowSamplesNarrowTheBoundsEveryRound) {
+  // The refinement loop of the in-memory selection: sample each window
+  // [lo_j, hi_j) at 64 points, merge, tighten. Every round must keep the
+  // exact positions inside and shrink the widest window until it is a
+  // handful of records, for any duplication level.
+  KVLess less;
+  for (uint64_t key_range : {uint64_t{3}, uint64_t{50}, uint64_t{1} << 30}) {
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      Family f = MakeFamily(6, 20000, key_range, 4096, seed + key_range);
+      std::vector<std::span<const KV16>> spans;
+      for (auto& s : f.seqs) spans.emplace_back(s.data(), s.size());
+      // About 60 targets, so some boundary lands next to the middle of
+      // a window, where a pivot's rank bracket holds the target.
+      for (uint64_t target = 0; target <= f.total;
+           target += f.total / 61 + 1) {
+        std::vector<size_t> exact =
+            par::MultiwaySelect<KV16, KVLess>(spans, target, less);
+        std::vector<std::vector<Entry>> samples = f.samples;
+        std::vector<uint64_t> lo, hi;
+        SampleBootstrapBounds<KV16, KVLess>(samples, f.lengths, target, less,
+                                            &lo, &hi);
+        uint64_t widest = UINT64_MAX;
+        for (int round = 0; round < 8; ++round) {
+          uint64_t next = 0;
+          for (size_t j = 0; j < f.seqs.size(); ++j) {
+            EXPECT_LE(lo[j], exact[j]) << "seq " << j << " round " << round;
+            EXPECT_GE(hi[j], exact[j]) << "seq " << j << " round " << round;
+            next = std::max(next, hi[j] - lo[j]);
+          }
+          if (next <= 8) break;
+          ASSERT_LT(next, widest) << "target " << target << " round "
+                                  << round;
+          widest = next;
+          for (size_t j = 0; j < f.seqs.size(); ++j) {
+            std::vector<Entry> window;
+            const uint64_t stride = std::max<uint64_t>(1, (hi[j] - lo[j]) / 64);
+            for (uint64_t pos = lo[j]; pos < hi[j]; pos += stride) {
+              window.push_back(Entry{f.seqs[j][pos], pos});
+            }
+            MergeSamplesByPosition(&samples[j], window);
+          }
+          TightenSampleBounds<KV16, KVLess>(samples, f.lengths, target, less,
+                                            &lo, &hi);
+        }
+        uint64_t last = 0;
+        for (size_t j = 0; j < f.seqs.size(); ++j) {
+          last = std::max(last, hi[j] - lo[j]);
+        }
+        EXPECT_LE(last, 8u) << "target " << target;
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -238,6 +240,29 @@ TEST(FlagsTest, ExitOnUnknownFlagsExitsTwoNamingTheFlags) {
   EXPECT_TRUE(flags.Has("files-per-disk"));
   EXPECT_TRUE(flags.Has("x"));
   flags.ExitOnUnknownFlags();
+}
+
+TEST(FlagsTest, IntInRangeRejectsNegativesBeforeNarrowing) {
+  // A negative count must not reach a cast to an unsigned type, where
+  // --elements-per-pe=-1 would become 2^64 - 1 records to generate.
+  const char* argv[] = {"prog", "--elements-per-pe=-1", "--queue-depth=-4096",
+                        "--block-size=4k"};
+  FlagParser flags(4, const_cast<char**>(argv));
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(flags.GetIntInRange("elements-per-pe", 10, 0, INT64_MAX),
+            std::nullopt);
+  EXPECT_EQ(flags.GetIntInRange("queue-depth", 0, 0, INT64_MAX),
+            std::nullopt);
+  const std::string errors = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(errors.find("--elements-per-pe must be >= 0 (got -1)"),
+            std::string::npos)
+      << errors;
+  EXPECT_NE(errors.find("--queue-depth must be >= 0 (got -4096)"),
+            std::string::npos)
+      << errors;
+  EXPECT_EQ(flags.GetIntInRange("block-size", 1, 1, INT64_MAX), 4096);
+  EXPECT_EQ(flags.GetIntInRange("vertices", 20000, 1, UINT32_MAX), 20000);
+  EXPECT_TRUE(flags.Unread().empty());
 }
 
 TEST(FlagsTest, SizeSuffixes) {
